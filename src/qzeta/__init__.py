@@ -10,7 +10,6 @@ estimate) and optionally polished by Newton steps.  The contour machinery
 works for any analytic function supplied as a plain callable.
 """
 
-from ._kernels import BACKEND
 from .errors import (
     DegenerateDenominator,
     DerivativeNearZero,
@@ -72,6 +71,10 @@ from .winding import (
 )
 
 __version__ = "0.1.0"
+
+# The series kernel is plain numpy; kept as a name because benchmark
+# records include it.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -8,6 +8,7 @@ Exit status: 0 on success, 1 when any zero ends failed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -94,25 +95,16 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
     else:
         schedule = defaults.c_schedule
 
-    def pick(name, override):
-        return override if override is not None else getattr(defaults, name)
+    # flags spelled like a SearchConfig field override it when given
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(SearchConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    overrides.update(c_initial=c_initial, c_schedule=schedule)
 
     try:
-        search = SearchConfig(
-            c_initial=c_initial,
-            c_schedule=schedule,
-            kappa=pick("kappa", args.kappa),
-            vv_max=pick("vv_max", args.vv_max),
-            fo_good_max=pick("fo_good_max", args.fo_good_max),
-            fo_verygood_max=pick("fo_verygood_max", args.fo_verygood_max),
-            char_tol=pick("char_tol", args.char_tol),
-            de_admissible=pick("de_admissible", args.de_admissible),
-            seed_vv_limit=pick("seed_vv_limit", args.seed_vv_limit),
-            max_integrations_per_zero=pick(
-                "max_integrations_per_zero", args.max_integrations_per_zero
-            ),
-            newton_max_iters=pick("newton_max_iters", args.newton_max_iters),
-        )
+        search = dataclasses.replace(defaults, **overrides)
         if args.y is not None and args.y_max is not None:
             raise UsageError("--y and --y-max are mutually exclusive")
         if args.y is not None:

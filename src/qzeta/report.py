@@ -10,6 +10,7 @@ table's 4-decimal layout.  The JSON and CSV emitters carry the same numbers
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -134,7 +135,6 @@ def _complex_obj(value: complex) -> dict:
 def emit_json(result: RunResult) -> str:
     """Fixed-schema JSON document; byte-deterministic for a given run."""
     config = result.config
-    search = config.search
     doc = {
         "config": {
             "a": config.a,
@@ -146,17 +146,7 @@ def emit_json(result: RunResult) -> str:
             "poly_coefficients": [
                 [c.real, c.imag] for c in config.poly_coefficients
             ],
-            "c_initial": search.c_initial,
-            "c_schedule": list(search.c_schedule),
-            "kappa": search.kappa,
-            "vv_max": search.vv_max,
-            "fo_good_max": search.fo_good_max,
-            "fo_verygood_max": search.fo_verygood_max,
-            "char_tol": search.char_tol,
-            "de_admissible": search.de_admissible,
-            "seed_vv_limit": search.seed_vv_limit,
-            "max_integrations_per_zero": search.max_integrations_per_zero,
-            "newton_max_iters": search.newton_max_iters,
+            **dataclasses.asdict(config.search),
         },
         "zeros": [
             {

@@ -10,13 +10,11 @@ first order in 1/a from eta and eta' values on three vertical lines.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import sharp_series_sum
 from .errors import (
     DegenerateDenominator,
     DerivativeNearZero,
@@ -87,41 +85,55 @@ _GAUSS_GUARD = 700.0  # below exp overflow (~709); replacement exact there
 _DENOM_FLOOR = 1e-300
 
 
-def term_ratio(params: SharpParams, k: complex, j: int) -> complex:
-    """Multiplicative update from series term j-1 to term j.
+def _term_ratios(a: float, d: float, k: complex, j: np.ndarray) -> np.ndarray:
+    """Multiplicative updates from series term j-1 to term j, for every j.
 
     The four exponential factors are the j-th factors of the running product;
-    the Gaussian quotient shifts from (k+j-1)^2 to (k+j)^2.  Above the
-    overflow guard both (exp(x)+1) factors are replaced by exp(x1-x2).
+    the Gaussian quotient shifts from (k+j-1)^2 to (k+j)^2.  Where either
+    Gaussian exponent's real part exceeds the overflow guard, the quotient of
+    the two (exp(x)+1) factors is replaced by exp(x1-x2), which is exact to
+    ~1e-290 there.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = 1.0 - np.exp(-(j + 2.0 * k - 1.0) / a)
+        e2 = 1.0 - np.exp((j + k) / a)
+        e3 = 1.0 - np.exp(-(j + k - 1.0) / a)
+        # complex exp like e1-e3: numpy's real exp rounds differently, and
+        # 1 - exp(j/a) magnifies a one-ulp difference by a/j
+        e4 = 1.0 - np.exp(j / a + 0j)
+        degenerate = (np.abs(e3) < _DENOM_FLOOR) | (np.abs(e4) < _DENOM_FLOOR)
+        if degenerate.any():
+            first = int(j[np.argmax(degenerate)])
+            raise DegenerateDenominator(
+                f"vanishing denominator factor at j={first}, k={k!r}"
+            )
+        w1 = k + (j - 1.0)
+        w2 = k + j
+        x1 = d * (w1 * w1) / (4.0 * a)
+        x2 = d * (w2 * w2) / (4.0 * a)
+        gauss = np.where(
+            (x1.real > _GAUSS_GUARD) | (x2.real > _GAUSS_GUARD),
+            np.exp(x1 - x2),
+            (np.exp(x1) + 1.0) / (np.exp(x2) + 1.0),
+        )
+        return ((e1 * e2) / (e3 * e4)) * gauss
+
+
+def term_ratio(params: SharpParams, k: complex, j: int) -> complex:
+    """Multiplicative update from series term j-1 to term j (see
+    ``_term_ratios``)."""
     if j < 1:
         raise ValueError("term index j must be >= 1")
-    k = complex(k)
-    a, d = params.a, params.d
-    e1 = 1.0 - cmath.exp(-(j + 2.0 * k - 1.0) / a)
-    e2 = 1.0 - cmath.exp((j + k) / a)
-    e3 = 1.0 - cmath.exp(-(j + k - 1.0) / a)
-    e4 = 1.0 - cmath.exp(complex(j / a))
-    if abs(e3) < _DENOM_FLOOR or abs(e4) < _DENOM_FLOOR:
-        raise DegenerateDenominator(
-            f"vanishing denominator factor at j={j}, k={k!r}"
-        )
-    w1 = k + (j - 1.0)
-    w2 = k + j
-    x1 = d * (w1 * w1) / (4.0 * a)
-    x2 = d * (w2 * w2) / (4.0 * a)
-    if x1.real > _GAUSS_GUARD or x2.real > _GAUSS_GUARD:
-        gauss = cmath.exp(x1 - x2)
-    else:
-        gauss = (cmath.exp(x1) + 1.0) / (cmath.exp(x2) + 1.0)
-    return ((e1 * e2) / (e3 * e4)) * gauss
+    return complex(_term_ratios(params.a, params.d, complex(k), np.array([j]))[0])
 
 
 def evaluate(params: SharpParams, k: complex) -> complex:
     """Truncated series value at k (term 0 = 1, n_terms terms in total).
 
-    Evaluation is permitted on Im k in [-epsilon, 3*epsilon]: slightly beyond
-    the strip, so contour rectangles around zeros near the strip edges fit.
+    Term j is the running product of the first j term ratios, so the sum is
+    one cumulative product over j = 1..n_terms-1.  Evaluation is permitted
+    on Im k in [-epsilon, 3*epsilon]: slightly beyond the strip, so contour
+    rectangles around zeros near the strip edges fit.
     """
     k = complex(k)
     if not (math.isfinite(k.real) and math.isfinite(k.imag)):
@@ -131,10 +143,9 @@ def evaluate(params: SharpParams, k: complex) -> complex:
         raise RangeUnsupported(
             f"Im k = {k.imag:g} outside evaluation band [{-eps:g}, {3 * eps:g}]"
         )
-    try:
-        value = sharp_series_sum(k, params.a, params.d, params.n_terms)
-    except ValueError as exc:
-        raise DegenerateDenominator(str(exc)) from exc
+    ratios = _term_ratios(params.a, params.d, k, np.arange(1, params.n_terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(1.0 + np.cumprod(ratios).sum())
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NonFiniteResult(f"series overflowed at k={k!r}")
     return value

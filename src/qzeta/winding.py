@@ -102,14 +102,17 @@ class BoundaryTrace:
     at 0; refinement inserts dyadic midpoints).  ``closing_angle`` continues
     the unwrapped sequence back to the first sample, so
     (closing_angle - angles[0]) / 2*pi is the discrete winding estimate.
+    ``function`` and ``cache`` (function values keyed by (side, interval,
+    offset)) let ``refine_trace`` add samples without re-evaluating old ones.
     """
 
     rect: Rectangle
     c: int
     offsets: list[list[Fraction]]
     samples: list[BoundarySample]
-    closing_angle: float = 0.0
-    orientation: str = field(default="counterclockwise", repr=False)
+    closing_angle: float
+    function: AnalyticFunction = field(repr=False, compare=False)
+    cache: dict = field(repr=False, compare=False)
 
     @property
     def winding(self) -> float:
@@ -193,11 +196,7 @@ def sample_boundary(f: AnalyticFunction, rect: Rectangle, c: int) -> BoundaryTra
     offsets = [[Fraction(0)] for _ in range(c)]
     cache: dict = {}
     samples = _build_samples(f, rect, c, offsets, cache)
-    trace = BoundaryTrace(rect, c, offsets, samples)
-    trace.closing_angle = _unwrap(samples)
-    trace._cache = cache  # reused by refine_trace
-    trace._function = f
-    return trace
+    return BoundaryTrace(rect, c, offsets, samples, _unwrap(samples), f, cache)
 
 
 # per-side jump that forces a split regardless of the summed gaps; keeps
@@ -219,10 +218,7 @@ def refine_trace(
     jumping close to the branch limit forces a split too.  Gaps that survive
     max_depth passes are left for the gap metric to report.
     """
-    f = getattr(trace, "_function", None)
-    if f is None:
-        raise ValueError("trace was not produced by sample_boundary")
-    cache = trace._cache
+    f, cache = trace.function, trace.cache
     rect, c = trace.rect, trace.c
     offsets = [list(group) for group in trace.offsets]
     samples = list(trace.samples)
@@ -258,10 +254,7 @@ def refine_trace(
         samples = _build_samples(f, rect, c, offsets, cache)
         closing = _unwrap(samples)
 
-    refined = BoundaryTrace(rect, c, offsets, samples, closing)
-    refined._cache = cache
-    refined._function = f
-    return refined
+    return BoundaryTrace(rect, c, offsets, samples, closing, f, cache)
 
 
 def compute_char(trace: BoundaryTrace) -> float:

@@ -9,9 +9,11 @@ shifts these allow, 5.0e-8 and 9.9e-7, stay within those zeros' errors of
 """
 
 import cmath
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,9 @@ from qzeta import (
     zeta_plus,
     zeta_plus_derivative,
 )
+
+# 45-digit zeros of the truncated series at the paper's parameters
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
 
 PAPER_TABLE = {
     # index: (y, za, b, final z, de, vv)
@@ -98,6 +103,27 @@ class TestCriterion2FinalZeros:
             ok = ok and record.verdict is Verdict.VERY_GOOD and abs(record.z - z_ref) < 2e-3
         assert _line(
             2, ok, f"worst |z - final list| = {worst:.2e}, run {paper_run.elapsed:.1f}s"
+        )
+
+    def test_zeros_match_truncated_series_oracle(self, paper_run):
+        """Each zero lies within 1e-3 of the 45-digit zero of the same
+        truncated series (perfbench/oracle.json), and zeros 1-5 lie within
+        their reported de."""
+        fixture = json.loads(ORACLE.read_text())
+        exact = {
+            (e["a"], e["d"], e["b"], e["index"]): complex(*map(float, e["z"]))
+            for e in fixture["paper9"]
+        }
+        errors = {
+            seed.index: abs(record.z - exact[(750, 2, seed.b, seed.index)])
+            for seed, record in zip(paper_run.seeds, paper_run.records)
+        }
+        ok = len(errors) == 9 and max(errors.values()) < 1e-3
+        for record in paper_run.records[:5]:
+            ok = ok and errors[record.index] <= record.de
+        assert _line(
+            2, ok, "|z - oracle| = "
+            + ", ".join(f"{errors[i]:.1e}" for i in sorted(errors))
         )
 
 

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qzeta
 from qzeta import UsageError
 from qzeta.cli import main, parse_cli
 
@@ -115,6 +117,8 @@ class TestConsoleScript:
     def test_entry_point_runs(self):
         process = subprocess.run(
             [sys.executable, "-m", "qzeta.cli", "--y-max", "10"],
+            # run the package under test, installed or not
+            cwd=Path(qzeta.__file__).resolve().parents[1],
             capture_output=True,
             text=True,
             timeout=120,

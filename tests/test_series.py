@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from qzeta import (
@@ -50,6 +51,25 @@ def scratch_term(params, k, j):
 
 def scratch_sum(params, k):
     return sum(scratch_term(params, k, j) for j in range(params.n_terms))
+
+
+def mpmath_sum(params, k):
+    """The series summed in mpmath, with the unguarded Gaussian quotient."""
+    with mpmath.workdps(30):
+        a, d, k = mpmath.mpf(params.a), mpmath.mpf(params.d), mpmath.mpc(k)
+        total = 0
+        product = 1
+        for j in range(params.n_terms):
+            if j:
+                product *= (
+                    (1 - mpmath.exp(-(j + 2 * k - 1) / a))
+                    * (1 - mpmath.exp((j + k) / a))
+                    / ((1 - mpmath.exp(-(j + k - 1) / a)) * (1 - mpmath.exp(j / a)))
+                )
+            total += product * (mpmath.exp(d * k * k / (4 * a)) + 1) / (
+                mpmath.exp(d * (k + j) ** 2 / (4 * a)) + 1
+            )
+        return complex(total)
 
 
 class TestSharpParams:
@@ -148,9 +168,21 @@ class TestEvaluate:
             evaluate(p, complex(0.0, -2.0 * p.epsilon))
 
     def test_overflow_guard_keeps_results_finite(self):
-        p = SharpParams(1.0, 50.0, 30)
-        value = evaluate(p, 0.05 + 0.1j)
+        # 30 terms at a=1, d=50: the Gaussian exponents pass the overflow
+        # guard from j=8 on, so the collapsed quotient carries the tail
+        p = SharpParams(1.0, 50.0, 213)
+        k = 0.05 + 0.1j
+        assert p.n_terms == 30
+        assert (p.d * (k + p.n_terms - 1) ** 2 / (4 * p.a)).real > 700
+        value = evaluate(p, k)
         assert math.isfinite(value.real) and math.isfinite(value.imag)
+        oracle = mpmath_sum(p, k)
+        assert abs(value - oracle) / abs(oracle) < 1e-12
+
+    def test_degenerate_denominator(self):
+        # j + k - 1 == 0 at j=1: the first term's denominator vanishes
+        with pytest.raises(DegenerateDenominator):
+            evaluate(SharpParams(750.0, 2.0, 15), 0j)
 
 
 class TestSelectTruncation:
