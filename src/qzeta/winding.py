@@ -2,7 +2,9 @@
 
 Works for any analytic function supplied as a deterministic callable
 complex -> complex that is finite and nonvanishing on the contours it is
-probed on.
+probed on.  An evaluator may also provide ``many(points)``, which maps a 1-D
+complex array of points to the array of their values; the sampler then
+evaluates each pass's new points in one call.
 
 A rectangle boundary is sampled counterclockwise with c points per side
 (4c points, corners included once), and the function arguments are unwrapped
@@ -21,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from .errors import ZeroOnContour
 
@@ -153,8 +157,7 @@ class BoundaryTrace:
         return rows
 
 
-def _evaluate_or_raise(f: AnalyticFunction, point: complex) -> complex:
-    value = complex(f(point))
+def _nonvanishing(value: complex, point: complex) -> complex:
     if abs(value) < _CONTOUR_FLOOR:
         raise ZeroOnContour(
             f"|f| < {_CONTOUR_FLOOR:g} at boundary point {point!r}; "
@@ -166,6 +169,22 @@ def _evaluate_or_raise(f: AnalyticFunction, point: complex) -> complex:
 def _build_samples(
     f: AnalyticFunction, rect: Rectangle, c: int, offsets, cache: dict
 ) -> list[BoundarySample]:
+    """One pass's samples in counterclockwise order.  When f provides
+    ``many``, the pass's uncached points are evaluated first, in one call;
+    otherwise f is called once per uncached point."""
+    if hasattr(f, "many"):
+        keys = [
+            (side, i, off)
+            for side in range(4)
+            for i in range(c)
+            for off in offsets[i]
+            if (side, i, off) not in cache
+        ]
+        if keys:
+            points = [rect.point_at(side, (i + float(off)) / c) for side, i, off in keys]
+            values = f.many(np.array(points))
+            for key, point, value in zip(keys, points, values, strict=True):
+                cache[key] = _nonvanishing(complex(value), point)
     samples = []
     for side in range(4):
         for i in range(c):
@@ -173,7 +192,7 @@ def _build_samples(
                 point = rect.point_at(side, (i + float(off)) / c)
                 key = (side, i, off)
                 if key not in cache:
-                    cache[key] = _evaluate_or_raise(f, point)
+                    cache[key] = _nonvanishing(complex(f(point)), point)
                 samples.append(BoundarySample(side, i, off, point, cache[key]))
     return samples
 

@@ -114,9 +114,10 @@ class TestMain:
 
 
 class TestConsoleScript:
-    def test_entry_point_runs(self):
+    @pytest.mark.parametrize("module", ["qzeta", "qzeta.cli"])
+    def test_entry_point_runs(self, module):
         process = subprocess.run(
-            [sys.executable, "-m", "qzeta.cli", "--y-max", "10"],
+            [sys.executable, "-m", module, "--y-max", "10"],
             # run the package under test, installed or not
             cwd=Path(qzeta.__file__).resolve().parents[1],
             capture_output=True,

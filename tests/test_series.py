@@ -3,7 +3,10 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qzeta import (
     DegenerateDenominator,
@@ -135,6 +138,25 @@ class TestTermRatio:
             term_ratio(p, complex(-2.0, 0.0), 3)
 
 
+# The reference run's two truncations and a guard-active one (see
+# test_overflow_guard_keeps_results_finite).
+BATCH_PARAMS = [
+    SharpParams(750.0, 2.0, 15),
+    SharpParams(750.0, 2.0, 20),
+    SharpParams(1.0, 50.0, 213),
+]
+
+
+@st.composite
+def batches(draw):
+    """A parameter set and 1..40 points of its evaluation band, kept off the
+    real points k = 1 - j where a denominator factor vanishes."""
+    params = draw(st.sampled_from(BATCH_PARAMS))
+    eps = params.epsilon
+    point = st.builds(complex, st.floats(0.01, 4.0), st.floats(-eps, 3.0 * eps))
+    return params, draw(st.lists(point, min_size=1, max_size=40))
+
+
 class TestEvaluate:
     def test_single_term_is_one(self):
         p = SharpParams(3.0, 1.0, 1)
@@ -183,6 +205,37 @@ class TestEvaluate:
         # j + k - 1 == 0 at j=1: the first term's denominator vanishes
         with pytest.raises(DegenerateDenominator):
             evaluate(SharpParams(750.0, 2.0, 15), 0j)
+
+    @given(batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_pointwise_exactly(self, batch):
+        params, ks = batch
+        values = evaluate(params, np.array(ks))
+        assert isinstance(values, np.ndarray) and values.shape == (len(ks),)
+        assert values.tolist() == [evaluate(params, k) for k in ks]
+
+    def test_scalar_argument_returns_python_complex(self):
+        p = SharpParams(750.0, 2.0, 15)
+        assert type(evaluate(p, 0.13 + 14.15j)) is complex
+        assert type(evaluate(p, np.complex128(0.13 + 14.15j))) is complex
+
+    def test_out_of_band_point_is_named(self):
+        p = SharpParams(750.0, 2.0, 15)
+        outside = complex(0.5, 3.5 * p.epsilon)
+        ks = np.array([0.5 + 14j, outside, complex(0.5, -2.0 * p.epsilon)])
+        with pytest.raises(RangeUnsupported) as batch_error:
+            evaluate(p, ks)
+        with pytest.raises(RangeUnsupported) as point_error:
+            evaluate(p, outside)
+        assert str(batch_error.value) == str(point_error.value)
+
+    def test_degenerate_point_in_batch(self):
+        p = SharpParams(750.0, 2.0, 15)
+        with pytest.raises(DegenerateDenominator) as batch_error:
+            evaluate(p, np.array([0.5 + 14j, 0j, 0.5 + 20j]))
+        with pytest.raises(DegenerateDenominator) as point_error:
+            evaluate(p, 0j)
+        assert str(batch_error.value) == str(point_error.value)
 
 
 class TestSelectTruncation:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qzeta import (
@@ -9,10 +10,12 @@ from qzeta import (
     RangeUnsupported,
     REFERENCE_ZEROS,
     classical_zeros,
+    hardy_z,
     riemann_zeta,
     zeta_plus,
     zeta_plus_derivative,
 )
+from qzeta.special import DEFAULT_ETA_CONFIG, _hardy_z_grid
 
 # High-precision oracle values, frozen from a 40-digit termwise series
 # computation (mpmath) before the implementation existed.
@@ -158,3 +161,40 @@ class TestClassicalZeros:
         assert len(found) == 29  # known count of zeros below 100
         for y, ref in zip(found, REFERENCE_ZEROS):
             assert abs(y - ref) < 1e-6
+
+    def test_block_grid_matches_scalar_hardy_z(self):
+        grid = np.arange(2.0, 100.0, 0.05).tolist() + [100.0]
+        block = np.array(_hardy_z_grid(grid, DEFAULT_ETA_CONFIG))
+        scalar = np.array([hardy_z(t) for t in grid])
+        assert np.max(np.abs(block - scalar)) < 1e-12
+        assert np.array_equal(np.sign(block), np.sign(scalar))
+
+    def test_scan_matches_pointwise_scan(self):
+        assert classical_zeros(100.0) == pointwise_scan(100.0)
+
+
+def pointwise_scan(y_max):
+    """Sign-change scan and bisection with one scalar hardy_z call per
+    ordinate, the reference the block-evaluated grid must reproduce."""
+    grid = np.arange(2.0, y_max, 0.05).tolist() + [y_max]
+    zeros = []
+    t_prev, z_prev = grid[0], hardy_z(grid[0])
+    for t in grid[1:]:
+        z_here = hardy_z(t)
+        if z_prev == 0.0:
+            zeros.append(t_prev)
+        elif z_prev * z_here < 0.0:
+            lo, hi, f_lo = t_prev, t, z_prev
+            while hi - lo > 1e-7:
+                mid = 0.5 * (lo + hi)
+                f_mid = hardy_z(mid)
+                if f_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if f_lo * f_mid < 0.0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            zeros.append(0.5 * (lo + hi))
+        t_prev, z_prev = t, z_here
+    return zeros

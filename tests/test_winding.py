@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -29,6 +30,19 @@ def poly_from_roots(roots, scale=1.0):
     return f
 
 
+class BatchLinear:
+    """k - root, with the vectorised ``many`` method of an evaluator."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def __call__(self, k):
+        return k - self.root
+
+    def many(self, points):
+        return points - self.root
+
+
 class TestRectangle:
     def test_corners_and_containment(self):
         r = Rectangle(1 + 2j, 0.5, 0.25)
@@ -55,6 +69,11 @@ class TestSampling:
         corner = 1.0 + 0.5j
         with pytest.raises(ZeroOnContour):
             sample_boundary(lambda k: k - corner, Rectangle(0j, 1.0, 0.5), 4)
+
+    def test_zero_on_contour_detected_in_batch(self):
+        corner = 1.0 + 0.5j
+        with pytest.raises(ZeroOnContour, match=re.escape(repr(corner))):
+            sample_boundary(BatchLinear(corner), Rectangle(0j, 1.0, 0.5), 4)
 
     def test_angles_are_unwrapped_principal_args(self):
         f = poly_from_roots([0.2 + 0.1j])
@@ -277,6 +296,41 @@ class TestWindingIntegrality:
 
 PAPER_B15 = SharpParams(750.0, 2.0, 15)
 PAPER_B20 = SharpParams(750.0, 2.0, 20)
+
+
+class CountingSharpFunction(SharpFunction):
+    """SharpFunction that counts its vectorised calls."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.batches = 0
+
+    def many(self, points):
+        self.batches += 1
+        return super().many(points)
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize(
+        "params,rect",
+        [
+            (PAPER_B15, Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789)),
+            (PAPER_B20, Rectangle(3.11028 + 47.5578j, 0.5, 0.25)),
+        ],
+        ids=["zero1", "zero9"],
+    )
+    def test_batched_and_pointwise_integrations_agree(self, params, rect):
+        # the first integrations of zeros 1 and 9 both refine, so the
+        # batched path runs for the opening pass and for refinement passes
+        batched = CountingSharpFunction(params)
+        pointwise = SharpFunction(params)
+        a = integrate(batched, rect, 4)
+        b = integrate(lambda k: pointwise(k), rect, 4)
+        assert batched.batches >= 2
+        assert any(len(group) > 1 for group in a.trace.offsets)
+        assert (a.char, a.fo, a.z_estimate, a.vv) == (b.char, b.fo, b.z_estimate, b.vv)
+        assert a.trace.offsets == b.trace.offsets
+        assert [s.value for s in a.trace.samples] == [s.value for s in b.trace.samples]
 
 
 class TestPaperRectangles:
