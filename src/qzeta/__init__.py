@@ -42,14 +42,12 @@ from .search import (
 from .series import (
     SharpFunction,
     SharpParams,
-    StripBounds,
     evaluate,
     linear_approximation,
     select_truncation,
     term_ratio,
 )
 from .special import (
-    EtaConfig,
     REFERENCE_ZEROS,
     classical_zeros,
     hardy_z,
@@ -91,7 +89,6 @@ __all__ = [
     "SearchFailed",
     "UsageError",
     # special functions
-    "EtaConfig",
     "REFERENCE_ZEROS",
     "riemann_zeta",
     "zeta_plus",
@@ -100,7 +97,6 @@ __all__ = [
     "classical_zeros",
     # series
     "SharpParams",
-    "StripBounds",
     "SharpFunction",
     "term_ratio",
     "evaluate",

@@ -44,16 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--c-schedule", default=None,
                         help="comma-separated escalation densities, e.g. 4,6,9")
-    parser.add_argument("--kappa", type=float, default=None, help="initial rectangle scale")
-    parser.add_argument("--vv-max", type=float, default=None, help="residual-ratio ceiling for a good integration")
-    parser.add_argument("--fo-good-max", type=int, default=None, help="gap-metric ceiling for a good integration")
-    parser.add_argument("--fo-verygood-max", type=int, default=None, help="gap-metric ceiling for concluding")
-    parser.add_argument("--char-tol", type=float, default=None, help="winding-defect tolerance")
-    parser.add_argument("--de-admissible", type=float, default=None, help="error-estimate ceiling for concluding")
-    parser.add_argument("--seed-vv-limit", type=float, default=None,
-                        help="opening residual ratio above which variant 1 cannot conclude")
-    parser.add_argument("--max-integrations-per-zero", type=int, default=None)
-    parser.add_argument("--newton-max-iters", type=int, default=None)
+    # one flag per scalar SearchConfig field, declared there with its help
+    for f in dataclasses.fields(SearchConfig):
+        if "cli_help" in f.metadata:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                default=None, help=f.metadata["cli_help"])
     return parser
 
 
@@ -76,22 +71,23 @@ def _default_schedule(c_initial: int) -> tuple[int, ...]:
     return (c_initial, math.ceil(c_initial * 1.5), math.ceil(c_initial * 2.25))
 
 
-def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
-    """argv -> (RunConfig, output path).  Raises UsageError on bad values."""
+def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namespace]:
+    """argv -> (RunConfig, parsed arguments); the caller reads the output
+    options ``format``, ``plot_data`` and ``out`` from the arguments.
+    Raises UsageError on bad values."""
     parser = build_parser()
     args = parser.parse_args(argv)
 
     target, coefficients = _parse_target(args.target)
 
     defaults = SearchConfig()
-    c_initial = args.c if args.c is not None else defaults.c_initial
     if args.c_schedule is not None:
         try:
             schedule = tuple(int(part) for part in args.c_schedule.split(","))
         except ValueError as exc:
             raise UsageError(f"bad c schedule {args.c_schedule!r}") from exc
     elif args.c is not None:
-        schedule = _default_schedule(c_initial)
+        schedule = _default_schedule(args.c)
     else:
         schedule = defaults.c_schedule
 
@@ -101,7 +97,7 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
         for f in dataclasses.fields(SearchConfig)
         if getattr(args, f.name, None) is not None
     }
-    overrides.update(c_initial=c_initial, c_schedule=schedule)
+    overrides.update(c_schedule=schedule)
 
     try:
         search = dataclasses.replace(defaults, **overrides)
@@ -120,18 +116,16 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
             b_override=args.b,
             target=target,
             poly_coefficients=coefficients,
-            output_format=args.format,
-            plot_data=args.plot_data,
             search=search,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config, args.out
+    return config, args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config, out_path = parse_cli(argv)
+        config, args = parse_cli(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -140,16 +134,16 @@ def main(argv: list[str] | None = None) -> int:
     except QZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.output_format == "json":
+    if args.format == "json":
         report = emit_json(result)
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         report = emit_plot_data(result)
     else:
         report = emit_text_report(result)
-    if config.plot_data and config.output_format != "csv":
+    if args.plot_data and args.format != "csv":
         report = report + "\n" + emit_plot_data(result)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(report)
     else:
         sys.stdout.write(report)

@@ -9,6 +9,7 @@ to a verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import QZetaError
@@ -19,7 +20,7 @@ from .series import (
     linear_approximation,
     select_truncation,
 )
-from .special import DEFAULT_ETA_CONFIG, EtaConfig, classical_zeros
+from .special import classical_zeros
 
 __all__ = ["RunConfig", "Seed", "RunResult", "plan_seeds", "execute"]
 
@@ -37,10 +38,7 @@ class RunConfig:
     b_override: int | None = None
     target: str = "sharp"  # "sharp" or "poly"
     poly_coefficients: tuple[complex, ...] = ()
-    output_format: str = "text"  # text | json | csv
-    plot_data: bool = False
     search: SearchConfig = field(default_factory=SearchConfig)
-    eta: EtaConfig = field(default_factory=lambda: DEFAULT_ETA_CONFIG)
 
     def __post_init__(self):
         if (self.y_max is None) == (self.y_list is None):
@@ -49,10 +47,12 @@ class RunConfig:
             raise ValueError(f"unknown target {self.target!r}")
         if self.target == "poly" and len(self.poly_coefficients) < 2:
             raise ValueError("polynomial target needs at least two coefficients")
-        if not (self.a > 0 and self.d > 0):
-            raise ValueError("a and d must be positive")
-        if self.output_format not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        if not (0 < self.a < math.inf and 0 < self.d < math.inf):
+            raise ValueError("a and d must be positive and finite")
+        if self.y_list is not None and not all(0 < y < math.inf for y in self.y_list):
+            raise ValueError("every seed ordinate y must be positive and finite")
+        if self.b_override is not None and self.b_override < 1:
+            raise ValueError("b must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
     if config.y_list is not None:
         ys = list(config.y_list)
     else:
-        ys = classical_zeros(config.y_max, config.eta)
+        ys = classical_zeros(config.y_max)
     seeds: list[Seed] = []
     functions = []
     if config.target == "poly":
@@ -100,7 +100,7 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
             functions.append(f)
         return seeds, functions
     for i, y in enumerate(ys, start=1):
-        za = linear_approximation(y, config.a, config.d, config.eta)
+        za = linear_approximation(y, config.a, config.d)
         if config.b_override is not None:
             b = config.b_override
         else:

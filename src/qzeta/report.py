@@ -146,6 +146,8 @@ def emit_json(result: RunResult) -> str:
             "poly_coefficients": [
                 [c.real, c.imag] for c in config.poly_coefficients
             ],
+            # the opening density, kept as its own key of the fixed schema
+            "c_initial": config.search.c_schedule[0],
             **dataclasses.asdict(config.search),
         },
         "zeros": [

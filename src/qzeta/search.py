@@ -52,33 +52,42 @@ class Verdict(Enum):
     FAILED = "failed"
 
 
+def _knob(default, help_text=None):
+    """A scalar field that ``cli.build_parser`` turns into the flag
+    ``--<name-with-dashes>``, typed like its default."""
+    return field(default=default, metadata={"cli_help": help_text})
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the search protocol; defaults reproduce the reference run.
 
+    ``c_schedule`` lists the sampling densities (points per rectangle side)
+    of successive variants; its first entry opens every search.
     ``seed_vv_limit`` guards against over-trusting a sloppy seed: when a
     variant's opening integration has residual ratio at or above the limit,
     the zero cannot conclude within that variant and is re-confirmed at the
     next sampling density.
     """
 
-    c_initial: int = 4
     c_schedule: tuple[int, ...] = (4, 6, 9)
-    kappa: float = 0.365
-    vv_max: float = 0.8
-    fo_good_max: int = 2
-    fo_verygood_max: int = 1
-    char_tol: float = 0.05
-    de_admissible: float = 2.5e-4
-    seed_vv_limit: float = 0.45
-    max_integrations_per_zero: int = 12
-    newton_max_iters: int = 5
+    kappa: float = _knob(0.365, "initial rectangle scale")
+    vv_max: float = _knob(0.8, "residual-ratio ceiling for a good integration")
+    fo_good_max: int = _knob(2, "gap-metric ceiling for a good integration")
+    fo_verygood_max: int = _knob(1, "gap-metric ceiling for concluding")
+    char_tol: float = _knob(0.05, "winding-defect tolerance")
+    de_admissible: float = _knob(2.5e-4, "error-estimate ceiling for concluding")
+    seed_vv_limit: float = _knob(
+        0.45, "opening residual ratio above which variant 1 cannot conclude"
+    )
+    max_integrations_per_zero: int = _knob(12)
+    newton_max_iters: int = _knob(5)
 
     def __post_init__(self):
         if list(self.c_schedule) != sorted(set(self.c_schedule)):
             raise ValueError("c_schedule must be strictly increasing")
-        if self.c_initial != self.c_schedule[0]:
-            raise ValueError("c_initial must equal the first c_schedule entry")
+        if not self.c_schedule or self.c_schedule[0] < 3:
+            raise ValueError("c_schedule must start at 3 or more points per side")
         if not 0 < self.vv_max < 1:
             raise ValueError("vv_max must be in (0, 1)")
         if not 0 < self.char_tol < 0.5:
@@ -351,7 +360,7 @@ class _ZeroSearch:
             zn=rect.center,
             rd=rect.rd,
             rad=rect.rad,
-            c=cfg.c_initial,
+            c=cfg.c_schedule[0],
         )
         self.trace_log: list[IntegrationAttempt] = []
         self.concluded = False
@@ -455,11 +464,7 @@ def locate_zero(
     Raises SearchFailed (with the partial record attached) when no variant
     produced even one good integration.
     """
-    search = _ZeroSearch(f, y, za, cfg)
-    for variant_index in range(len(cfg.c_schedule)):
-        if search.run_variant(variant_index):
-            break
-    record = search.finish(index=1)
+    record = run_variants(f, [(y, za)], cfg)[0]
     if record.verdict is Verdict.FAILED:
         error = SearchFailed(f"no good integration for the zero near {za!r}")
         error.record = record

@@ -21,25 +21,16 @@ from .errors import (
     NonFiniteResult,
     RangeUnsupported,
 )
-from .special import DEFAULT_ETA_CONFIG, EtaConfig, zeta_plus, zeta_plus_derivative
+from .special import zeta_plus, zeta_plus_derivative
 
 __all__ = [
     "SharpParams",
-    "StripBounds",
     "SharpFunction",
     "term_ratio",
     "evaluate",
     "select_truncation",
     "linear_approximation",
 ]
-
-
-@dataclass(frozen=True)
-class StripBounds:
-    """Horizontal strip 0 < Im k < 2*epsilon where the deformed zeros live."""
-
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -75,10 +66,6 @@ class SharpParams:
     @property
     def epsilon(self) -> float:
         return math.sqrt(math.pi * self.a / (2.0 * self.d))
-
-    @property
-    def strip(self) -> StripBounds:
-        return StripBounds(0.0, 2.0 * self.epsilon)
 
 
 _GAUSS_GUARD = 700.0  # below exp overflow (~709); replacement exact there
@@ -234,9 +221,7 @@ def select_truncation(a: float, d: float, region_top: float) -> int:
         b += _B_CANDIDATE_STEP
 
 
-def linear_approximation(
-    y: float, a: float, d: float, cfg: EtaConfig = DEFAULT_ETA_CONFIG
-) -> complex:
+def linear_approximation(y: float, a: float, d: float) -> complex:
     """First-order prediction of the deformed zero for the classical
     critical-line zero at k = y*i.
 
@@ -246,13 +231,13 @@ def linear_approximation(
     if not y > 0:
         raise ValueError("y must be positive")
     yi = complex(0.0, y)
-    eta_prime = zeta_plus_derivative(0.5 + yi, cfg)
+    eta_prime = zeta_plus_derivative(0.5 + yi)
     if abs(eta_prime) < 1e-10:
         raise DerivativeNearZero(
             f"eta'(1/2 + {y:g}i) ~ 0; not a simple-zero ordinate"
         )
-    numerator = (4.0 / d) * (0.5 + yi) * zeta_plus(1.5 + yi, cfg) - d * (
+    numerator = (4.0 / d) * (0.5 + yi) * zeta_plus(1.5 + yi) - d * (
         -1.0 + yi
-    ) * zeta_plus(-0.5 + yi, cfg)
+    ) * zeta_plus(-0.5 + yi)
     denominator = 12.0 * a * eta_prime
     return yi * (1.0 - numerator / denominator)

@@ -3,9 +3,8 @@
 Everything here is double precision.  The Riemann zeta is summed by
 Euler-Maclaurin: N direct terms, the trapezoidal edge term, the isolated pole
 term N^(1-s)/(s-1), and Bernoulli corrections.  N is grown until a rigorous
-first-omitted-term bound meets the requested absolute error, so the default
-accuracy (1e-12) holds over the whole supported region (Re s >= -2,
-|Im s| <= 200).
+first-omitted-term bound meets a fixed absolute error of 1e-12, which then
+holds over the whole supported region (Re s >= -2, |Im s| <= 200).
 
 The alternating-sum variant eta(s) = (1 - 2^(1-s)) zeta(s) is assembled so
 that the zeta pole cancels analytically rather than numerically: near s = 1
@@ -22,7 +21,6 @@ and grows to ~1e-9 at the extreme corner of the supported region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +28,6 @@ import numpy as np
 from .errors import PoleAtOne, QZetaError, RangeUnsupported
 
 __all__ = [
-    "EtaConfig",
-    "DEFAULT_ETA_CONFIG",
     "REFERENCE_ZEROS",
     "riemann_zeta",
     "zeta_plus",
@@ -48,6 +44,13 @@ _ETA_PRIME_AT_1 = _EULER_GAMMA * _LN2 - 0.5 * _LN2 * _LN2
 _SIGMA_MIN = -2.0
 _IMAG_MAX = 200.0
 _POLE_RADIUS = 1e-12
+
+# Absolute error of zeta and eta values (the derivative contract is 100x
+# looser), the most direct terms N may grow to, and the order of the highest
+# Bernoulli correction (even, at most 16).
+_TARGET_ABS_ERROR = 1e-12
+_MAX_TERMS = 10000
+_EM_ORDER = 8
 
 # B_k / k! for even k, exact rationals converted once.
 _BERNOULLI = {
@@ -77,31 +80,6 @@ REFERENCE_ZEROS = (
 )
 
 
-@dataclass(frozen=True)
-class EtaConfig:
-    """Accuracy control for the zeta/eta evaluations.
-
-    target_abs_error bounds the absolute error of zeta and eta values; the
-    derivative contract is 100x looser.  euler_maclaurin_order is the order
-    of the highest Bernoulli correction (an even number, 2..16).
-    """
-
-    target_abs_error: float = 1e-12
-    max_terms: int = 10000
-    euler_maclaurin_order: int = 8
-
-    def __post_init__(self):
-        if not self.target_abs_error > 0:
-            raise ValueError("target_abs_error must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-        if self.euler_maclaurin_order not in range(2, 17, 2):
-            raise ValueError("euler_maclaurin_order must be even, in 2..16")
-
-
-DEFAULT_ETA_CONFIG = EtaConfig()
-
-
 def _validate_point(s: complex) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -114,9 +92,9 @@ def _validate_point(s: complex) -> complex:
     return s
 
 
-def _choose_terms(s: complex, order: int, target: float, max_terms: int) -> int:
+def _choose_terms(s: complex, target: float = _TARGET_ABS_ERROR) -> int:
     """Smallest N (grown geometrically) whose remainder bound meets target."""
-    nu = order // 2
+    nu = _EM_ORDER // 2
     sigma = s.real
     abs_s = abs(s)
     n = max(20, math.ceil(abs(s.imag)))
@@ -135,12 +113,12 @@ def _choose_terms(s: complex, order: int, target: float, max_terms: int) -> int:
         )
         if bound <= target:
             return n
-        if n >= max_terms:
+        if n >= _MAX_TERMS:
             raise RangeUnsupported(
                 f"cannot reach abs error {target:g} at s={s!r} "
-                f"within {max_terms} terms"
+                f"within {_MAX_TERMS} terms"
             )
-        n = min(max_terms, (3 * n) // 2 + 1)
+        n = min(_MAX_TERMS, (3 * n) // 2 + 1)
 
 
 _TWO_PI_LD = 2 * np.pi * np.ones(1, dtype=np.longdouble)[0]
@@ -164,7 +142,7 @@ def _directed_powers(values, s: np.ndarray):
     return logs, mags * (np.cos(phases) - 1j * sign * np.sin(phases))
 
 
-def _em_regular(s: np.ndarray, n: int, order: int, want_derivative: bool):
+def _em_regular(s: np.ndarray, n: int, want_derivative: bool):
     """Euler-Maclaurin pieces of zeta except the pole term N^(1-s)/(s-1), at
     every point of the 1-D array s with one N.
 
@@ -195,13 +173,13 @@ def _em_regular(s: np.ndarray, n: int, order: int, want_derivative: bool):
         rising = s_i
         rising_d = 1.0 + 0.0j
         scale = n_pow * n  # N^(1-s)
-        for k in range(1, order // 2 + 1):
+        for k in range(1, _EM_ORDER // 2 + 1):
             scale = scale / n_sq  # N^(1-s-2k)
             coeff = _B_OVER_FACT[2 * k]
             total += coeff * rising * scale
             if want_derivative:
                 deriv += coeff * scale * (rising_d - rising * log_n)
-            if k < order // 2:
+            if k < _EM_ORDER // 2:
                 f1, f2 = s_i + (2 * k - 1), s_i + 2 * k
                 rising_d = rising_d * f1 * f2 + rising * (f1 + f2)
                 rising = rising * f1 * f2
@@ -217,22 +195,21 @@ def _cexpm1(w: complex) -> complex:
     return np.exp(w) - 1.0
 
 
-def riemann_zeta(s: complex, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> complex:
-    """zeta(s) on Re s >= -2, |Im s| <= 200, to cfg.target_abs_error."""
+def riemann_zeta(s: complex) -> complex:
+    """zeta(s) on Re s >= -2, |Im s| <= 200, to an absolute error of 1e-12."""
     s = _validate_point(s)
     u = s - 1.0
     if abs(u) < _POLE_RADIUS:
         raise PoleAtOne(f"zeta pole at s=1 (got {s!r})")
-    n = _choose_terms(s, cfg.euler_maclaurin_order, cfg.target_abs_error, cfg.max_terms)
-    return _zeta_values(np.array([s]), n, cfg.euler_maclaurin_order)[0]
+    return _zeta_values(np.array([s]), _choose_terms(s))[0]
 
 
-def _zeta_values(s: np.ndarray, n: int, order: int) -> list[complex]:
+def _zeta_values(s: np.ndarray, n: int) -> list[complex]:
     """zeta at every point of the 1-D array s from one N-term
     Euler-Maclaurin evaluation (no pole or range checks)."""
     return [
         regular + n_pow * n / (s_i - 1.0)  # + N^(1-s)/(s-1)
-        for s_i, (regular, _, n_pow) in zip(s.tolist(), _em_regular(s, n, order, False))
+        for s_i, (regular, _, n_pow) in zip(s.tolist(), _em_regular(s, n, False))
     ]
 
 
@@ -241,13 +218,10 @@ def _zeta_values(s: np.ndarray, n: int, order: int) -> list[complex]:
 _POLE_SPLIT = 0.5
 
 
-def _eta_pieces(s: complex, cfg: EtaConfig, want_derivative: bool):
+def _eta_pieces(s: complex, want_derivative: bool):
     """Shared assembly for the near-pole eta path."""
-    target = cfg.target_abs_error / (10.0 if want_derivative else 2.0)
-    n = _choose_terms(s, cfg.euler_maclaurin_order, target, cfg.max_terms)
-    [(regular, regular_prime, n_pow)] = _em_regular(
-        np.array([s]), n, cfg.euler_maclaurin_order, want_derivative
-    )
+    n = _choose_terms(s, _TARGET_ABS_ERROR / (10.0 if want_derivative else 2.0))
+    [(regular, regular_prime, n_pow)] = _em_regular(np.array([s]), n, want_derivative)
     u = s - 1.0
     log_n = math.log(n)
     n_1s = n_pow * n  # N^(1-s)
@@ -255,7 +229,7 @@ def _eta_pieces(s: complex, cfg: EtaConfig, want_derivative: bool):
     return u, log_n, n_1s, phi, regular, regular_prime
 
 
-def zeta_plus(s: complex, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> complex:
+def zeta_plus(s: complex) -> complex:
     """Dirichlet eta: (1 - 2^(1-s)) zeta(s), entire; eta(1) = ln 2."""
     s = _validate_point(s)
     u = s - 1.0
@@ -263,17 +237,17 @@ def zeta_plus(s: complex, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> complex:
         return complex(_LN2)
     if abs(u) < _POLE_SPLIT:
         # eta = phi*R + (phi/u) * N^(1-s); phi/u -> ln2 as u -> 0
-        u, _, n_1s, phi, regular, _ = _eta_pieces(s, cfg, False)
+        u, _, n_1s, phi, regular, _ = _eta_pieces(s, False)
         return complex(phi * regular + (phi / u) * n_1s)
-    return complex((1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s, cfg))
+    return complex((1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s))
 
 
-def zeta_plus_derivative(s: complex, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> complex:
+def zeta_plus_derivative(s: complex) -> complex:
     """d/ds of zeta_plus, from differentiated Euler-Maclaurin terms."""
     s = _validate_point(s)
     if abs(s - 1.0) < _POLE_RADIUS:
         return complex(_ETA_PRIME_AT_1)
-    u, log_n, n_1s, phi, regular, regular_prime = _eta_pieces(s, cfg, True)
+    u, log_n, n_1s, phi, regular, regular_prime = _eta_pieces(s, True)
     phi_prime = _LN2 * np.exp(-u * _LN2)  # ln2 * 2^(1-s)
     if abs(u) >= _POLE_SPLIT:
         zeta = regular + n_1s / u
@@ -313,9 +287,9 @@ def _rotate_to_real(t: float, zeta: complex) -> float:
     return (complex(math.cos(theta), math.sin(theta)) * zeta).real
 
 
-def hardy_z(t: float, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> float:
+def hardy_z(t: float) -> float:
     """Hardy Z(t) = exp(i theta(t)) zeta(1/2 + it); real on the real line."""
-    return _rotate_to_real(t, riemann_zeta(complex(0.5, t), cfg))
+    return _rotate_to_real(t, riemann_zeta(complex(0.5, t)))
 
 
 _GRID_STEP = 0.05
@@ -326,7 +300,7 @@ _SCAN_START = 2.0
 _GRID_BLOCK = 64
 
 
-def _hardy_z_grid(grid: list[float], cfg: EtaConfig) -> list[float]:
+def _hardy_z_grid(grid: list[float]) -> list[float]:
     """Hardy Z at ascending ordinates in (0, 100], one Euler-Maclaurin
     evaluation per block of _GRID_BLOCK ordinates.
 
@@ -335,17 +309,16 @@ def _hardy_z_grid(grid: list[float], cfg: EtaConfig) -> list[float]:
     ordinate of the block.  The values agree with ``hardy_z`` to the target
     accuracy, not bitwise, since N differs.
     """
-    order = cfg.euler_maclaurin_order
     values: list[float] = []
     for start in range(0, len(grid), _GRID_BLOCK):
         block = grid[start : start + _GRID_BLOCK]
         s = 0.5 + 1j * np.array(block)
-        n = _choose_terms(complex(s[-1]), order, cfg.target_abs_error, cfg.max_terms)
-        values.extend(map(_rotate_to_real, block, _zeta_values(s, n, order)))
+        n = _choose_terms(complex(s[-1]))
+        values.extend(map(_rotate_to_real, block, _zeta_values(s, n)))
     return values
 
 
-def classical_zeros(y_max: float, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> list[float]:
+def classical_zeros(y_max: float) -> list[float]:
     """Ordinates of all nontrivial zeta zeros with 0 < y <= y_max.
 
     Sign changes of Hardy Z on a 0.05 grid, refined by bisection to 1e-6.
@@ -359,7 +332,7 @@ def classical_zeros(y_max: float, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> list[f
         return []
     grid = np.arange(_SCAN_START, y_max, _GRID_STEP).tolist()
     grid.append(y_max)
-    values = _hardy_z_grid(grid, cfg)
+    values = _hardy_z_grid(grid)
     zeros: list[float] = []
     for t_prev, t, z_prev, z_here in zip(grid, grid[1:], values, values[1:]):
         if z_prev == 0.0:
@@ -368,7 +341,7 @@ def classical_zeros(y_max: float, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> list[f
             lo, hi, f_lo = t_prev, t, z_prev
             while hi - lo > 1e-7:
                 mid = 0.5 * (lo + hi)
-                f_mid = hardy_z(mid, cfg)
+                f_mid = hardy_z(mid)
                 if f_mid == 0.0:
                     lo = hi = mid
                     break
@@ -384,6 +357,6 @@ def classical_zeros(y_max: float, cfg: EtaConfig = DEFAULT_ETA_CONFIG) -> list[f
             raise QZetaError(
                 f"zero finder produced {y!r}, absent from the verification table"
             )
-        if abs(zeta_plus(complex(0.5, y), cfg)) >= 1e-5:
+        if abs(zeta_plus(complex(0.5, y))) >= 1e-5:
             raise QZetaError(f"ordinate {y!r} fails the |eta| residual check")
     return zeros

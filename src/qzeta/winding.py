@@ -47,8 +47,8 @@ AnalyticFunction = Callable[[complex], complex]
 _CONTOUR_FLOOR = 1e-280
 _TWO_PI = 2.0 * math.pi
 
-DEFAULT_GAP_THRESHOLD = 1.0  # radians; matches the gap metric's trigger
-DEFAULT_MAX_DEPTH = 3
+_GAP_THRESHOLD = 1.0  # radians; matches the gap metric's trigger
+_MAX_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -223,19 +223,15 @@ def sample_boundary(f: AnalyticFunction, rect: Rectangle, c: int) -> BoundaryTra
 _SIDE_GAP_LIMIT = 2.8
 
 
-def refine_trace(
-    trace: BoundaryTrace,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> BoundaryTrace:
+def refine_trace(trace: BoundaryTrace) -> BoundaryTrace:
     """Bisect parameter intervals wherever consecutive displayed angles (the
-    four-side sums) differ by more than gap_threshold; repeat up to max_depth
-    passes.
+    four-side sums) differ by more than _GAP_THRESHOLD; repeat up to
+    _MAX_DEPTH passes.
 
     Bisection inserts the midpoint position on all four sides, keeping the
     side-by-side alignment of the displayed angle sums.  A single side
     jumping close to the branch limit forces a split too.  Gaps that survive
-    max_depth passes are left for the gap metric to report.
+    _MAX_DEPTH passes are left for the gap metric to report.
     """
     f, cache = trace.function, trace.cache
     rect, c = trace.rect, trace.c
@@ -243,7 +239,7 @@ def refine_trace(
     samples = list(trace.samples)
     closing = trace.closing_angle
 
-    for _ in range(max_depth):
+    for _ in range(_MAX_DEPTH):
         m = sum(len(g) for g in offsets)
         angles = [s.angle for s in samples] + [closing]
         to_split = []
@@ -258,9 +254,9 @@ def refine_trace(
                     step = angles[idx + 1] - angles[idx]
                     summed_gap += step
                     side_gap = max(side_gap, abs(step))
-                if abs(summed_gap) > gap_threshold or side_gap > _SIDE_GAP_LIMIT:
+                if abs(summed_gap) > _GAP_THRESHOLD or side_gap > _SIDE_GAP_LIMIT:
                     hi = group[j + 1] if j + 1 < len(group) else Fraction(1)
-                    if hi - group[j] > Fraction(1, 2**max_depth):
+                    if hi - group[j] > Fraction(1, 2**_MAX_DEPTH):
                         to_split.append((i, j))
                 flat += 1
         if not to_split:
@@ -359,15 +355,9 @@ class IntegrationResult:
     abs_estimate: float
 
 
-def integrate(
-    f: AnalyticFunction,
-    rect: Rectangle,
-    c: int,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> IntegrationResult:
+def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult:
     """sample -> refine -> winding/gap/zero-estimate/residual bundle."""
-    trace = refine_trace(sample_boundary(f, rect, c), gap_threshold, max_depth)
+    trace = refine_trace(sample_boundary(f, rect, c))
     char = compute_char(trace)
     fo = compute_fo(trace)
     z_estimate = moment_zero_estimate(trace)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,22 +7,22 @@ from pathlib import Path
 import pytest
 
 import qzeta
-from qzeta import UsageError
+from qzeta import SearchConfig, UsageError
 from qzeta.cli import main, parse_cli
 
 
 class TestParsing:
     def test_defaults_reproduce_reference_run(self):
-        config, out = parse_cli([])
+        config, args = parse_cli([])
         assert config.a == 750.0
         assert config.d == 2.0
         assert config.y_max == 48.5406
         assert config.y_list is None
         assert config.target == "sharp"
-        assert config.search.c_initial == 4
+        assert config.search.c_schedule[0] == 4
         assert config.search.c_schedule == (4, 6, 9)
-        assert config.output_format == "text"
-        assert out is None
+        assert args.format == "text"
+        assert args.out is None
 
     def test_explicit_seeds(self):
         config, _ = parse_cli(["--y", "14.2", "--y", "21.1"])
@@ -49,9 +50,26 @@ class TestParsing:
         assert config.search.c_schedule == (4, 8)
         assert config.search.newton_max_iters == 3
 
+        # every flag generated from SearchConfig sets its field, with the
+        # type the field declares
+        kinds = {"int": int, "float": float}
+        argv, expected = [], {}
+        for f in dataclasses.fields(SearchConfig):
+            if "cli_help" not in f.metadata:
+                continue
+            kind = kinds[f.type]
+            value = kind(f.default) + 1 if kind is int else f.default / 2
+            argv += ["--" + f.name.replace("_", "-"), str(value)]
+            expected[f.name] = value
+        assert len(expected) == 9
+        config, _ = parse_cli(argv)
+        for name, value in expected.items():
+            assert getattr(config.search, name) == value
+            assert type(getattr(config.search, name)) is type(value)
+
     def test_c_override_builds_schedule(self):
         config, _ = parse_cli(["--c", "6"])
-        assert config.search.c_initial == 6
+        assert config.search.c_schedule[0] == 6
         assert config.search.c_schedule == (6, 9, 14)
 
     def test_bad_target(self):
@@ -94,6 +112,16 @@ class TestMain:
     def test_usage_error_exit_two(self, capsys):
         assert main(["--target", "spline"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--b", "0"], ["--a", "inf"]],
+    )
+    def test_config_error_exit_two(self, argv, capsys):
+        assert main(argv + ["--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -282,7 +282,9 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(c_schedule=(6, 4))
         with pytest.raises(ValueError):
-            SearchConfig(c_initial=5)
+            SearchConfig(c_schedule=())
+        with pytest.raises(ValueError):
+            SearchConfig(c_schedule=(2, 3))
         with pytest.raises(ValueError):
             SearchConfig(vv_max=1.5)
         with pytest.raises(ValueError):

@@ -82,8 +82,6 @@ class TestSharpParams:
         assert abs(p.q - math.exp(-1 / 750)) < 1e-15
         assert p.n_terms == math.floor(15 * math.sqrt(375.0))
         assert abs(p.epsilon**2 - math.pi * 750 / 4) < 1e-12 * p.epsilon**2
-        assert p.strip.lower == 0.0
-        assert abs(p.strip.upper - 2 * p.epsilon) < 1e-12
 
     @pytest.mark.parametrize("a,d,b", [(750, 2, 15), (750, 2, 20), (100, 7, 9), (3, 1, 2)])
     def test_term_count_exact(self, a, d, b):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qzeta import (
-    EtaConfig,
     PoleAtOne,
     RangeUnsupported,
     REFERENCE_ZEROS,
@@ -15,7 +14,7 @@ from qzeta import (
     zeta_plus,
     zeta_plus_derivative,
 )
-from qzeta.special import DEFAULT_ETA_CONFIG, _hardy_z_grid
+from qzeta.special import _hardy_z_grid
 
 # High-precision oracle values, frozen from a 40-digit termwise series
 # computation (mpmath) before the implementation existed.
@@ -115,20 +114,6 @@ class TestZetaPlusDerivative:
             assert abs(zeta_plus_derivative(s) - numeric) < 1e-6
 
 
-class TestEtaConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EtaConfig(target_abs_error=0.0)
-        with pytest.raises(ValueError):
-            EtaConfig(euler_maclaurin_order=7)
-        with pytest.raises(ValueError):
-            EtaConfig(max_terms=0)
-
-    def test_tighter_target_is_honored(self):
-        cfg = EtaConfig(target_abs_error=1e-9)
-        assert abs(riemann_zeta(2 + 0j, cfg) - math.pi**2 / 6) < 1e-9
-
-
 class TestClassicalZeros:
     def test_paper_table_to_four_decimals(self):
         expected = [14.1347, 21.0220, 25.0109, 30.4249, 32.9351,
@@ -164,7 +149,7 @@ class TestClassicalZeros:
 
     def test_block_grid_matches_scalar_hardy_z(self):
         grid = np.arange(2.0, 100.0, 0.05).tolist() + [100.0]
-        block = np.array(_hardy_z_grid(grid, DEFAULT_ETA_CONFIG))
+        block = np.array(_hardy_z_grid(grid))
         scalar = np.array([hardy_z(t) for t in grid])
         assert np.max(np.abs(block - scalar)) < 1e-12
         assert np.array_equal(np.sign(block), np.sign(scalar))
