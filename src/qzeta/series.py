@@ -240,4 +240,9 @@ def linear_approximation(y: float, a: float, d: float) -> complex:
         -1.0 + yi
     ) * zeta_plus(-0.5 + yi)
     denominator = 12.0 * a * eta_prime
-    return yi * (1.0 - numerator / denominator)
+    za = yi * (1.0 - numerator / denominator)
+    if not (math.isfinite(za.real) and math.isfinite(za.imag)):
+        raise NonFiniteResult(
+            f"first-order prediction at y={y:g}, a={a:g}, d={d:g} is {za!r}"
+        )
+    return za

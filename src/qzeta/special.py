@@ -21,7 +21,6 @@ and grows to ~1e-9 at the extreme corner of the supported region.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,19 +51,22 @@ _TARGET_ABS_ERROR = 1e-12
 _MAX_TERMS = 10000
 _EM_ORDER = 8
 
-# B_k / k! for even k, exact rationals converted once.
+# B_k / k! for even k, from exact (numerator, denominator) pairs; one
+# correctly rounded integer division each.
 _BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-    18: Fraction(43867, 798),
+    2: (1, 6),
+    4: (-1, 30),
+    6: (1, 42),
+    8: (-1, 30),
+    10: (5, 66),
+    12: (-691, 2730),
+    14: (7, 6),
+    16: (-3617, 510),
+    18: (43867, 798),
 }
-_B_OVER_FACT = {k: float(v / math.factorial(k)) for k, v in _BERNOULLI.items()}
+_B_OVER_FACT = {
+    k: num / (den * math.factorial(k)) for k, (num, den) in _BERNOULLI.items()
+}
 
 # Ordinates of the first nine nontrivial zeros, used as a verification table.
 REFERENCE_ZEROS = (

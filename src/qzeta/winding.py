@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -49,6 +48,7 @@ _TWO_PI = 2.0 * math.pi
 
 _GAP_THRESHOLD = 1.0  # radians; matches the gap metric's trigger
 _MAX_DEPTH = 3
+_GRID = 2**_MAX_DEPTH  # integer sample offsets per parameter interval
 
 
 @dataclass(frozen=True)
@@ -88,45 +88,41 @@ class Rectangle:
 
 
 @dataclass
-class BoundarySample:
-    side: int
-    interval: int
-    offset: Fraction  # position within the interval, dyadic in [0, 1)
-    point: complex
-    value: complex
-    angle: float = 0.0
-
-
-@dataclass
 class BoundaryTrace:
-    """Ordered counterclockwise boundary samples with unwrapped angles.
+    """Counterclockwise boundary samples with unwrapped angles.
 
     ``offsets`` is shared by all four sides: entry i lists the sample
-    positions inside the i-th of the c per-side intervals (always starting
-    at 0; refinement inserts dyadic midpoints).  ``closing_angle`` continues
-    the unwrapped sequence back to the first sample, so
-    (closing_angle - angles[0]) / 2*pi is the discrete winding estimate.
-    ``function`` and ``cache`` (function values keyed by (side, interval,
-    offset)) let ``refine_trace`` add samples without re-evaluating old ones.
+    positions inside the i-th of the c per-side intervals, as integers on a
+    grid of _GRID steps per interval (always starting at 0; refinement
+    inserts midpoints).  ``points``, ``samples`` (the function values) and
+    ``angles`` hold one entry per boundary sample, side by side, so the n-th
+    shared position of side s sits at index s*m + n with m = per_side().
+    ``closing_angle`` continues the unwrapped sequence back to the first
+    sample, so (closing_angle - angles[0]) / 2*pi is the discrete winding
+    estimate.  ``function`` and ``cache`` (function values keyed by (side,
+    grid position)) let ``refine_trace`` add samples without re-evaluating
+    old ones.
     """
 
     rect: Rectangle
     c: int
-    offsets: list[list[Fraction]]
-    samples: list[BoundarySample]
+    offsets: list[list[int]]
+    points: list[complex]
+    samples: list[complex]
+    angles: list[float]
     closing_angle: float
     function: AnalyticFunction = field(repr=False, compare=False)
     cache: dict = field(repr=False, compare=False)
 
     @property
     def winding(self) -> float:
-        return (self.closing_angle - self.samples[0].angle) / _TWO_PI
+        return (self.closing_angle - self.angles[0]) / _TWO_PI
 
     def per_side(self) -> int:
         return sum(len(group) for group in self.offsets)
 
     def max_gap(self) -> float:
-        angles = [s.angle for s in self.samples] + [self.closing_angle]
+        angles = self.angles + [self.closing_angle]
         return max(
             abs(b - a) for a, b in zip(angles, angles[1:])
         )
@@ -140,21 +136,24 @@ class BoundaryTrace:
         equals the full winding.
         """
         m = self.per_side()
-        rows = []
-        flat = 0
-        for i, group in enumerate(self.offsets):
-            for j in range(len(group)):
-                label = str(i + 1) if j == 0 else f"{i + 1} {j}"
-                total = sum(
-                    self.samples[side * m + flat].angle for side in range(4)
-                )
-                rows.append((label, total))
-                flat += 1
+        rows = [
+            (
+                str(i + 1) if j == 0 else f"{i + 1} {j}",
+                sum(self.angles[side * m + n] for side in range(4)),
+            )
+            for n, (i, j) in enumerate(_positions(self.offsets))
+        ]
         closing = sum(
-            self.samples[side * m].angle for side in (1, 2, 3)
+            self.angles[side * m] for side in (1, 2, 3)
         ) + self.closing_angle
         rows.append((str(self.c + 1), closing))
         return rows
+
+
+def _positions(offsets: list[list[int]]) -> list[tuple[int, int]]:
+    """(interval, rank inside the interval) of each shared sample position,
+    in t-order; the list index is the position's flat index n."""
+    return [(i, j) for i, group in enumerate(offsets) for j in range(len(group))]
 
 
 def _nonvanishing(value: complex, point: complex) -> complex:
@@ -166,45 +165,44 @@ def _nonvanishing(value: complex, point: complex) -> complex:
     return value
 
 
-def _build_samples(
+def _sample(
     f: AnalyticFunction, rect: Rectangle, c: int, offsets, cache: dict
-) -> list[BoundarySample]:
-    """One pass's samples in counterclockwise order.  When f provides
-    ``many``, the pass's uncached points are evaluated first, in one call;
-    otherwise f is called once per uncached point."""
-    if hasattr(f, "many"):
-        keys = [
-            (side, i, off)
-            for side in range(4)
-            for i in range(c)
-            for off in offsets[i]
-            if (side, i, off) not in cache
-        ]
-        if keys:
-            points = [rect.point_at(side, (i + float(off)) / c) for side, i, off in keys]
-            values = f.many(np.array(points))
-            for key, point, value in zip(keys, points, values, strict=True):
-                cache[key] = _nonvanishing(complex(value), point)
-    samples = []
+) -> tuple[list[complex], list[complex]]:
+    """One pass's points and values in counterclockwise order.  Only the
+    uncached points are evaluated: in one ``many`` call when f provides it,
+    otherwise one call each."""
+    corners = rect.corners()
+    keys, points = [], []
     for side in range(4):
-        for i in range(c):
-            for off in offsets[i]:
-                point = rect.point_at(side, (i + float(off)) / c)
-                key = (side, i, off)
-                if key not in cache:
-                    cache[key] = _nonvanishing(complex(f(point)), point)
-                samples.append(BoundarySample(side, i, off, point, cache[key]))
-    return samples
+        start = corners[side]
+        edge = corners[(side + 1) % 4] - start
+        for i, group in enumerate(offsets):
+            for off in group:
+                pos = i * _GRID + off
+                keys.append((side, pos))
+                points.append(start + pos / (c * _GRID) * edge)
+    new = [(key, point) for key, point in zip(keys, points) if key not in cache]
+    if new:
+        new_points = [point for _, point in new]
+        many = getattr(f, "many", None)
+        values = many(np.array(new_points)) if many else [f(k) for k in new_points]
+        for (key, point), value in zip(new, values, strict=True):
+            cache[key] = _nonvanishing(complex(value), point)
+    return points, [cache[key] for key in keys]
 
 
-def _unwrap(samples: list[BoundarySample]) -> float:
-    """Assign continuous angles; returns the closing angle."""
-    first = samples[0]
-    first.angle = cmath.phase(first.value)
-    for prev, here in zip(samples, samples[1:]):
-        here.angle = prev.angle + cmath.phase(here.value / prev.value)
-    last = samples[-1]
-    return last.angle + cmath.phase(first.value / last.value)
+def _unwrap(values: list[complex]) -> tuple[list[float], float]:
+    """Continuous angles of the values and the closing angle."""
+    angles = [cmath.phase(values[0])]
+    for prev, here in zip(values, values[1:]):
+        angles.append(angles[-1] + cmath.phase(here / prev))
+    return angles, angles[-1] + cmath.phase(values[0] / values[-1])
+
+
+def _trace(f, rect, c, offsets, cache) -> BoundaryTrace:
+    points, values = _sample(f, rect, c, offsets, cache)
+    angles, closing = _unwrap(values)
+    return BoundaryTrace(rect, c, offsets, points, values, angles, closing, f, cache)
 
 
 def sample_boundary(f: AnalyticFunction, rect: Rectangle, c: int) -> BoundaryTrace:
@@ -212,10 +210,7 @@ def sample_boundary(f: AnalyticFunction, rect: Rectangle, c: int) -> BoundaryTra
     the bottom-left corner) and unwrap the argument sequence."""
     if c < 3:
         raise ValueError("need at least 3 points per side")
-    offsets = [[Fraction(0)] for _ in range(c)]
-    cache: dict = {}
-    samples = _build_samples(f, rect, c, offsets, cache)
-    return BoundaryTrace(rect, c, offsets, samples, _unwrap(samples), f, cache)
+    return _trace(f, rect, c, [[0] for _ in range(c)], {})
 
 
 # per-side jump that forces a split regardless of the summed gaps; keeps
@@ -233,43 +228,32 @@ def refine_trace(trace: BoundaryTrace) -> BoundaryTrace:
     jumping close to the branch limit forces a split too.  Gaps that survive
     _MAX_DEPTH passes are left for the gap metric to report.
     """
-    f, cache = trace.function, trace.cache
-    rect, c = trace.rect, trace.c
-    offsets = [list(group) for group in trace.offsets]
-    samples = list(trace.samples)
-    closing = trace.closing_angle
-
     for _ in range(_MAX_DEPTH):
-        m = sum(len(g) for g in offsets)
-        angles = [s.angle for s in samples] + [closing]
+        offsets = [list(group) for group in trace.offsets]
+        m = trace.per_side()
+        angles = trace.angles + [trace.closing_angle]
         to_split = []
-        flat = 0
-        for i in range(c):
-            group = offsets[i]
-            for j in range(len(group)):
-                summed_gap = 0.0
-                side_gap = 0.0
-                for side in range(4):
-                    idx = side * m + flat
-                    step = angles[idx + 1] - angles[idx]
-                    summed_gap += step
-                    side_gap = max(side_gap, abs(step))
-                if abs(summed_gap) > _GAP_THRESHOLD or side_gap > _SIDE_GAP_LIMIT:
-                    hi = group[j + 1] if j + 1 < len(group) else Fraction(1)
-                    if hi - group[j] > Fraction(1, 2**_MAX_DEPTH):
-                        to_split.append((i, j))
-                flat += 1
+        for n, (i, j) in enumerate(_positions(offsets)):
+            summed_gap = 0.0
+            side_gap = 0.0
+            for side in range(4):
+                idx = side * m + n
+                step = angles[idx + 1] - angles[idx]
+                summed_gap += step
+                side_gap = max(side_gap, abs(step))
+            if abs(summed_gap) > _GAP_THRESHOLD or side_gap > _SIDE_GAP_LIMIT:
+                group = offsets[i]
+                hi = group[j + 1] if j + 1 < len(group) else _GRID
+                if hi - group[j] > 1:
+                    to_split.append((i, j))
         if not to_split:
             break
         for i, j in reversed(to_split):
             group = offsets[i]
-            lo = group[j]
-            hi = group[j + 1] if j + 1 < len(group) else Fraction(1)
-            group.insert(j + 1, (lo + hi) / 2)
-        samples = _build_samples(f, rect, c, offsets, cache)
-        closing = _unwrap(samples)
-
-    return BoundaryTrace(rect, c, offsets, samples, closing, f, cache)
+            hi = group[j + 1] if j + 1 < len(group) else _GRID
+            group.insert(j + 1, (group[j] + hi) // 2)
+        trace = _trace(trace.function, trace.rect, trace.c, offsets, trace.cache)
+    return trace
 
 
 def compute_char(trace: BoundaryTrace) -> float:
@@ -308,18 +292,11 @@ def moment_zero_estimate(trace: BoundaryTrace) -> complex:
     """
     zn = trace.rect.center
     m = trace.per_side()
-    mains = []
-    flat = 0
-    for group in trace.offsets:
-        mains.append(flat)
-        flat += len(group)
-    order = [side * m + j for side in range(4) for j in mains]
-    points = [trace.samples[idx].point for idx in order]
-    values = [trace.samples[idx].value for idx in order]
-    angles = [trace.samples[idx].angle for idx in order]
-    points.append(trace.samples[0].point)
-    values.append(trace.samples[0].value)
-    angles.append(trace.closing_angle)
+    mains = [n for n, (_, j) in enumerate(_positions(trace.offsets)) if j == 0]
+    order = [side * m + n for side in range(4) for n in mains]
+    points = [trace.points[idx] for idx in order] + [trace.points[0]]
+    values = [trace.samples[idx] for idx in order] + [trace.samples[0]]
+    angles = [trace.angles[idx] for idx in order] + [trace.closing_angle]
 
     total = 0.0 + 0.0j
     for i in range(len(order)):

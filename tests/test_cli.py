@@ -123,6 +123,14 @@ class TestMain:
         assert "error:" in err
         assert "Traceback" not in err
 
+    def test_non_finite_prediction_exit_one(self, capsys):
+        # at a=1e308 the first-order correction's denominator overflows
+        assert main(["--a", "1e308", "--y-max", "15"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: first-order prediction at y=14.1347")
+        assert "a=1e+308" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["--bogus"])

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qzeta import (
     zeta_plus,
     zeta_plus_derivative,
 )
-from qzeta.special import _hardy_z_grid
+from qzeta.special import _B_OVER_FACT, _BERNOULLI, _hardy_z_grid
 
 # High-precision oracle values, frozen from a 40-digit termwise series
 # computation (mpmath) before the implementation existed.
@@ -22,6 +23,29 @@ ZETA_AT_MINUS_HALF_21I = complex(-2.149726494071592934, 0.5637820089753549896)
 ETA_PRIME_AT_CRITICAL = complex(1.879221628955020394, -0.1143077885454221602)
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+def bernoulli_numbers(n_max):
+    """B_0..B_n_max from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals."""
+    b = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+class TestBernoulliTable:
+    def test_pairs_are_bernoulli_numbers(self):
+        exact = bernoulli_numbers(18)
+        assert {k: Fraction(*pair) for k, pair in _BERNOULLI.items()} == {
+            k: exact[k] for k in range(2, 19, 2)
+        }
+
+    def test_ratios_match_fraction_rounding(self):
+        rebuilt = {
+            k: float(Fraction(*pair) / math.factorial(k))
+            for k, pair in _BERNOULLI.items()
+        }
+        assert _B_OVER_FACT == rebuilt
 
 
 class TestRiemannZeta:

@@ -18,6 +18,7 @@ from qzeta import (
     refine_trace,
     sample_boundary,
 )
+from qzeta.winding import _MAX_DEPTH
 
 
 def poly_from_roots(roots, scale=1.0):
@@ -63,7 +64,7 @@ class TestSampling:
     def test_constant_function(self):
         trace = sample_boundary(lambda k: 2 + 1j, Rectangle(0j, 1.0, 0.5), 4)
         assert trace.winding == 0.0
-        assert len({s.angle for s in trace.samples}) == 1
+        assert len(set(trace.angles)) == 1
 
     def test_zero_on_contour_detected(self):
         corner = 1.0 + 0.5j
@@ -78,11 +79,11 @@ class TestSampling:
     def test_angles_are_unwrapped_principal_args(self):
         f = poly_from_roots([0.2 + 0.1j])
         trace = sample_boundary(f, Rectangle(0j, 1.0, 0.5), 6)
-        angles = [s.angle for s in trace.samples] + [trace.closing_angle]
+        angles = trace.angles + [trace.closing_angle]
         for a, b in zip(angles, angles[1:]):
             assert abs(b - a) <= math.pi
-        for s in trace.samples:
-            residue = (s.angle - cmath.phase(s.value)) / (2 * math.pi)
+        for angle, value in zip(trace.angles, trace.samples, strict=True):
+            residue = (angle - cmath.phase(value)) / (2 * math.pi)
             assert abs(residue - round(residue)) < 1e-9
 
 
@@ -103,6 +104,27 @@ class TestRefinement:
         raw = sample_boundary(f, Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789), 4)
         refined = refine_trace(raw)
         assert refined.max_gap() <= raw.max_gap() + 1e-12
+
+    def test_refined_offsets_and_points_on_the_grid(self):
+        rect = Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789)
+        # c = 3 is no power of two, so t = pos / (3 * grid) rounds
+        trace = refine_trace(sample_boundary(SharpFunction(PAPER_B15), rect, 3))
+        grid = 2**_MAX_DEPTH
+        assert trace.per_side() > trace.c
+        assert all(
+            type(off) is int and 0 <= off < grid
+            for group in trace.offsets
+            for off in group
+        )
+        m = trace.per_side()
+        assert len(trace.points) == len(trace.samples) == len(trace.angles) == 4 * m
+        for side in range(4):
+            n = 0
+            for i, group in enumerate(trace.offsets):
+                for off in group:
+                    t = (i + off / grid) / trace.c
+                    assert trace.points[side * m + n] == rect.point_at(side, t)
+                    n += 1
 
     def test_display_rows_close_the_boundary(self):
         f = poly_from_roots([0.1 + 0.2j, 3 + 3j])
@@ -330,7 +352,7 @@ class TestBatchedSampling:
         assert any(len(group) > 1 for group in a.trace.offsets)
         assert (a.char, a.fo, a.z_estimate, a.vv) == (b.char, b.fo, b.z_estimate, b.vv)
         assert a.trace.offsets == b.trace.offsets
-        assert [s.value for s in a.trace.samples] == [s.value for s in b.trace.samples]
+        assert a.trace.samples == b.trace.samples
 
 
 class TestPaperRectangles:
