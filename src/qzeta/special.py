@@ -11,6 +11,10 @@ that the zeta pole cancels analytically rather than numerically: near s = 1
 the pole term is kept symbolic and recombined through expm1-style helpers,
 which keeps eta and eta' smooth through s = 1.
 
+The zero seeds (``classical_zeros``) are sign changes of Hardy Z, probed at
+the Gram points and refined by a lockstep bisection of all brackets, one
+``hardy_z`` block per step, with the zero count checked by Gram's law.
+
 Caveat: the truncation bound is rigorous, but double rounding in the
 oscillatory factors exp(-i Im(s) ln n) sets a practical accuracy floor of
 roughly |zeta(s)| * |Im s| * ln(N) * 2^-52.  That floor is below 1e-12
@@ -20,7 +24,9 @@ and grows to ~1e-9 at the extreme corner of the supported region.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -289,44 +295,79 @@ def _rotate_to_real(t: float, zeta: complex) -> float:
     return (complex(math.cos(theta), math.sin(theta)) * zeta).real
 
 
-def hardy_z(t: float) -> float:
-    """Hardy Z(t) = exp(i theta(t)) zeta(1/2 + it); real on the real line."""
-    return _rotate_to_real(t, riemann_zeta(complex(0.5, t)))
+def hardy_z(t: float | Sequence[float]) -> float | np.ndarray:
+    """Hardy Z(t) = exp(i theta(t)) zeta(1/2 + it); real on the real line.
+
+    For a sequence of ordinates, returns an ndarray from one Euler-Maclaurin
+    evaluation with the N of the largest |t| (the remainder bound grows with
+    |s|, so it meets the target everywhere); ``hardy_z([t])[0] == hardy_z(t)``.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not ts.size:
+        return np.empty(0)
+    top = _validate_point(complex(0.5, ts[np.argmax(np.abs(ts))]))  # NaN wins
+    zetas = _zeta_values(0.5 + 1j * ts, _choose_terms(top))
+    values = list(map(_rotate_to_real, ts.tolist(), zetas))
+    return values[0] if np.ndim(t) == 0 else np.array(values)
 
 
 _GRID_STEP = 0.05
 # the asymptotic theta is already good here and the first zero is above 14
 _SCAN_START = 2.0
-# Grid ordinates per Euler-Maclaurin evaluation.  The per-term work
-# dominates from ~16 on, so larger blocks save no time and hold more memory.
-_GRID_BLOCK = 64
 
 
-def _hardy_z_grid(grid: list[float]) -> list[float]:
-    """Hardy Z at ascending ordinates in (0, 100], one Euler-Maclaurin
-    evaluation per block of _GRID_BLOCK ordinates.
+def _gram_points(y_max: float) -> list[float]:
+    """Gram points g_n (theta(g_n) = n*pi) up to y_max; entry i is g_(i-1).
+    Newton on ``_siegel_theta`` with slope theta'(t) ~ log(t/2pi)/2, started
+    one mean spacing past the previous point."""
+    points: list[float] = []
+    n, t = -1, 10.0  # between theta's minimum and g_(-1) ~ 9.67
+    while True:
+        step = 1.0
+        while abs(step) > 1e-13 * t:
+            slope = 0.5 * math.log(t / (2.0 * math.pi))
+            step = (_siegel_theta(t) - n * math.pi) / slope
+            t -= step
+        if t > y_max:
+            return points
+        points.append(t)
+        n += 1
+        t += math.pi / slope
 
-    Each block uses the N chosen for its top ordinate: on Re s = 1/2 the
-    remainder bound grows with |s|, so that N meets the target at every
-    ordinate of the block.  The values agree with ``hardy_z`` to the target
-    accuracy, not bitwise, since N differs.
-    """
-    values: list[float] = []
-    for start in range(0, len(grid), _GRID_BLOCK):
-        block = grid[start : start + _GRID_BLOCK]
-        s = 0.5 + 1j * np.array(block)
-        n = _choose_terms(complex(s[-1]))
-        values.extend(map(_rotate_to_real, block, _zeta_values(s, n)))
-    return values
+
+def _bisect_lockstep(brackets, width, half, ordinate):
+    """Halve each bracket [lo, hi, Z(lo)] in place while hi - lo > width, all
+    in lockstep: one ``hardy_z`` block per step at ordinate(half(lo, hi)).
+    A midpoint where Z is exactly 0 closes its bracket to [mid, mid, 0.0]."""
+    while True:
+        live = [b for b in brackets if b[1] - b[0] > width]
+        if not live:
+            return
+        mids = [half(lo, hi) for lo, hi, _ in live]
+        values = hardy_z([ordinate(m) for m in mids]).tolist()
+        for b, mid, f_mid in zip(live, mids, values):
+            if f_mid == 0.0:
+                b[:] = [mid, mid, 0.0]
+            elif b[2] * f_mid < 0.0:
+                b[1] = mid
+            else:
+                b[0], b[2] = mid, f_mid
 
 
 def classical_zeros(y_max: float) -> list[float]:
     """Ordinates of all nontrivial zeta zeros with 0 < y <= y_max.
 
-    Sign changes of Hardy Z on a 0.05 grid, refined by bisection to 1e-6.
-    The grid is evaluated in blocks (``_hardy_z_grid``) and read only for
-    its signs; bisection calls ``hardy_z``.  Found ordinates are
-    cross-checked against the built-in reference table.
+    The zeros a sign-change scan of Hardy Z on the grid 2, 2.05, ..., y_max
+    finds, each bisected to a 1e-7 bracket, with Z evaluated only where the
+    result depends on it.  Probes: the Gram points (snapped to the grid) and
+    y_max; below 100 each Gram interval holds one zero and none lies below
+    g_(-1).  A probe interval that changes sign is bisected over grid
+    indices to its one sign-change cell; one that does not (in practice the
+    last, partial one) has all its cells evaluated.  Then the float
+    bisection runs in every cell in lockstep.  Z is read only for its signs.
+
+    Checks: the count of zeros <= g_n is n + 1 (Gram's law), ordinates in
+    the reference table's range are in it, and |eta(1/2 + iy)| < 1e-5.
     """
     if not 0 < y_max <= 100.0:
         raise RangeUnsupported(f"y_max must be in (0, 100], got {y_max!r}")
@@ -334,24 +375,42 @@ def classical_zeros(y_max: float) -> list[float]:
         return []
     grid = np.arange(_SCAN_START, y_max, _GRID_STEP).tolist()
     grid.append(y_max)
-    values = _hardy_z_grid(grid)
-    zeros: list[float] = []
-    for t_prev, t, z_prev, z_here in zip(grid, grid[1:], values, values[1:]):
-        if z_prev == 0.0:
-            zeros.append(t_prev)
-        elif z_prev * z_here < 0.0:
-            lo, hi, f_lo = t_prev, t, z_prev
-            while hi - lo > 1e-7:
-                mid = 0.5 * (lo + hi)
-                f_mid = hardy_z(mid)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if f_lo * f_mid < 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            zeros.append(0.5 * (lo + hi))
+    last = len(grid) - 1
+    gram = _gram_points(y_max)
+    probes = sorted(
+        {min(round((g - _SCAN_START) / _GRID_STEP), last) for g in gram} | {last}
+    )
+    z = dict(zip(probes, hardy_z([grid[i] for i in probes]).tolist()))
+
+    cells = []  # [lo, hi, Z(lo)] in grid indices
+    quiet = []
+    for p, q in zip(probes, probes[1:]):
+        if z[p] * z[q] < 0.0:
+            cells.append([p, q, z[p]])
+        else:
+            quiet.append((p, q))
+    inner = [i for p, q in quiet for i in range(p + 1, q)]
+    if inner:
+        z.update(zip(inner, hardy_z([grid[i] for i in inner]).tolist()))
+    for p, q in quiet:
+        for i in range(p, q):
+            if z[i] == 0.0:
+                cells.append([i, i, 0.0])
+            elif z[i] * z[i + 1] < 0.0:
+                cells.append([i, i + 1, z[i]])
+    _bisect_lockstep(cells, 1, lambda lo, hi: (lo + hi) // 2, grid.__getitem__)
+
+    brackets = [[grid[lo], grid[hi], z_lo] for lo, hi, z_lo in cells]
+    _bisect_lockstep(brackets, 1e-7, lambda lo, hi: 0.5 * (lo + hi), float)
+    zeros = sorted(0.5 * (lo + hi) for lo, hi, _ in brackets)
+
+    for n, g in enumerate(gram, start=-1):
+        found = bisect.bisect_right(zeros, g)
+        if found != n + 1:
+            raise QZetaError(
+                f"{found} zeros found up to the Gram point g_{n} = {g!r}, "
+                f"where Gram's law gives {n + 1}"
+            )
     for y in zeros:
         ref_hits = [r for r in REFERENCE_ZEROS if abs(r - y) < 5e-4]
         in_table_range = y < REFERENCE_ZEROS[-1] + 0.5

@@ -7,6 +7,7 @@ import pytest
 
 from qzeta import (
     PoleAtOne,
+    QZetaError,
     RangeUnsupported,
     REFERENCE_ZEROS,
     classical_zeros,
@@ -15,7 +16,8 @@ from qzeta import (
     zeta_plus,
     zeta_plus_derivative,
 )
-from qzeta.special import _B_OVER_FACT, _BERNOULLI, _hardy_z_grid
+import qzeta.special as special
+from qzeta.special import _B_OVER_FACT, _BERNOULLI, _gram_points, _siegel_theta
 
 # High-precision oracle values, frozen from a 40-digit termwise series
 # computation (mpmath) before the implementation existed.
@@ -173,13 +175,44 @@ class TestClassicalZeros:
 
     def test_block_grid_matches_scalar_hardy_z(self):
         grid = np.arange(2.0, 100.0, 0.05).tolist() + [100.0]
-        block = np.array(_hardy_z_grid(grid))
+        block = hardy_z(grid)
         scalar = np.array([hardy_z(t) for t in grid])
         assert np.max(np.abs(block - scalar)) < 1e-12
         assert np.array_equal(np.sign(block), np.sign(scalar))
+        for t in (2.0, 14.134725, 48.5406, 100.0):
+            assert hardy_z([t])[0] == hardy_z(t)
+            assert type(hardy_z(t)) is float
 
-    def test_scan_matches_pointwise_scan(self):
-        assert classical_zeros(100.0) == pointwise_scan(100.0)
+    @pytest.mark.parametrize("y_max", [15.0, 48.5406, 61.0, 77.14, 95.0, 100.0])
+    def test_scan_matches_pointwise_scan(self, y_max):
+        assert classical_zeros(y_max) == pointwise_scan(y_max)
+
+
+class TestGramPoints:
+    def test_thirty_points_below_100(self):
+        gram = _gram_points(100.0)
+        assert len(gram) == 30
+        assert 2.0 < gram[0] and gram[-1] <= 100.0
+        assert gram == sorted(gram)
+
+    def test_theta_at_gram_points(self):
+        for n, g in enumerate(_gram_points(100.0), start=-1):
+            assert abs(_siegel_theta(g) - n * math.pi) < 1e-9
+
+    def test_count_law_holds(self):
+        zeros = classical_zeros(100.0)
+        for n, g in enumerate(_gram_points(100.0), start=-1):
+            assert sum(y <= g for y in zeros) == n + 1
+
+    def test_moved_gram_point_fails_count_check(self, monkeypatch):
+        # g_0 ~ 17.85 moved past zero 2: Z has one sign at both ends of the
+        # probe interval (9.67, 21.07), so its cells are scanned, and the
+        # two zeros found there break the count at g_0.
+        gram = _gram_points(100.0)
+        moved = gram[:1] + [REFERENCE_ZEROS[1] + 0.05] + gram[2:]
+        monkeypatch.setattr(special, "_gram_points", lambda y_max: moved)
+        with pytest.raises(QZetaError, match="2 zeros found up to the Gram point g_0"):
+            classical_zeros(100.0)
 
 
 def pointwise_scan(y_max):
