@@ -11,9 +11,10 @@ A rectangle boundary is sampled counterclockwise with c points per side
 into a continuous angle sequence.  Where consecutive unwrapped angles jump by
 more than the gap threshold, the offending parameter interval is bisected on
 all four sides at once, so the refined samples stay aligned side by side;
-reports can then show the classic four-side angle sums.  The winding count,
-the gap metric, and a first-moment estimate of the enclosed zero are all read
-off the refined trace.
+reports can then show the classic four-side angle sums.  A refinement pass
+evaluates only the points it inserts and recomputes only the phase increments
+next to them.  The winding count, the gap metric, and a first-moment estimate
+of the enclosed zero are all read off the refined trace.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -47,6 +49,9 @@ _CONTOUR_FLOOR = 1e-280
 _TWO_PI = 2.0 * math.pi
 
 _GAP_THRESHOLD = 1.0  # radians; matches the gap metric's trigger
+# per-side jump that forces a split regardless of the summed gaps; keeps
+# every segment's phase change well under the pi branch limit
+_SIDE_GAP_LIMIT = 2.8
 _MAX_DEPTH = 3
 _GRID = 2**_MAX_DEPTH  # integer sample offsets per parameter interval
 
@@ -99,9 +104,8 @@ class BoundaryTrace:
     shared position of side s sits at index s*m + n with m = per_side().
     ``closing_angle`` continues the unwrapped sequence back to the first
     sample, so (closing_angle - angles[0]) / 2*pi is the discrete winding
-    estimate.  ``function`` and ``cache`` (function values keyed by (side,
-    grid position)) let ``refine_trace`` add samples without re-evaluating
-    old ones.
+    estimate.  ``function`` lets ``refine_trace`` evaluate the points it
+    inserts.
     """
 
     rect: Rectangle
@@ -112,7 +116,6 @@ class BoundaryTrace:
     angles: list[float]
     closing_angle: float
     function: AnalyticFunction = field(repr=False, compare=False)
-    cache: dict = field(repr=False, compare=False)
 
     @property
     def winding(self) -> float:
@@ -135,87 +138,52 @@ class BoundaryTrace:
         t-order; the final row c+1 closes the boundary, so last minus first
         equals the full winding.
         """
-        m = self.per_side()
-        rows = [
-            (
-                str(i + 1) if j == 0 else f"{i + 1} {j}",
-                sum(self.angles[side * m + n] for side in range(4)),
-            )
-            for n, (i, j) in enumerate(_positions(self.offsets))
+        labels = [
+            str(i + 1) if j == 0 else f"{i + 1} {j}"
+            for i, group in enumerate(self.offsets)
+            for j in range(len(group))
         ]
-        closing = sum(
-            self.angles[side * m] for side in (1, 2, 3)
-        ) + self.closing_angle
-        rows.append((str(self.c + 1), closing))
-        return rows
+        return list(zip(labels + [str(self.c + 1)], _row_sums(self)))
 
 
-def _positions(offsets: list[list[int]]) -> list[tuple[int, int]]:
-    """(interval, rank inside the interval) of each shared sample position,
-    in t-order; the list index is the position's flat index n."""
-    return [(i, j) for i, group in enumerate(offsets) for j in range(len(group))]
+def _row_sums(trace: BoundaryTrace) -> list[float]:
+    """The values of ``display_rows``: the four sides' angles summed per
+    shared position, then the closing row."""
+    a, m = trace.angles, trace.per_side()
+    rows = [sum(a[n::m]) for n in range(m)]
+    rows.append(sum(a[side * m] for side in (1, 2, 3)) + trace.closing_angle)
+    return rows
 
 
-def _nonvanishing(value: complex, point: complex) -> complex:
-    if abs(value) < _CONTOUR_FLOOR:
-        raise ZeroOnContour(
-            f"|f| < {_CONTOUR_FLOOR:g} at boundary point {point!r}; "
-            "perturb the rectangle"
-        )
-    return value
-
-
-def _sample(
-    f: AnalyticFunction, rect: Rectangle, c: int, offsets, cache: dict
-) -> tuple[list[complex], list[complex]]:
-    """One pass's points and values in counterclockwise order.  Only the
-    uncached points are evaluated: in one ``many`` call when f provides it,
-    otherwise one call each."""
+def _sample(f: AnalyticFunction, rect: Rectangle, c: int, positions, extra=()):
+    """Points at the shared grid positions, side by side counterclockwise,
+    and f there, then at the extra points: in one ``many`` call when f
+    provides it, otherwise one call each (extra points need ``many``).
+    Names the first boundary point where |f| is below the floor."""
     corners = rect.corners()
-    keys, points = [], []
+    points = []
     for side in range(4):
         start = corners[side]
         edge = corners[(side + 1) % 4] - start
-        for i, group in enumerate(offsets):
-            for off in group:
-                pos = i * _GRID + off
-                keys.append((side, pos))
-                points.append(start + pos / (c * _GRID) * edge)
-    new = [(key, point) for key, point in zip(keys, points) if key not in cache]
-    if new:
-        new_points = [point for _, point in new]
-        many = getattr(f, "many", None)
-        values = many(np.array(new_points)) if many else [f(k) for k in new_points]
-        for (key, point), value in zip(new, values, strict=True):
-            cache[key] = _nonvanishing(complex(value), point)
-    return points, [cache[key] for key in keys]
-
-
-def _unwrap(values: list[complex]) -> tuple[list[float], float]:
-    """Continuous angles of the values and the closing angle."""
-    angles = [cmath.phase(values[0])]
-    for prev, here in zip(values, values[1:]):
-        angles.append(angles[-1] + cmath.phase(here / prev))
-    return angles, angles[-1] + cmath.phase(values[0] / values[-1])
-
-
-def _trace(f, rect, c, offsets, cache) -> BoundaryTrace:
-    points, values = _sample(f, rect, c, offsets, cache)
-    angles, closing = _unwrap(values)
-    return BoundaryTrace(rect, c, offsets, points, values, angles, closing, f, cache)
+        points += [start + pos / (c * _GRID) * edge for pos in positions]
+    many = getattr(f, "many", None)
+    values = many(np.array([*points, *extra])) if many else [f(k) for k in points]
+    values = [complex(value) for value in values]
+    if len(values) != len(points) + len(extra):
+        raise ValueError(f"{len(values)} values for {len(points) + len(extra)} points")
+    for value, point in zip(values, points):
+        if abs(value) < _CONTOUR_FLOOR:
+            raise ZeroOnContour(
+                f"|f| < {_CONTOUR_FLOOR:g} at boundary point {point!r}; "
+                "perturb the rectangle"
+            )
+    return points, values
 
 
 def sample_boundary(f: AnalyticFunction, rect: Rectangle, c: int) -> BoundaryTrace:
     """Evaluate f at c equally spaced points per side (counterclockwise from
     the bottom-left corner) and unwrap the argument sequence."""
-    if c < 3:
-        raise ValueError("need at least 3 points per side")
-    return _trace(f, rect, c, [[0] for _ in range(c)], {})
-
-
-# per-side jump that forces a split regardless of the summed gaps; keeps
-# every segment's phase change well under the pi branch limit
-_SIDE_GAP_LIMIT = 2.8
+    return _traced(f, rect, c, 0)[0]
 
 
 def refine_trace(trace: BoundaryTrace) -> BoundaryTrace:
@@ -228,32 +196,63 @@ def refine_trace(trace: BoundaryTrace) -> BoundaryTrace:
     jumping close to the branch limit forces a split too.  Gaps that survive
     _MAX_DEPTH passes are left for the gap metric to report.
     """
-    for _ in range(_MAX_DEPTH):
-        offsets = [list(group) for group in trace.offsets]
-        m = trace.per_side()
-        angles = trace.angles + [trace.closing_angle]
-        to_split = []
-        for n, (i, j) in enumerate(_positions(offsets)):
-            summed_gap = 0.0
-            side_gap = 0.0
-            for side in range(4):
-                idx = side * m + n
-                step = angles[idx + 1] - angles[idx]
-                summed_gap += step
-                side_gap = max(side_gap, abs(step))
-            if abs(summed_gap) > _GAP_THRESHOLD or side_gap > _SIDE_GAP_LIMIT:
-                group = offsets[i]
-                hi = group[j + 1] if j + 1 < len(group) else _GRID
-                if hi - group[j] > 1:
-                    to_split.append((i, j))
-        if not to_split:
+    positions = [i * _GRID + off for i, group in enumerate(trace.offsets) for off in group]
+    return _refined(trace.function, trace.rect, trace.c, positions,
+                    list(trace.points), list(trace.samples), _MAX_DEPTH)
+
+
+def _traced(f, rect, c, passes, extra=()) -> tuple[BoundaryTrace, list[complex]]:
+    """The trace after up to ``passes`` refinement passes, and f at the extra
+    points, which ride in the opening pass's ``many`` call."""
+    if c < 3:
+        raise ValueError("need at least 3 points per side")
+    positions = list(range(0, c * _GRID, _GRID))
+    points, values = _sample(f, rect, c, positions, extra)
+    return _refined(f, rect, c, positions, points, values[: 4 * c], passes), values[4 * c :]
+
+
+def _refined(f, rect, c, positions, points, values, passes) -> BoundaryTrace:
+    """Unwrap the samples, then refine for up to ``passes`` passes, updating
+    the per-sample lists in place.
+
+    A pass keeps the phase increment ``steps[k]`` (sample k to the next) of
+    samples that stay adjacent and computes only the two around each inserted
+    sample; the angles are their running sum, the same float additions in
+    the same order as a fresh unwrap.
+    """
+    steps = [cmath.phase(here / prev) for prev, here in zip(values, values[1:] + values[:1])]
+    angles = list(accumulate(steps, initial=cmath.phase(values[0])))
+    for _ in range(passes):
+        m, ends = len(positions), positions[1:] + [c * _GRID]
+        # the split test reads angle differences, not the stored increments:
+        # the two differ in the last bit
+        gaps = [b - a for a, b in zip(angles, angles[1:])]
+        split = [
+            n for n, (g0, g1, g2, g3) in enumerate(gaps[n::m] for n in range(m))
+            if ends[n] - positions[n] > 1 and (
+                abs(g0 + g1 + g2 + g3) > _GAP_THRESHOLD
+                or max(0.0, abs(g0), abs(g1), abs(g2), abs(g3)) > _SIDE_GAP_LIMIT
+            )
+        ]
+        if not split:
             break
-        for i, j in reversed(to_split):
-            group = offsets[i]
-            hi = group[j + 1] if j + 1 < len(group) else _GRID
-            group.insert(j + 1, (group[j] + hi) // 2)
-        trace = _trace(trace.function, trace.rect, trace.c, offsets, trace.cache)
-    return trace
+        mids = [(positions[n] + ends[n]) // 2 for n in split]
+        new_points, new_values = _sample(f, rect, c, mids)
+        # insert from the back, so the indices still to visit hold; the last
+        # sample of side 3 is followed by sample 0 (the closing segment)
+        ks = [side * m + n for side in range(4) for n in split]
+        for k, point, value in reversed(list(zip(ks, new_points, new_values))):
+            steps[k] = cmath.phase(value / values[k])
+            steps.insert(k + 1, cmath.phase(values[(k + 1) % (4 * m)] / value))
+            values.insert(k + 1, value)
+            points.insert(k + 1, point)
+        positions = sorted(positions + mids)
+        angles = list(accumulate(steps, initial=cmath.phase(values[0])))
+    offsets = [[] for _ in range(c)]
+    for pos in positions:
+        offsets[pos // _GRID].append(pos % _GRID)
+    closing = angles.pop()
+    return BoundaryTrace(rect, c, offsets, points, values, angles, closing, f)
 
 
 def compute_char(trace: BoundaryTrace) -> float:
@@ -277,7 +276,7 @@ def fo_from_angles(angles: list[float]) -> int:
 
 def compute_fo(trace: BoundaryTrace) -> int:
     """Gap metric of the displayed (four-side summed) angle sequence."""
-    return fo_from_angles([value for _, value in trace.display_rows()])
+    return fo_from_angles(_row_sums(trace))
 
 
 def moment_zero_estimate(trace: BoundaryTrace) -> complex:
@@ -292,27 +291,24 @@ def moment_zero_estimate(trace: BoundaryTrace) -> complex:
     """
     zn = trace.rect.center
     m = trace.per_side()
-    mains = [n for n, (_, j) in enumerate(_positions(trace.offsets)) if j == 0]
+    mains = list(accumulate((len(group) for group in trace.offsets[:-1]), initial=0))
     order = [side * m + n for side in range(4) for n in mains]
     points = [trace.points[idx] for idx in order] + [trace.points[0]]
     values = [trace.samples[idx] for idx in order] + [trace.samples[0]]
     angles = [trace.angles[idx] for idx in order] + [trace.closing_angle]
+    logs = [math.log(abs(value)) for value in values]
 
     total = 0.0 + 0.0j
-    for i in range(len(order)):
-        delta = complex(
-            math.log(abs(values[i + 1])) - math.log(abs(values[i])),
-            angles[i + 1] - angles[i],
-        )
-        contribution = (0.5 * (points[i] + points[i + 1]) - zn) * delta
-        dv = values[i + 1] - values[i]
-        if abs(dv) > 1e-14 * (abs(values[i]) + abs(values[i + 1])):
+    for p0, p1, v0, v1, log0, log1, a0, a1 in zip(
+        points, points[1:], values, values[1:], logs, logs[1:], angles, angles[1:]
+    ):
+        delta = complex(log1 - log0, a1 - a0)
+        contribution = (0.5 * (p0 + p1) - zn) * delta
+        dv = v1 - v0
+        if abs(dv) > 1e-14 * (abs(v0) + abs(v1)):
             # subtract the midpoint-log rule's error under the local linear
-            # model f ~ (k - root)/slope; exact cancellation for linear f
-            slope = (points[i + 1] - points[i]) / dv
-            contribution -= slope * (
-                0.5 * (values[i] + values[i + 1]) * delta - dv
-            )
+            # model f ~ (k - root)/slope, slope = (p1 - p0)/dv; exact for linear f
+            contribution -= (p1 - p0) / dv * (0.5 * (v0 + v1) * delta - dv)
         total += contribution
     return zn + total / (2j * math.pi)
 
@@ -333,12 +329,14 @@ class IntegrationResult:
 
 
 def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult:
-    """sample -> refine -> winding/gap/zero-estimate/residual bundle."""
-    trace = refine_trace(sample_boundary(f, rect, c))
+    """sample -> refine -> winding/gap/zero-estimate/residual bundle.  An
+    evaluator with ``many`` gets the rectangle center in its opening call."""
+    center = [rect.center] if getattr(f, "many", None) else []
+    trace, center_value = _traced(f, rect, c, _MAX_DEPTH, center)
     char = compute_char(trace)
     fo = compute_fo(trace)
     z_estimate = moment_zero_estimate(trace)
-    abs_center = abs(complex(f(rect.center)))
+    abs_center = abs(center_value[0] if center else complex(f(rect.center)))
     try:
         abs_estimate = abs(complex(f(z_estimate)))
     except Exception:

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qzeta import (
     Rectangle,
@@ -321,14 +323,16 @@ PAPER_B20 = SharpParams(750.0, 2.0, 20)
 
 
 class CountingSharpFunction(SharpFunction):
-    """SharpFunction that counts its vectorised calls."""
+    """SharpFunction that counts its vectorised calls and their points."""
 
     def __init__(self, params):
         super().__init__(params)
         self.batches = 0
+        self.points = 0
 
     def many(self, points):
         self.batches += 1
+        self.points += len(points)
         return super().many(points)
 
 
@@ -346,13 +350,29 @@ class TestBatchedSampling:
         # batched path runs for the opening pass and for refinement passes
         batched = CountingSharpFunction(params)
         pointwise = SharpFunction(params)
+        calls = []
+
+        def plain(k):
+            calls.append(k)
+            return pointwise(k)
+
         a = integrate(batched, rect, 4)
-        b = integrate(lambda k: pointwise(k), rect, 4)
+        b = integrate(plain, rect, 4)
         assert batched.batches >= 2
         assert any(len(group) > 1 for group in a.trace.offsets)
         assert (a.char, a.fo, a.z_estimate, a.vv) == (b.char, b.fo, b.z_estimate, b.vv)
         assert a.trace.offsets == b.trace.offsets
+        assert a.trace.points == b.trace.points
         assert a.trace.samples == b.trace.samples
+        assert a.trace.angles == b.trace.angles
+        assert a.trace.closing_angle == b.trace.closing_angle
+        assert a.trace.display_rows() == b.trace.display_rows()
+        # each boundary point once, the center riding in the opening batch
+        assert batched.points == len(a.trace.samples) + 1
+        # a plain callable: each boundary point once, then center and estimate
+        assert len(calls) == len(b.trace.samples) + 2
+        assert set(calls[:-2]) == set(b.trace.points)
+        assert calls[-2:] == [rect.center, b.z_estimate]
 
 
 class TestPaperRectangles:
@@ -387,3 +407,189 @@ class TestPaperRectangles:
         result = integrate(f, rect, 4)
         assert abs(result.char) <= 0.01
         assert result.fo == 1
+
+
+def reference_integrate(f, rect, c):
+    """The dict-cache trace and integration that the incremental
+    refinement in qzeta.winding must reproduce bit for bit: every pass
+    rebuilds all points, evaluates the ones not in the cache and unwraps
+    the whole boundary again."""
+    grid = 2**_MAX_DEPTH
+    corners = rect.corners()
+    cache = {}
+
+    def sample(offsets):
+        keys, points = [], []
+        for side in range(4):
+            start = corners[side]
+            edge = corners[(side + 1) % 4] - start
+            for i, group in enumerate(offsets):
+                for off in group:
+                    pos = i * grid + off
+                    keys.append((side, pos))
+                    points.append(start + pos / (c * grid) * edge)
+        for key, point in zip(keys, points):
+            if key not in cache:
+                cache[key] = complex(f(point))
+        values = [cache[key] for key in keys]
+        angles = [cmath.phase(values[0])]
+        for prev, here in zip(values, values[1:]):
+            angles.append(angles[-1] + cmath.phase(here / prev))
+        return points, values, angles, angles[-1] + cmath.phase(values[0] / values[-1])
+
+    offsets = [[0] for _ in range(c)]
+    points, values, angles, closing = sample(offsets)
+    for _ in range(_MAX_DEPTH):
+        m = sum(len(group) for group in offsets)
+        extended = angles + [closing]
+        to_split, n = [], 0
+        for i, group in enumerate(offsets):
+            for j in range(len(group)):
+                summed_gap = side_gap = 0.0
+                for side in range(4):
+                    step = extended[side * m + n + 1] - extended[side * m + n]
+                    summed_gap += step
+                    side_gap = max(side_gap, abs(step))
+                hi = group[j + 1] if j + 1 < len(group) else grid
+                if (abs(summed_gap) > 1.0 or side_gap > 2.8) and hi - group[j] > 1:
+                    to_split.append((i, j))
+                n += 1
+        if not to_split:
+            break
+        for i, j in reversed(to_split):
+            group = offsets[i]
+            hi = group[j + 1] if j + 1 < len(group) else grid
+            group.insert(j + 1, (group[j] + hi) // 2)
+        points, values, angles, closing = sample(offsets)
+
+    m = sum(len(group) for group in offsets)
+    labels = [
+        str(i + 1) if j == 0 else f"{i + 1} {j}"
+        for i, group in enumerate(offsets)
+        for j in range(len(group))
+    ]
+    rows = [
+        (label, sum(angles[side * m + n] for side in range(4)))
+        for n, label in enumerate(labels)
+    ]
+    rows.append((str(c + 1), sum(angles[side * m] for side in (1, 2, 3)) + closing))
+
+    zn = rect.center
+    mains, n = [], 0
+    for group in offsets:
+        mains.append(n)
+        n += len(group)
+    order = [side * m + n for side in range(4) for n in mains]
+    ps = [points[idx] for idx in order] + [points[0]]
+    vs = [values[idx] for idx in order] + [values[0]]
+    ans = [angles[idx] for idx in order] + [closing]
+    total = 0.0 + 0.0j
+    for i in range(len(order)):
+        delta = complex(
+            math.log(abs(vs[i + 1])) - math.log(abs(vs[i])), ans[i + 1] - ans[i]
+        )
+        contribution = (0.5 * (ps[i] + ps[i + 1]) - zn) * delta
+        dv = vs[i + 1] - vs[i]
+        if abs(dv) > 1e-14 * (abs(vs[i]) + abs(vs[i + 1])):
+            slope = (ps[i + 1] - ps[i]) / dv
+            contribution -= slope * (0.5 * (vs[i] + vs[i + 1]) * delta - dv)
+        total += contribution
+    z_estimate = zn + total / (2j * math.pi)
+    abs_center = abs(complex(f(rect.center)))
+    try:
+        abs_estimate = abs(complex(f(z_estimate)))
+    except ZeroDivisionError:
+        abs_estimate = math.inf
+    return {
+        "offsets": offsets,
+        "points": points,
+        "samples": values,
+        "angles": angles,
+        "closing_angle": closing,
+        "display_rows": rows,
+        "char": 1.0 - (closing - angles[0]) / (2 * math.pi),
+        "fo": fo_from_angles([value for _, value in rows]),
+        "z_estimate": z_estimate,
+        "vv": abs_estimate / abs_center if abs_center > 0 else math.inf,
+        "inside": rect.contains(z_estimate),
+        "abs_center": abs_center,
+        "abs_estimate": abs_estimate,
+    }
+
+
+def assert_matches_reference(f, rect, c):
+    """refine_trace(sample_boundary) and integrate against the reference;
+    repr compares floats bit for bit, signs of zeros included."""
+    ref = reference_integrate(f, rect, c)
+    result = integrate(f, rect, c)
+    for trace in (refine_trace(sample_boundary(f, rect, c)), result.trace):
+        got = {
+            "offsets": trace.offsets,
+            "points": trace.points,
+            "samples": trace.samples,
+            "angles": trace.angles,
+            "closing_angle": trace.closing_angle,
+            "display_rows": trace.display_rows(),
+        }
+        for key, value in got.items():
+            assert repr(value) == repr(ref[key]), key
+    for key in ("char", "fo", "z_estimate", "vv", "inside", "abs_center", "abs_estimate"):
+        assert repr(getattr(result, key)) == repr(ref[key]), key
+    return result.trace
+
+
+def rational(roots, poles):
+    def f(k):
+        value = 1.0 + 0.0j
+        for r in roots:
+            value *= k - r
+        for p in poles:
+            value /= k - p
+        return value
+
+    return f
+
+
+unit = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def targets(draw):
+    """A rectangle and a polynomial or rational target whose roots and poles
+    fall inside, near or outside it; roots near the boundary force deep
+    refinement."""
+    rect = Rectangle(
+        complex(draw(unit), draw(unit)),
+        draw(st.floats(0.2, 1.2)),
+        draw(st.floats(0.2, 1.0)),
+    )
+    spots = [
+        rect.center + complex(u * rect.rd, v * rect.rad)
+        for u, v in draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=4))
+    ]
+    for z in spots:
+        # keep roots and poles off the boundary itself
+        assume(min(abs(abs(z.real - rect.center.real) - rect.rd),
+                   abs(abs(z.imag - rect.center.imag) - rect.rad)) > 1e-6)
+    n_poles = draw(st.integers(0, len(spots) - 1))
+    # f is also evaluated at the center, so no pole sits there
+    assume(all(abs(p - rect.center) > 1e-6 for p in spots[:n_poles]))
+    return rect, rational(spots[n_poles:], spots[:n_poles])
+
+
+class TestIncrementalRefinement:
+    """Incremental passes agree bit for bit with full re-sampling."""
+
+    @given(targets(), st.sampled_from([3, 4, 5, 6, 9]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_cache_reference(self, target, c):
+        rect, f = target
+        assert_matches_reference(f, rect, c)
+
+    @pytest.mark.parametrize("c", [3, 4, 5, 6, 9])
+    def test_closing_segment_split_to_depth_three(self, c):
+        # a root just outside the left side, near its bottom end: the last
+        # interval of side 3, which closes on sample 0, is split three times
+        rect = Rectangle(0j, 1.0, 0.5)
+        trace = assert_matches_reference(rational([-1.001 - 0.49j], []), rect, c)
+        assert any(off % 2 for off in trace.offsets[-1])
