@@ -416,20 +416,21 @@ class _ZeroSearch:
 
     def finish(self, index: int) -> ZeroRecord:
         state = self.state
+        # the opening integration's rectangle is centred on za
+        abs_za = self.trace_log[0].result.abs_center
         if not state.accepted:
-            vv = abs(complex(self.f(state.za)))
             return ZeroRecord(
                 index=index,
                 y=state.y,
                 za=state.za,
                 z=state.za,
                 de=None,
-                vv_final=1.0 if vv else math.inf,
+                vv_final=1.0 if abs_za else math.inf,
                 verdict=Verdict.FAILED,
                 newton_applied=False,
                 trace_log=self.trace_log,
             )
-        z = state.accepted[-1][0]
+        z, abs_z = state.accepted[-1]
         de = estimate_de(state) if len(state.accepted) >= 2 else None
         newton_applied = False
         if self.concluded and de is not None:
@@ -440,9 +441,9 @@ class _ZeroSearch:
             if accepted:
                 de = max(_DE_FLOOR, 0.1 * abs(z_polished - z))
                 z = z_polished
+                abs_z = abs(complex(self.f(z)))
                 newton_applied = True
-        abs_za = abs(complex(self.f(state.za)))
-        vv_final = abs(complex(self.f(z))) / abs_za if abs_za > 0 else math.inf
+        vv_final = abs_z / abs_za if abs_za > 0 else math.inf
         return ZeroRecord(
             index=index,
             y=state.y,

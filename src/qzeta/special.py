@@ -12,8 +12,10 @@ the pole term is kept symbolic and recombined through expm1-style helpers,
 which keeps eta and eta' smooth through s = 1.
 
 The zero seeds (``classical_zeros``) are sign changes of Hardy Z, probed at
-the Gram points and refined by a lockstep bisection of all brackets, one
-``hardy_z`` block per step, with the zero count checked by Gram's law.
+the Gram points, with the zero count checked by Gram's law.  Illinois steps
+bracket every root in lockstep, one ``hardy_z`` block per step; the seed is
+still the midpoint of the grid scan's 1e-7 bisection, replayed with Z
+evaluated only at the midpoints those root brackets leave undecided.
 
 Caveat: the truncation bound is rigorous, but double rounding in the
 oscillatory factors exp(-i Im(s) ln n) sets a practical accuracy floor of
@@ -335,17 +337,82 @@ def _gram_points(y_max: float) -> list[float]:
         t += math.pi / slope
 
 
-def _bisect_lockstep(brackets, width, half, ordinate):
-    """Halve each bracket [lo, hi, Z(lo)] in place while hi - lo > width, all
-    in lockstep: one ``hardy_z`` block per step at ordinate(half(lo, hi)).
-    A midpoint where Z is exactly 0 closes its bracket to [mid, mid, 0.0]."""
+# Illinois leaves a root bracket once it is this narrow, or after this many
+# steps (values at the noise floor can stall it); stopping early only costs
+# the bisection replay more evaluations.
+_ROOT_WIDTH = 1e-9
+_ROOT_STEPS = 12
+
+
+def _illinois_lockstep(cells):
+    """Root brackets of the sign-change cells (t_lo, t_hi, Z(t_lo), Z(t_hi)),
+    all shrunk in lockstep by Illinois steps (regula falsi that halves the
+    kept end's value when the same end moves twice running; Dowell & Jarratt,
+    BIT 11, 1971), one ``hardy_z`` block per step over the cells still wider
+    than _ROOT_WIDTH.  Returns one (r_lo, r_hi) per cell: Z evaluates to the
+    sign of Z(t_lo) at r_lo and to the other sign at r_hi, unless a point
+    where Z is exactly 0 closed the bracket to (x, x)."""
+    # [a, b, Z(a), Z(b), side], a kept end's Z halved by Illinois; side is
+    # 1 when a moved last and -1 when b did
+    brackets = [[a, b, fa, fb, 0] for a, b, fa, fb in cells]
+    live = brackets
+    for _ in range(_ROOT_STEPS):
+        steps = []
+        for c in live:
+            a, b, fa, fb = c[:4]
+            if b - a > _ROOT_WIDTH:
+                x = b - fb * (b - a) / (fb - fa)
+                # at least half the width from either end, so that an end
+                # already at the root closes the bracket in one more step
+                x = min(max(x, a + 0.5 * _ROOT_WIDTH), b - 0.5 * _ROOT_WIDTH)
+                if not a < x < b:
+                    x = 0.5 * (a + b)
+                if a < x < b:  # else a and b are adjacent floats
+                    steps.append((c, x))
+        if not steps:
+            break
+        live = []
+        for (c, x), fx in zip(steps, hardy_z([x for _, x in steps]).tolist()):
+            if fx == 0.0:
+                c[:2] = [x, x]
+                continue
+            if fx * c[2] > 0.0:  # the low end moves
+                c[0], c[2] = x, fx
+                if c[4] > 0:
+                    c[3] *= 0.5
+                c[4] = 1
+            else:
+                c[1], c[3] = x, fx
+                if c[4] < 0:
+                    c[2] *= 0.5
+                c[4] = -1
+            live.append(c)
+    return [(a, b) for a, b, *_ in brackets]
+
+
+def _bisect_lockstep(brackets, roots, width, half, ordinate):
+    """Halve each bracket [lo, hi, Z(lo)] in place while hi - lo > width.
+    A midpoint whose ordinate(half(lo, hi)) lies below its root bracket's
+    r_lo moves lo, one above r_hi moves hi; the others are evaluated in
+    lockstep, one ``hardy_z`` block per step.  An evaluated midpoint where Z
+    is exactly 0 closes its bracket to [mid, mid, 0.0]."""
     while True:
-        live = [b for b in brackets if b[1] - b[0] > width]
+        live = []
+        for b, (r_lo, r_hi) in zip(brackets, roots):
+            while b[1] - b[0] > width:
+                mid = half(b[0], b[1])
+                t = ordinate(mid)
+                if t < r_lo:
+                    b[0] = mid
+                elif t > r_hi:
+                    b[1] = mid
+                else:
+                    live.append((b, mid))
+                    break
         if not live:
             return
-        mids = [half(lo, hi) for lo, hi, _ in live]
-        values = hardy_z([ordinate(m) for m in mids]).tolist()
-        for b, mid, f_mid in zip(live, mids, values):
+        values = hardy_z([ordinate(m) for _, m in live]).tolist()
+        for (b, mid), f_mid in zip(live, values):
             if f_mid == 0.0:
                 b[:] = [mid, mid, 0.0]
             elif b[2] * f_mid < 0.0:
@@ -361,10 +428,15 @@ def classical_zeros(y_max: float) -> list[float]:
     finds, each bisected to a 1e-7 bracket, with Z evaluated only where the
     result depends on it.  Probes: the Gram points (snapped to the grid) and
     y_max; below 100 each Gram interval holds one zero and none lies below
-    g_(-1).  A probe interval that changes sign is bisected over grid
-    indices to its one sign-change cell; one that does not (in practice the
-    last, partial one) has all its cells evaluated.  Then the float
-    bisection runs in every cell in lockstep.  Z is read only for its signs.
+    g_(-1).  A probe interval that changes sign holds one sign-change cell;
+    one that does not (in practice the last, partial one) has all its cells
+    evaluated.  Illinois steps shrink each sign-change interval to a root
+    bracket (``_illinois_lockstep``).  Then the bisection over grid indices
+    to the one cell and the float bisection within it are replayed: a
+    midpoint outside the root bracket takes its sign from the side it lies
+    on, and only the midpoints inside it are evaluated.  Z is read only for
+    its signs and each interval holds one sign change, so the ordinates are
+    those of a bisection that evaluates every midpoint.
 
     Checks: the count of zeros <= g_n is n + 1 (Gram's law), ordinates in
     the reference table's range are in it, and |eta(1/2 + iy)| < 1e-5.
@@ -398,10 +470,13 @@ def classical_zeros(y_max: float) -> list[float]:
                 cells.append([i, i, 0.0])
             elif z[i] * z[i + 1] < 0.0:
                 cells.append([i, i + 1, z[i]])
-    _bisect_lockstep(cells, 1, lambda lo, hi: (lo + hi) // 2, grid.__getitem__)
+    roots = _illinois_lockstep(
+        [(grid[lo], grid[hi], z_lo, z[hi]) for lo, hi, z_lo in cells]
+    )
+    _bisect_lockstep(cells, roots, 1, lambda lo, hi: (lo + hi) // 2, grid.__getitem__)
 
     brackets = [[grid[lo], grid[hi], z_lo] for lo, hi, z_lo in cells]
-    _bisect_lockstep(brackets, 1e-7, lambda lo, hi: 0.5 * (lo + hi), float)
+    _bisect_lockstep(brackets, roots, 1e-7, lambda lo, hi: 0.5 * (lo + hi), float)
     zeros = sorted(0.5 * (lo + hi) for lo, hi, _ in brackets)
 
     for n, g in enumerate(gram, start=-1):

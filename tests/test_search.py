@@ -17,6 +17,7 @@ from qzeta import (
     run_variants,
     step_policy,
 )
+from qzeta.search import _ZeroSearch
 
 
 def product_of_roots(roots):
@@ -275,6 +276,52 @@ class TestRunVariants:
     def test_function_count_mismatch(self):
         with pytest.raises(ValueError):
             run_variants([lambda k: k], [(9.0, 9j), (11.0, 11j)], SearchConfig())
+
+
+class TestFinish:
+    """finish takes |f(za)| from the opening integration (its rectangle is
+    centred on za) and |f(z)| from the accepted estimate unless Newton
+    moved z; beyond Newton's own calls it evaluates f only at a polished
+    zero."""
+
+    @staticmethod
+    def _searched(f, y, za, cfg=SearchConfig()):
+        calls = []
+
+        def counting(k):
+            calls.append(k)
+            return f(k)
+
+        search = _ZeroSearch(counting, y, za, cfg)
+        for variant in range(len(cfg.c_schedule)):
+            if search.run_variant(variant):
+                break
+        assert search.trace_log[0].rect.center == za
+        calls.clear()
+        return search.finish(index=1), calls
+
+    def test_failed_search_calls_nothing(self):
+        record, calls = self._searched(lambda k: 2.0 + 0j, 2.0, 0.1 + 2j)
+        assert record.verdict is Verdict.FAILED
+        assert record.vv_final == 1.0
+        assert calls == []
+
+    def test_polished_zero_skips_the_seed(self):
+        f = product_of_roots([0.3 + 20j, 3 + 22j])
+        record, calls = self._searched(f, 20.0, 0.29 + 20.01j)
+        assert record.newton_applied
+        assert 0.29 + 20.01j not in calls
+        assert calls[-1] == record.z
+        assert record.vv_final == abs(f(record.z)) / abs(f(0.29 + 20.01j))
+
+    def test_unpolished_zero_reuses_its_value(self):
+        f = product_of_roots([0.3 + 20j, 3 + 22j])
+        cfg = SearchConfig(newton_max_iters=0)  # Newton takes no step: rejected
+        record, calls = self._searched(f, 20.0, 0.29 + 20.01j, cfg)
+        assert record.verdict is Verdict.VERY_GOOD
+        assert not record.newton_applied
+        assert calls == [record.z]  # Newton's opening |f|, nothing after it
+        assert record.vv_final == abs(f(record.z)) / abs(f(0.29 + 20.01j))
 
 
 class TestSearchConfig:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,9 @@ ZETA_AT_MINUS_HALF_21I = complex(-2.149726494071592934, 0.5637820089753549896)
 ETA_PRIME_AT_CRITICAL = complex(1.879221628955020394, -0.1143077885454221602)
 
 EULER_GAMMA = 0.5772156649015328606
+
+# y_max values at which classical_zeros must reproduce pointwise_scan
+SCAN_Y_MAX = [15.0, 48.5406, 61.0, 77.14, 95.0, 100.0]
 
 
 def bernoulli_numbers(n_max):
@@ -183,9 +187,64 @@ class TestClassicalZeros:
             assert hardy_z([t])[0] == hardy_z(t)
             assert type(hardy_z(t)) is float
 
-    @pytest.mark.parametrize("y_max", [15.0, 48.5406, 61.0, 77.14, 95.0, 100.0])
+    @pytest.mark.parametrize("y_max", SCAN_Y_MAX)
     def test_scan_matches_pointwise_scan(self, y_max):
         assert classical_zeros(y_max) == pointwise_scan(y_max)
+
+    def test_hardy_z_budget(self, monkeypatch):
+        # evaluating every bisection midpoint took 755 ordinates in 27
+        # blocks; a count of 0 means hardy_z is no longer called through the
+        # module global, which the benchmark's tracer wraps
+        ordinates = []
+        hardy = special.hardy_z
+
+        def counting(ts):
+            ordinates.extend(ts)
+            return hardy(ts)
+
+        monkeypatch.setattr(special, "hardy_z", counting)
+        classical_zeros(100.0)
+        assert 0 < len(ordinates) <= 300
+
+
+class TestRootBrackets:
+    """The Illinois root brackets decide the bisection's midpoint signs; the
+    ordinates must not depend on how far Illinois got."""
+
+    @pytest.mark.parametrize("y_max", SCAN_Y_MAX)
+    def test_every_midpoint_evaluated(self, monkeypatch, y_max):
+        # wider than every interval: Illinois takes no step, so each root
+        # bracket is its whole interval and the replay evaluates every midpoint
+        monkeypatch.setattr(special, "_ROOT_WIDTH", 10.0)
+        calls = record_illinois(monkeypatch)
+        assert classical_zeros(y_max) == pointwise_scan(y_max)
+        [(cells, brackets, blocks, _)] = calls
+        assert blocks == []
+        assert brackets == [(t_lo, t_hi) for t_lo, t_hi, _, _ in cells]
+
+    @pytest.mark.parametrize("y_max", SCAN_Y_MAX)
+    def test_step_cap_ends_illinois(self, monkeypatch, y_max):
+        # narrower than the float spacing: only the step cap stops Illinois
+        monkeypatch.setattr(special, "_ROOT_WIDTH", 1e-15)
+        calls = record_illinois(monkeypatch)
+        assert classical_zeros(y_max) == pointwise_scan(y_max)
+        [(_, _, blocks, _)] = calls
+        assert len(blocks) == special._ROOT_STEPS
+
+    def test_brackets_hold_the_zeros(self, monkeypatch):
+        calls = record_illinois(monkeypatch)
+        classical_zeros(100.0)
+        [(cells, brackets, _, values)] = calls
+        expected = pointwise_scan(100.0)
+        assert len(brackets) == len(expected) == 29
+        for ((r_lo, r_hi), (t_lo, t_hi, z_lo, z_hi)), y in zip(
+            sorted(zip(brackets, cells)), expected
+        ):
+            assert t_lo <= r_lo < r_hi <= t_hi
+            assert r_lo - 5e-8 <= y <= r_hi + 5e-8
+            f_lo = values.get(r_lo, z_lo)
+            f_hi = values.get(r_hi, z_hi)
+            assert f_lo * z_lo > 0.0 and f_hi * z_lo < 0.0
 
 
 class TestGramPoints:
@@ -215,9 +274,39 @@ class TestGramPoints:
             classical_zeros(100.0)
 
 
+def record_illinois(monkeypatch):
+    """Wrap ``special._illinois_lockstep``; each call appends (cells, root
+    brackets, hardy_z block sizes, {ordinate: Z} of its evaluations)."""
+    calls = []
+    illinois = special._illinois_lockstep
+
+    def recording(cells):
+        hardy = special.hardy_z
+        blocks, values = [], {}
+
+        def hardy_recording(ts):
+            out = hardy(ts)
+            blocks.append(len(ts))
+            values.update(zip(ts, out.tolist()))
+            return out
+
+        special.hardy_z = hardy_recording
+        try:
+            brackets = illinois(cells)
+        finally:
+            special.hardy_z = hardy
+        calls.append((cells, brackets, blocks, values))
+        return brackets
+
+    monkeypatch.setattr(special, "_illinois_lockstep", recording)
+    return calls
+
+
+@functools.lru_cache(maxsize=None)
 def pointwise_scan(y_max):
     """Sign-change scan and bisection with one scalar hardy_z call per
-    ordinate, the reference the block-evaluated grid must reproduce."""
+    ordinate, the reference the block-evaluated grid must reproduce.
+    Cached: callers share the returned list and must not change it."""
     grid = np.arange(2.0, y_max, 0.05).tolist() + [y_max]
     zeros = []
     t_prev, z_prev = grid[0], hardy_z(grid[0])
