@@ -69,60 +69,79 @@ class SharpParams:
 
 
 _GAUSS_GUARD = 700.0  # below exp overflow (~709); replacement exact there
-_DENOM_FLOOR = 1e-300
 # Points per kernel pass inside one ``evaluate`` call.  A block's working set
 # (a few block x n_terms complex arrays) stays in cache and peak memory stays
-# near that of one-point evaluation; at 387 terms, blocks of 8-12 points ran
-# faster than blocks of 4 or of 16 and more.
+# near that of one-point evaluation; at 289 and 387 terms, blocks of 8 points
+# ran faster than blocks of 4 or of 16.
 _POINT_BLOCK = 8
 
 
 def _term_ratios(a: float, d: float, k: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Multiplicative updates from series term j-1 to term j, for ascending
     consecutive indices j, at every point of the 1-D array k; returns a
-    (points, len(j)) array.
+    (points, len(j)) array.  Callers silence numpy's overflow and invalid
+    warnings; an overflow ends up non-finite in the result.
 
-    The four exponential factors are the j-th factors of the running product;
-    the k-independent one is computed once per call.  The Gaussian quotient
-    shifts from (k+j-1)^2 to (k+j)^2, so it divides adjacent columns of
-    exp(x_m) + 1, x_m = d*(k+m)^2/(4a), m = j[0]-1..j[-1].  Where either
-    Gaussian exponent's real part exceeds the overflow guard, the quotient of
-    the two (exp(x)+1) factors is replaced by exp(x1-x2), which is exact to
-    ~1e-290 there.
+    Each exponential factor 1 - exp(u + v), with u depending on j alone and
+    v on k alone, is written -(alpha + (1 + alpha)*beta), alpha = expm1(u)
+    computed once per call and beta = expm1(v) once per point: no per-term
+    exp and no 1 - exp cancellation at small exponents.  With
+    alpha1 = expm1(-(j-1)/a) and alpha2 = expm1(j/a), the factors are
+    E1 = alpha1 + (1+alpha1)*expm1(-2k/a), E2 = alpha2 + (1+alpha2)*expm1(k/a),
+    E3 = alpha1 + (1+alpha1)*expm1(-k/a) and -alpha2; their signs cancel.
+    The Gaussian quotient shifts from (k+j-1)^2 to (k+j)^2, so it divides
+    adjacent columns of G_m = exp(x_m) + 1, x_m = d*(k+m)^2/(4a),
+    m = j[0]-1..j[-1], and the ratio is E1*E2*G_{j-1} / (E3*alpha2*G_j), one
+    complex division per term.  Where either Gaussian exponent's real part
+    exceeds the overflow guard, G_{j-1}/G_j is replaced by exp(x1-x2), which
+    is exact to ~1e-290 there.
+
+    E3 vanishes exactly at the real points k = 1 - j; such a point raises
+    ``DegenerateDenominator``.
     """
-    k = k[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        e1 = 1.0 - np.exp(-(j + 2.0 * k - 1.0) / a)
-        e2 = 1.0 - np.exp((j + k) / a)
-        e3 = 1.0 - np.exp(-(j + k - 1.0) / a)
-        # complex exp like e1-e3: numpy's real exp rounds differently, and
-        # 1 - exp(j/a) magnifies a one-ulp difference by a/j
-        e4 = 1.0 - np.exp(j / a + 0j)
-        degenerate = (np.abs(e3) < _DENOM_FLOOR) | (np.abs(e4) < _DENOM_FLOOR)
+    if j.size and not k.imag.all():
+        index = 1.0 - k.real
+        degenerate = (
+            (k.imag == 0.0) & (np.floor(k.real) == k.real)
+            & (j[0] <= index) & (index <= j[-1])
+        )
         if degenerate.any():
-            point, first = np.argwhere(degenerate)[0]
+            point = np.argmax(degenerate)
             raise DegenerateDenominator(
-                f"vanishing denominator factor at j={j[first]}, "
-                f"k={complex(k[point, 0])!r}"
+                f"vanishing denominator factor at j={int(index[point])}, "
+                f"k={complex(k[point])!r}"
             )
-        w = k + np.concatenate((j[:1] - 1, j))
-        x = d * (w * w) / (4.0 * a)
-        x1, x2 = x[:, :-1], x[:, 1:]
-        shifted = np.exp(x) + 1.0
-        gauss = shifted[:, :-1] / shifted[:, 1:]
-        guard = (x1.real > _GAUSS_GUARD) | (x2.real > _GAUSS_GUARD)
-        if guard.any():
-            gauss[guard] = np.exp(x1[guard] - x2[guard])
-        return ((e1 * e2) / (e3 * e4)) * gauss
+    alpha1 = np.expm1((1.0 - j) / a)
+    alpha2 = np.expm1(j / a)
+    k = k[:, None]
+    e1 = alpha1 + (1.0 + alpha1) * np.expm1(-2.0 * k / a)
+    e2 = alpha2 + (1.0 + alpha2) * np.expm1(k / a)
+    e3 = alpha1 + (1.0 + alpha1) * np.expm1(-k / a)
+    w = k + np.concatenate((j[:1] - 1, j))
+    x = d * (w * w) / (4.0 * a)
+    shifted = np.exp(x) + 1.0
+    above, below = shifted[:, :-1], shifted[:, 1:]
+    over = x.real > _GAUSS_GUARD
+    if over.any():
+        guard = over[:, :-1] | over[:, 1:]
+        above = np.where(guard, np.exp(x[:, :-1] - x[:, 1:]), above)
+        below = np.where(guard, 1.0, below)
+    return (e1 * e2 * above) / (e3 * alpha2 * below)
 
 
 def term_ratio(params: SharpParams, k: complex, j: int) -> complex:
     """Multiplicative update from series term j-1 to term j (see
-    ``_term_ratios``)."""
+    ``_term_ratios``); a ratio that is not finite raises ``NonFiniteResult``."""
     if j < 1:
         raise ValueError("term index j must be >= 1")
-    ratios = _term_ratios(params.a, params.d, np.array([complex(k)]), np.array([j]))
-    return complex(ratios[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = _term_ratios(
+            params.a, params.d, np.array([complex(k)]), np.array([j])
+        )
+    ratio = complex(ratios[0, 0])
+    if not (math.isfinite(ratio.real) and math.isfinite(ratio.imag)):
+        raise NonFiniteResult(f"term ratio not finite at j={j}, k={complex(k)!r}")
+    return ratio
 
 
 def evaluate(params: SharpParams, k: complex | np.ndarray) -> complex | np.ndarray:
@@ -153,11 +172,13 @@ def evaluate(params: SharpParams, k: complex | np.ndarray) -> complex | np.ndarr
             f"Im k = {bad.imag:g} outside evaluation band [{-eps:g}, {3 * eps:g}]"
         )
     a, d, j = params.a, params.d, np.arange(1, params.n_terms)
-    blocks = np.split(points, range(_POINT_BLOCK, len(points), _POINT_BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.concatenate([
-            1.0 + np.cumprod(_term_ratios(a, d, block, j), axis=1).sum(axis=1)
-            for block in blocks
+            1.0 + np.cumprod(
+                _term_ratios(a, d, points[start:start + _POINT_BLOCK], j), axis=1
+            ).sum(axis=1)
+            # an empty input still makes one (empty) block
+            for start in range(0, max(len(points), 1), _POINT_BLOCK)
         ])
     overflowed = ~np.isfinite(values)
     if overflowed.any():

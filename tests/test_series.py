@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qzeta import (
     DegenerateDenominator,
+    NonFiniteResult,
     RangeUnsupported,
     SharpParams,
     evaluate,
@@ -75,6 +76,20 @@ def mpmath_sum(params, k):
         return complex(total)
 
 
+def mpmath_ratio(params, k, j):
+    """The j-th term ratio in 40-digit mpmath, with the unguarded Gaussian
+    quotient."""
+    with mpmath.workdps(40):
+        a, d, k = mpmath.mpf(params.a), mpmath.mpf(params.d), mpmath.mpc(k)
+        return complex(
+            (1 - mpmath.exp(-(j + 2 * k - 1) / a))
+            * (1 - mpmath.exp((j + k) / a))
+            / ((1 - mpmath.exp(-(j + k - 1) / a)) * (1 - mpmath.exp(j / a)))
+            * (mpmath.exp(d * (k + j - 1) ** 2 / (4 * a)) + 1)
+            / (mpmath.exp(d * (k + j) ** 2 / (4 * a)) + 1)
+        )
+
+
 class TestSharpParams:
     def test_derived_quantities(self):
         p = SharpParams(750.0, 2.0, 15)
@@ -98,13 +113,14 @@ class TestSharpParams:
 
 
 class TestTermRatio:
-    def test_first_ratio_matches_scratch_oracle(self):
+    def test_first_ratio_matches_mpmath(self):
         # at k = 0 exactly the j=1 factor is 0/0 (see the degeneracy test),
-        # so the first-ratio check runs just off the singular point
+        # so the first-ratio check runs just off the singular point, where
+        # double-precision 1 - exp(...) loses up to ~1e-10 to cancellation
         p = SharpParams(750.0, 2.0, 15)
         for k in (0.01 + 0j, 1e-4 + 1e-4j):
             ratio = term_ratio(p, k, 1)
-            oracle = scratch_term(p, k, 1) / scratch_term(p, k, 0)
+            oracle = mpmath_ratio(p, k, 1)
             assert abs(ratio - oracle) / abs(oracle) < 1e-13
 
     def test_fifth_ratio_at_seed(self):
@@ -134,6 +150,35 @@ class TestTermRatio:
             term_ratio(p, 0j, 1)  # j + k - 1 == 0: the factor vanishes
         with pytest.raises(DegenerateDenominator):
             term_ratio(p, complex(-2.0, 0.0), 3)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 17, 288])
+    def test_degenerate_only_on_the_real_point(self, j):
+        # the denominator vanishes at k = 1 - j exactly; just off it the
+        # ratio is large but finite, in term_ratio and in the whole sum
+        p = SharpParams(750.0, 2.0, 15)
+        k = complex(1 - j)
+        with pytest.raises(DegenerateDenominator, match=f"at j={j},"):
+            term_ratio(p, k, j)
+        with pytest.raises(DegenerateDenominator, match=f"at j={j},"):
+            evaluate(p, k)
+        # neither the neighbouring indices' factors at k nor index j's just
+        # off k vanish
+        for near, index in [(k, j + 1), (k, j - 1), (k + 1e-9, j), (k + 1e-12j, j)]:
+            if index >= 1:
+                ratio = term_ratio(p, near, index)
+                assert math.isfinite(ratio.real) and math.isfinite(ratio.imag)
+        # the real point 0.5 makes the batch go through the per-point check
+        values = evaluate(p, np.array([k + 1e-9, k + 1e-12j, 0.5]))
+        assert np.isfinite(values).all()
+
+    def test_underflowed_factors_raise(self):
+        # valid but absurd scales: e1*e2 and e3*alpha2 both underflow to 0,
+        # so the ratio is 0/0; it must raise, not come back as nan
+        p = SharpParams(1e303, 1e303, 3)
+        with pytest.raises(NonFiniteResult):
+            term_ratio(p, 0.5, 1)
+        with pytest.raises(NonFiniteResult):
+            evaluate(p, 0.5)
 
 
 # The reference run's two truncations and a guard-active one (see
@@ -176,6 +221,15 @@ class TestEvaluate:
         v15 = evaluate(SharpParams(750.0, 2.0, 15), k)
         v25 = evaluate(SharpParams(750.0, 2.0, 25), k)
         assert abs(v15 - v25) / abs(v25) < 1e-9
+
+    @pytest.mark.parametrize("offset", [0.3, 0.3j])
+    def test_accuracy_near_the_first_zero(self, offset):
+        # 1 - exp(...) evaluated directly loses 6.7e-10 of relative accuracy
+        # at the 0.3j point to cancellation; the expm1 factors keep 1.4e-10
+        p = SharpParams(750.0, 2.0, 15)
+        k = TRUE_ZERO_1 + offset
+        oracle = mpmath_sum(p, k)
+        assert abs(evaluate(p, k) - oracle) / abs(oracle) < 3e-10
 
     def test_converged_zero_residual(self):
         p = SharpParams(750.0, 2.0, 15)
