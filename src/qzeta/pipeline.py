@@ -20,7 +20,7 @@ from .series import (
     linear_approximation,
     select_truncation,
 )
-from .special import classical_zeros
+from .special import CLASSICAL_Y_MAX, classical_zeros
 
 __all__ = ["RunConfig", "Seed", "RunResult", "plan_seeds", "execute"]
 
@@ -49,6 +49,8 @@ class RunConfig:
             raise ValueError("polynomial target needs at least two coefficients")
         if not (0 < self.a < math.inf and 0 < self.d < math.inf):
             raise ValueError("a and d must be positive and finite")
+        if self.y_max is not None and not 0 < self.y_max <= CLASSICAL_Y_MAX:
+            raise ValueError(f"y_max must be in (0, {CLASSICAL_Y_MAX:g}]")
         if self.y_list is not None and not all(0 < y < math.inf for y in self.y_list):
             raise ValueError("every seed ordinate y must be positive and finite")
         if self.b_override is not None and self.b_override < 1:

@@ -13,9 +13,8 @@ which keeps eta and eta' smooth through s = 1.
 
 The zero seeds (``classical_zeros``) are sign changes of Hardy Z, probed at
 the Gram points, with the zero count checked by Gram's law.  Illinois steps
-bracket every root in lockstep, one ``hardy_z`` block per step; the seed is
-still the midpoint of the grid scan's 1e-7 bisection, replayed with Z
-evaluated only at the midpoints those root brackets leave undecided.
+bracket every root to 1e-9 in lockstep, one ``hardy_z`` block per step, and
+each seed is the midpoint of its bracket.
 
 Caveat: the truncation bound is rigorous, but double rounding in the
 oscillatory factors exp(-i Im(s) ln n) sets a practical accuracy floor of
@@ -41,6 +40,7 @@ __all__ = [
     "zeta_plus_derivative",
     "hardy_z",
     "classical_zeros",
+    "CLASSICAL_Y_MAX",
 ]
 
 _LN2 = math.log(2.0)
@@ -313,9 +313,9 @@ def hardy_z(t: float | Sequence[float]) -> float | np.ndarray:
     return values[0] if np.ndim(t) == 0 else np.array(values)
 
 
-_GRID_STEP = 0.05
-# the asymptotic theta is already good here and the first zero is above 14
-_SCAN_START = 2.0
+# classical_zeros relies on Gram's law, which holds for every Gram interval
+# below this ordinate
+CLASSICAL_Y_MAX = 100.0
 
 
 def _gram_points(y_max: float) -> list[float]:
@@ -338,8 +338,8 @@ def _gram_points(y_max: float) -> list[float]:
 
 
 # Illinois leaves a root bracket once it is this narrow, or after this many
-# steps (values at the noise floor can stall it); stopping early only costs
-# the bisection replay more evaluations.
+# steps (values at the noise floor can stall it); stopping early reports the
+# midpoint of a wider bracket.
 _ROOT_WIDTH = 1e-9
 _ROOT_STEPS = 12
 
@@ -390,94 +390,35 @@ def _illinois_lockstep(cells):
     return [(a, b) for a, b, *_ in brackets]
 
 
-def _bisect_lockstep(brackets, roots, width, half, ordinate):
-    """Halve each bracket [lo, hi, Z(lo)] in place while hi - lo > width.
-    A midpoint whose ordinate(half(lo, hi)) lies below its root bracket's
-    r_lo moves lo, one above r_hi moves hi; the others are evaluated in
-    lockstep, one ``hardy_z`` block per step.  An evaluated midpoint where Z
-    is exactly 0 closes its bracket to [mid, mid, 0.0]."""
-    while True:
-        live = []
-        for b, (r_lo, r_hi) in zip(brackets, roots):
-            while b[1] - b[0] > width:
-                mid = half(b[0], b[1])
-                t = ordinate(mid)
-                if t < r_lo:
-                    b[0] = mid
-                elif t > r_hi:
-                    b[1] = mid
-                else:
-                    live.append((b, mid))
-                    break
-        if not live:
-            return
-        values = hardy_z([ordinate(m) for _, m in live]).tolist()
-        for (b, mid), f_mid in zip(live, values):
-            if f_mid == 0.0:
-                b[:] = [mid, mid, 0.0]
-            elif b[2] * f_mid < 0.0:
-                b[1] = mid
-            else:
-                b[0], b[2] = mid, f_mid
-
-
 def classical_zeros(y_max: float) -> list[float]:
-    """Ordinates of all nontrivial zeta zeros with 0 < y <= y_max.
+    """Ordinates of all nontrivial zeta zeros with 0 < y <= y_max, each the
+    midpoint of its root bracket (``_ROOT_WIDTH`` = 1e-9 wide unless the
+    ``_ROOT_STEPS`` cap stopped Illinois first).
 
-    The zeros a sign-change scan of Hardy Z on the grid 2, 2.05, ..., y_max
-    finds, each bisected to a 1e-7 bracket, with Z evaluated only where the
-    result depends on it.  Probes: the Gram points (snapped to the grid) and
-    y_max; below 100 each Gram interval holds one zero and none lies below
-    g_(-1).  A probe interval that changes sign holds one sign-change cell;
-    one that does not (in practice the last, partial one) has all its cells
-    evaluated.  Illinois steps shrink each sign-change interval to a root
-    bracket (``_illinois_lockstep``).  Then the bisection over grid indices
-    to the one cell and the float bisection within it are replayed: a
-    midpoint outside the root bracket takes its sign from the side it lies
-    on, and only the midpoints inside it are evaluated.  Z is read only for
-    its signs and each interval holds one sign change, so the ordinates are
-    those of a bisection that evaluates every midpoint.
+    Z is probed in one ``hardy_z`` block at the Gram points and at y_max;
+    below 100 each Gram interval holds one zero and none lies below g_(-1),
+    so each probe interval holds at most one zero and Z changes sign across
+    it exactly when it does.  Illinois steps shrink every such interval to
+    a root bracket in lockstep (``_illinois_lockstep``).
 
     Checks: the count of zeros <= g_n is n + 1 (Gram's law), ordinates in
     the reference table's range are in it, and |eta(1/2 + iy)| < 1e-5.
     """
-    if not 0 < y_max <= 100.0:
-        raise RangeUnsupported(f"y_max must be in (0, 100], got {y_max!r}")
-    if y_max <= _SCAN_START:
-        return []
-    grid = np.arange(_SCAN_START, y_max, _GRID_STEP).tolist()
-    grid.append(y_max)
-    last = len(grid) - 1
+    if not 0 < y_max <= CLASSICAL_Y_MAX:
+        raise RangeUnsupported(
+            f"y_max must be in (0, {CLASSICAL_Y_MAX:g}], got {y_max!r}"
+        )
     gram = _gram_points(y_max)
-    probes = sorted(
-        {min(round((g - _SCAN_START) / _GRID_STEP), last) for g in gram} | {last}
-    )
-    z = dict(zip(probes, hardy_z([grid[i] for i in probes]).tolist()))
-
-    cells = []  # [lo, hi, Z(lo)] in grid indices
-    quiet = []
-    for p, q in zip(probes, probes[1:]):
-        if z[p] * z[q] < 0.0:
-            cells.append([p, q, z[p]])
-        else:
-            quiet.append((p, q))
-    inner = [i for p, q in quiet for i in range(p + 1, q)]
-    if inner:
-        z.update(zip(inner, hardy_z([grid[i] for i in inner]).tolist()))
-    for p, q in quiet:
-        for i in range(p, q):
-            if z[i] == 0.0:
-                cells.append([i, i, 0.0])
-            elif z[i] * z[i + 1] < 0.0:
-                cells.append([i, i + 1, z[i]])
-    roots = _illinois_lockstep(
-        [(grid[lo], grid[hi], z_lo, z[hi]) for lo, hi, z_lo in cells]
-    )
-    _bisect_lockstep(cells, roots, 1, lambda lo, hi: (lo + hi) // 2, grid.__getitem__)
-
-    brackets = [[grid[lo], grid[hi], z_lo] for lo, hi, z_lo in cells]
-    _bisect_lockstep(brackets, roots, 1e-7, lambda lo, hi: 0.5 * (lo + hi), float)
-    zeros = sorted(0.5 * (lo + hi) for lo, hi, _ in brackets)
+    if not gram:
+        return []
+    probes = gram + [y_max]
+    z = hardy_z(probes).tolist()
+    cells = [
+        (a, b, fa, fb)
+        for a, b, fa, fb in zip(probes, probes[1:], z, z[1:])
+        if fa * fb < 0.0
+    ]
+    zeros = sorted(0.5 * (lo + hi) for lo, hi in _illinois_lockstep(cells))
 
     for n, g in enumerate(gram, start=-1):
         found = bisect.bisect_right(zeros, g)
