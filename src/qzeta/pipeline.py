@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import QZetaError
+from .errors import QZetaError, RangeUnsupported
 from .search import SearchConfig, Verdict, ZeroRecord, run_variants
 from .series import (
     SharpFunction,
@@ -55,6 +55,8 @@ class RunConfig:
             raise ValueError("every seed ordinate y must be positive and finite")
         if self.b_override is not None and self.b_override < 1:
             raise ValueError("b must be a positive integer")
+        if self.b_override is not None and self.target == "sharp":
+            SharpParams(self.a, self.d, self.b_override)  # keeps >= 1 term
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,14 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
             b = config.b_override
         else:
             rd = min(0.5, config.search.kappa * abs(za - 1j * y))
-            b = select_truncation(config.a, config.d, za.imag + rd)
+            region_top = za.imag + rd
+            if not region_top > 0:
+                raise RangeUnsupported(
+                    f"seed {i} (y={y:g}): the prediction {za:.6g} puts the "
+                    f"top of its search region at Im k = {region_top:g}, "
+                    f"not above the real axis"
+                )
+            b = select_truncation(config.a, config.d, region_top)
         seeds.append(Seed(index=i, y=y, za=za, b=b))
         functions.append(SharpFunction(SharpParams(config.a, config.d, b)))
     return seeds, functions

@@ -214,6 +214,9 @@ class SharpFunction:
 # choices: 15 up to region_top = 34, 20 for 37..49 (at a=750, d=2).
 _TRUNCATION_THRESHOLD = 1e-3
 _B_CANDIDATE_STEP = 5
+# Candidates b tried by the first pass (b <= 20 covers the reference run);
+# each later pass doubles the count.
+_B_FIRST_CANDIDATES = 4
 
 
 def select_truncation(a: float, d: float, region_top: float) -> int:
@@ -222,24 +225,41 @@ def select_truncation(a: float, d: float, region_top: float) -> int:
 
     The estimate is the dominant Gaussian decay exp(-d*B^2/(4a)) times the
     product-growth bound prod_l |1-e^((l+k)/a)| / |1-e^(l/a)| on the
-    imaginary axis at the top of the evaluation region.
+    imaginary axis at the top of the evaluation region, B = floor(b*sqrt(a/d))
+    the number of terms b keeps.  With t = region_top and m = expm1(l/a),
+    |1-e^((l+it)/a)|^2 = m^2 + (1+m)*4*sin^2(t/(2a)), so the log of each
+    factor is real arithmetic, 0.5*log1p((1+m)*4*sin^2(t/(2a))/m^2).  One
+    cumulative sum of those logs gives every candidate's estimate at its B;
+    when no candidate of a pass is below the threshold, the next pass
+    doubles the number of candidates.  An estimate that is not finite (e^(l/a)
+    overflows) raises ``RangeUnsupported``.
     """
     if not (a > 0 and d > 0):
         raise ValueError("a and d must be positive")
     if not (region_top > 0 and math.isfinite(region_top)):
         raise ValueError("region_top must be positive and finite")
     log_threshold = math.log(_TRUNCATION_THRESHOLD)
-    b = _B_CANDIDATE_STEP
+    root = math.sqrt(a / d)
+    chord_sq = 4.0 * math.sin(region_top / (2.0 * a)) ** 2
+    count = _B_FIRST_CANDIDATES
     while True:
-        n_terms = math.floor(b * math.sqrt(a / d))
-        if n_terms >= 1:
-            ls = np.arange(1, n_terms + 1)
-            growth = np.log(np.abs(1.0 - np.exp((ls + 1j * region_top) / a)))
-            growth -= np.log(np.abs(1.0 - np.exp(ls / a)))
-            log_estimate = -d * n_terms * n_terms / (4.0 * a) + growth.sum()
+        bs = range(_B_CANDIDATE_STEP, _B_CANDIDATE_STEP * count + 1, _B_CANDIDATE_STEP)
+        n_terms = [math.floor(b * root) for b in bs]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m = np.expm1(np.arange(1, n_terms[-1] + 1) / a)
+            growth = np.cumsum(0.5 * np.log1p((1.0 + m) * chord_sq / (m * m)))
+        for b, n in zip(bs, n_terms):
+            if n < 1:
+                continue
+            log_estimate = -d * n * n / (4.0 * a) + growth[n - 1]
+            if not math.isfinite(log_estimate):
+                raise RangeUnsupported(
+                    f"truncation estimate not finite at b={b} for a={a:g}, "
+                    f"d={d:g}, region_top={region_top:g}"
+                )
             if log_estimate < log_threshold:
                 return b
-        b += _B_CANDIDATE_STEP
+        count *= 2
 
 
 def linear_approximation(y: float, a: float, d: float) -> complex:

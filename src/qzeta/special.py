@@ -140,7 +140,13 @@ def _directed_powers(values, s: np.ndarray):
     precision; keeps the accuracy floor near 1 ulp of the magnitude even when
     the raw phase is thousands of radians.  The reduction runs on |Im s| with
     the sign applied afterwards, so conjugate arguments produce exactly
-    conjugate results."""
+    conjugate results.
+
+    The real and imaginary parts are two real products, mags*cos and
+    mags*sin, written into one complex array; rows with Im s >= 0 take
+    0 - mags*sin, so a zero phase (v = 1, or real s) gives +0.0 there.
+    Every element is bitwise mags * (cos - 1j*sign*sin) with sign = +-1,
+    away from underflowed magnitudes (where a zero's sign may differ)."""
     logs = np.log(values)
     mags = np.exp(-s.real[:, None] * logs)
     phases = np.mod(
@@ -148,8 +154,11 @@ def _directed_powers(values, s: np.ndarray):
         * np.log(values.astype(np.longdouble)),
         _TWO_PI_LD,
     ).astype(np.float64)
-    sign = np.where(s.imag >= 0, 1.0, -1.0)[:, None]
-    return logs, mags * (np.cos(phases) - 1j * sign * np.sin(phases))
+    powers = np.empty(mags.shape, dtype=complex)
+    np.multiply(mags, np.cos(phases), out=powers.real)
+    np.multiply(mags, np.sin(phases, out=phases), out=powers.imag)
+    np.subtract(0.0, powers.imag, out=powers.imag, where=(s.imag >= 0)[:, None])
+    return logs, powers
 
 
 def _em_regular(s: np.ndarray, n: int, want_derivative: bool):

@@ -133,6 +133,19 @@ class TestMain:
         assert "a=1e+308" in err
         assert "Traceback" not in err
 
+    def test_region_top_below_axis_exit_one(self, capsys):
+        # the prediction 6464.9 - 223.9i leaves no search region above Im k = 0
+        assert main(["--a", "0.5", "--d", "0.01", "--y-max", "15"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 1 (y=14.1347)")
+        assert "Traceback" not in err
+
+    def test_b_keeping_no_terms_exit_two(self, capsys):
+        assert main(["--a", "1e-3", "--d", "1", "--b", "5", "--y-max", "15"]) == 2
+        err = capsys.readouterr().err
+        assert "error: truncation b*sqrt(a/d) keeps no terms" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["--bogus"])
@@ -164,3 +177,19 @@ class TestConsoleScript:
         )
         assert process.returncode == 0
         assert "no zeros requested" in process.stdout
+
+    def test_overflowing_truncation_estimate_exit_one(self):
+        # e^(l/a) overflows in every truncation estimate at a=1e-3; a child
+        # process, so that a return of the endless candidate loop fails the
+        # test at its time limit instead of hanging it
+        process = subprocess.run(
+            [sys.executable, "-m", "qzeta", "--a", "1e-3", "--d", "1",
+             "--y-max", "15"],
+            cwd=Path(qzeta.__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert process.returncode == 1
+        assert process.stderr.startswith("error: truncation estimate not finite")
+        assert "a=0.001, d=1" in process.stderr

@@ -290,6 +290,21 @@ class TestEvaluate:
         assert str(batch_error.value) == str(point_error.value)
 
 
+def select_truncation_by_candidate(a, d, region_top):
+    """The candidate-by-candidate form of ``select_truncation``: each b's
+    estimate rebuilt from complex exponentials over its own terms."""
+    b = 5
+    while True:
+        n_terms = math.floor(b * math.sqrt(a / d))
+        if n_terms >= 1:
+            ls = np.arange(1, n_terms + 1)
+            growth = np.log(np.abs(1.0 - np.exp((ls + 1j * region_top) / a)))
+            growth -= np.log(np.abs(1.0 - np.exp(ls / a)))
+            if -d * n_terms * n_terms / (4.0 * a) + growth.sum() < math.log(1e-3):
+                return b
+        b += 5
+
+
 class TestSelectTruncation:
     @pytest.mark.parametrize(
         "region_top,expected",
@@ -297,6 +312,28 @@ class TestSelectTruncation:
     )
     def test_calibration(self, region_top, expected):
         assert select_truncation(750.0, 2.0, region_top) == expected
+        assert select_truncation_by_candidate(750.0, 2.0, region_top) == expected
+
+    @given(
+        st.floats(100.0, 5000.0), st.floats(0.5, 5.0), st.floats(1.0, 120.0)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_b_as_candidate_loop(self, a, d, region_top):
+        assert select_truncation(a, d, region_top) == (
+            select_truncation_by_candidate(a, d, region_top)
+        )
+
+    def test_later_passes_extend_the_candidates(self):
+        # b = 30 lies beyond the first pass's candidates
+        assert select_truncation(3000.0, 1.0, 100.0) == 30
+        assert select_truncation_by_candidate(3000.0, 1.0, 100.0) == 30
+
+    @pytest.mark.parametrize("a,d", [(1e-3, 1e-3), (1e-3, 1.0)])
+    def test_overflowing_estimate_raises(self, a, d):
+        # e^(l/a) overflows at the first term, so no estimate is finite
+        with pytest.raises(RangeUnsupported) as info:
+            select_truncation(a, d, 1.0)
+        assert f"a={a:g}, d={d:g}, region_top=1" in str(info.value)
 
 
 class TestLinearApproximation:

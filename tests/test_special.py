@@ -282,6 +282,64 @@ class TestGramPoints:
             classical_zeros(100.0)
 
 
+def complex_directed_powers(values, s):
+    """``special._directed_powers`` assembled as one complex expression,
+    mags * (cos - 1j*sign*sin): the reference its two real products match."""
+    logs = np.log(values)
+    mags = np.exp(-s.real[:, None] * logs)
+    phases = np.mod(
+        np.abs(s.imag).astype(np.longdouble)[:, None]
+        * np.log(values.astype(np.longdouble)),
+        special._TWO_PI_LD,
+    ).astype(np.float64)
+    sign = np.where(s.imag >= 0, 1.0, -1.0)[:, None]
+    return logs, mags * (np.cos(phases) - 1j * sign * np.sin(phases))
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+class TestDirectedPowers:
+    @pytest.mark.parametrize("count", range(1, 41))
+    def test_equals_complex_assembly(self, count):
+        rng = np.random.default_rng(count)
+        s = rng.uniform(-2.0, 4.0, count) + 1j * rng.uniform(-200.0, 200.0, count)
+        s[1::2] = s[0::2][: count // 2].conj()  # conjugate pairs
+        if count % 2 and count > 1:
+            s[-1] = s[-1].real  # the unpaired point is real
+        values = np.arange(1, rng.integers(2, 400) + 1)
+        logs, powers = special._directed_powers(values, s)
+        ref_logs, ref_powers = complex_directed_powers(values, s)
+        assert (powers == ref_powers).all()
+        assert (bits(powers) == bits(ref_powers)).all()
+        assert (logs == ref_logs).all()
+        # conjugate arguments give exactly conjugate rows
+        assert (powers[1::2] == powers[0::2][: count // 2].conj()).all()
+
+    def test_public_values_bitwise(self, monkeypatch):
+        rng = random.Random(3)
+        ts = [rng.uniform(1.0, 100.0) for _ in range(40)]
+        points = [complex(rng.uniform(-2.0, 4.0), rng.uniform(-100.0, 100.0))
+                  for _ in range(30)]
+        # near the pole (both eta branches), on the real axis, near a zero
+        points += [1.2 + 0.1j, 1.0005 + 0j, 2.0 + 0j, -1.5 + 0j, 0.5 + 14.1347j]
+
+        def values():
+            return (
+                bits(hardy_z(ts)),
+                bits([hardy_z(t) for t in ts[:5]]),
+                bits([zeta_plus(s) for s in points]),
+                bits([zeta_plus_derivative(s) for s in points]),
+                bits([riemann_zeta(s) for s in points]),
+            )
+
+        fast = values()
+        monkeypatch.setattr(special, "_directed_powers", complex_directed_powers)
+        for got, ref in zip(fast, values()):
+            assert (got == ref).all()
+
+
 def record_illinois(monkeypatch):
     """Wrap ``special._illinois_lockstep``; each call appends (cells, root
     brackets, hardy_z block sizes, {ordinate: Z} of its evaluations)."""
