@@ -56,7 +56,7 @@ class RunConfig:
         if self.b_override is not None and self.b_override < 1:
             raise ValueError("b must be a positive integer")
         if self.b_override is not None and self.target == "sharp":
-            SharpParams(self.a, self.d, self.b_override)  # keeps >= 1 term
+            SharpParams(self.a, self.d, self.b_override)  # checks the term count
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def execute(config: RunConfig) -> RunResult:
         return RunResult(config=config, seeds=[], records=[])
     records = run_variants(functions, [(s.y, s.za) for s in seeds], config.search)
     if config.target == "sharp":
-        half_band = 2.0 * SharpParams(config.a, config.d, 5).epsilon
+        half_band = 2.0 * functions[0].params.epsilon
         for record in records:
             if record.verdict is Verdict.VERY_GOOD and not (
                 0.0 < record.z.imag and abs(record.z.real) < half_band

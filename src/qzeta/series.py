@@ -21,9 +21,10 @@ from .errors import (
     NonFiniteResult,
     RangeUnsupported,
 )
-from .special import zeta_plus, zeta_plus_derivative
+from .special import zeta_plus_triple
 
 __all__ = [
+    "MAX_SERIES_TERMS",
     "SharpParams",
     "SharpFunction",
     "term_ratio",
@@ -31,6 +32,12 @@ __all__ = [
     "select_truncation",
     "linear_approximation",
 ]
+
+
+# Most series terms any configuration may keep.  The reference run keeps 387
+# and the sweep at most about 1650; the cap stops a huge a from allocating
+# gigabytes (select_truncation's and the kernel's arrays grow with n_terms).
+MAX_SERIES_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -52,8 +59,13 @@ class SharpParams:
             raise ValueError("d must be positive and finite")
         if self.b < 1:
             raise ValueError("b must be a positive integer")
-        if self.n_terms < 1:
+        terms = self.b * math.sqrt(self.a / self.d)  # inf if a/d overflows
+        if terms < 1:
             raise ValueError("truncation b*sqrt(a/d) keeps no terms")
+        if terms >= MAX_SERIES_TERMS + 1:
+            raise ValueError(
+                f"truncation b*sqrt(a/d) keeps more than {MAX_SERIES_TERMS} terms"
+            )
 
     @property
     def q(self) -> float:
@@ -232,7 +244,9 @@ def select_truncation(a: float, d: float, region_top: float) -> int:
     cumulative sum of those logs gives every candidate's estimate at its B;
     when no candidate of a pass is below the threshold, the next pass
     doubles the number of candidates.  An estimate that is not finite (e^(l/a)
-    overflows) raises ``RangeUnsupported``.
+    overflows) raises ``RangeUnsupported``, and so does a pass that fails
+    with a candidate that would keep more than MAX_SERIES_TERMS terms,
+    before anything that long is allocated.
     """
     if not (a > 0 and d > 0):
         raise ValueError("a and d must be positive")
@@ -243,10 +257,14 @@ def select_truncation(a: float, d: float, region_top: float) -> int:
     chord_sq = 4.0 * math.sin(region_top / (2.0 * a)) ** 2
     count = _B_FIRST_CANDIDATES
     while True:
-        bs = range(_B_CANDIDATE_STEP, _B_CANDIDATE_STEP * count + 1, _B_CANDIDATE_STEP)
+        candidates = range(
+            _B_CANDIDATE_STEP, _B_CANDIDATE_STEP * count + 1, _B_CANDIDATE_STEP
+        )
+        # those that keep at most MAX_SERIES_TERMS terms (b*root may be inf)
+        bs = [b for b in candidates if b * root < MAX_SERIES_TERMS + 1]
         n_terms = [math.floor(b * root) for b in bs]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            m = np.expm1(np.arange(1, n_terms[-1] + 1) / a)
+            m = np.expm1(np.arange(1, max(n_terms, default=0) + 1) / a)
             growth = np.cumsum(0.5 * np.log1p((1.0 + m) * chord_sq / (m * m)))
         for b, n in zip(bs, n_terms):
             if n < 1:
@@ -259,6 +277,12 @@ def select_truncation(a: float, d: float, region_top: float) -> int:
                 )
             if log_estimate < log_threshold:
                 return b
+        if len(bs) < len(candidates):
+            raise RangeUnsupported(
+                f"no truncation b keeping at most {MAX_SERIES_TERMS} series "
+                f"terms meets the threshold at a={a:g}, d={d:g}, "
+                f"region_top={region_top:g}"
+            )
         count *= 2
 
 
@@ -266,20 +290,19 @@ def linear_approximation(y: float, a: float, d: float) -> complex:
     """First-order prediction of the deformed zero for the classical
     critical-line zero at k = y*i.
 
-    Combines eta at 3/2+yi and -1/2+yi with eta' at 1/2+yi; the correction
-    is proportional to 1/(12a), so the prediction tends to y*i as a grows.
+    Combines eta at 3/2+yi and -1/2+yi with eta' at 1/2+yi, all three from
+    one ``zeta_plus_triple`` call; the correction is proportional to
+    1/(12a), so the prediction tends to y*i as a grows.
     """
     if not y > 0:
         raise ValueError("y must be positive")
     yi = complex(0.0, y)
-    eta_prime = zeta_plus_derivative(0.5 + yi)
+    eta_prime, eta_right, eta_left = zeta_plus_triple(y)
     if abs(eta_prime) < 1e-10:
         raise DerivativeNearZero(
             f"eta'(1/2 + {y:g}i) ~ 0; not a simple-zero ordinate"
         )
-    numerator = (4.0 / d) * (0.5 + yi) * zeta_plus(1.5 + yi) - d * (
-        -1.0 + yi
-    ) * zeta_plus(-0.5 + yi)
+    numerator = (4.0 / d) * (0.5 + yi) * eta_right - d * (-1.0 + yi) * eta_left
     denominator = 12.0 * a * eta_prime
     za = yi * (1.0 - numerator / denominator)
     if not (math.isfinite(za.real) and math.isfinite(za.imag)):

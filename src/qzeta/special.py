@@ -4,7 +4,12 @@ Everything here is double precision.  The Riemann zeta is summed by
 Euler-Maclaurin: N direct terms, the trapezoidal edge term, the isolated pole
 term N^(1-s)/(s-1), and Bernoulli corrections.  N is grown until a rigorous
 first-omitted-term bound meets a fixed absolute error of 1e-12, which then
-holds over the whole supported region (Re s >= -2, |Im s| <= 200).
+holds over the whole supported region (Re s >= -2, |Im s| <= 200).  The
+direct terms n^(-s) read ln n from tables built once per process (float64
+and long double, grown by doubling), and their phases |Im s| ln n, reduced
+mod 2 pi in long double, come as cos/sin rows that points sharing |Im s|
+share: ``zeta_plus_triple`` gives the three eta values of a first-order
+prediction from one row.
 
 The alternating-sum variant eta(s) = (1 - 2^(1-s)) zeta(s) is assembled so
 that the zeta pole cancels analytically rather than numerically: near s = 1
@@ -38,6 +43,7 @@ __all__ = [
     "riemann_zeta",
     "zeta_plus",
     "zeta_plus_derivative",
+    "zeta_plus_triple",
     "hardy_z",
     "classical_zeros",
     "CLASSICAL_Y_MAX",
@@ -108,15 +114,15 @@ def _choose_terms(s: complex, target: float = _TARGET_ABS_ERROR) -> int:
     sigma = s.real
     abs_s = abs(s)
     n = max(20, math.ceil(abs(s.imag)))
+    rising = 1.0  # |(s)_{2v+1}| <= prod_j (|s| + j), independent of N
+    for j in range(2 * nu + 1):
+        rising *= abs_s + j
     while True:
-        prod = 1.0
-        for j in range(2 * nu + 1):
-            prod *= abs_s + j
         # |E| <= |B_{2v+2}/(2v+2)!| * |(s)_{2v+1}| * N^(-sigma-2v-1)
         #        * |s+2v+1| / (sigma+2v+1)   (standard Euler-Maclaurin tail)
         bound = (
             abs(_B_OVER_FACT[2 * nu + 2])
-            * prod
+            * rising
             * n ** (-sigma - 2 * nu - 1)
             * (abs_s + 2 * nu + 1)
             / (sigma + 2 * nu + 1)
@@ -133,13 +139,45 @@ def _choose_terms(s: complex, target: float = _TARGET_ABS_ERROR) -> int:
 
 _TWO_PI_LD = 2 * np.pi * np.ones(1, dtype=np.longdouble)[0]
 
+# ln v for v = 1..len in float64 and in long double, one tuple so that the
+# two always have the same length.  Built on first use and grown by doubling
+# up to _MAX_TERMS, never at import, so code that evaluates no zeta carries
+# none of it.
+_log_tables = (np.empty(0), np.empty(0, dtype=np.longdouble))
 
-def _directed_powers(values, s: np.ndarray):
-    """values**(-s) for every point of the 1-D array s, one row per point,
-    with the oscillatory phase Im(s)*ln(v) reduced mod 2*pi in extended
-    precision; keeps the accuracy floor near 1 ulp of the magnitude even when
-    the raw phase is thousands of radians.  The reduction runs on |Im s| with
-    the sign applied afterwards, so conjugate arguments produce exactly
+
+def _logs(n: int):
+    """ln v for v = 1..n (n <= _MAX_TERMS) as float64 and as long double:
+    views of the module tables, each element bitwise ``np.log`` of v in
+    that dtype."""
+    global _log_tables
+    if len(_log_tables[0]) < n:
+        size = max(len(_log_tables[0]), 256)
+        while size < n:
+            size *= 2
+        values = np.arange(1, min(size, _MAX_TERMS) + 1)
+        _log_tables = (np.log(values), np.log(values.astype(np.longdouble)))
+    logs, logs_ld = _log_tables
+    return logs[:n], logs_ld[:n]
+
+
+def _phase_rows(s: np.ndarray, n: int):
+    """cos and sin of |Im s|*ln(v) for v = 1..n, one row per point of the
+    1-D array s, with the phase reduced mod 2*pi in extended precision;
+    keeps the accuracy floor near 1 ulp of the magnitude even when the raw
+    phase is thousands of radians.  Element v depends on |Im s| and v alone,
+    so points with the same |Im s| share the rows of their largest N."""
+    phases = np.mod(
+        np.abs(s.imag).astype(np.longdouble)[:, None] * _logs(n)[1], _TWO_PI_LD
+    ).astype(np.float64)
+    return np.cos(phases), np.sin(phases, out=phases)
+
+
+def _directed_powers(s: np.ndarray, n: int, rows):
+    """ln v and v**(-s) for v = 1..n at every point of the 1-D array s, one
+    row per point, from ``rows``, the ``_phase_rows`` of these points at n
+    or more terms (the first n columns are read).  The phase runs on |Im s|
+    with the sign applied afterwards, so conjugate arguments produce exactly
     conjugate results.
 
     The real and imaginary parts are two real products, mags*cos and
@@ -147,32 +185,28 @@ def _directed_powers(values, s: np.ndarray):
     0 - mags*sin, so a zero phase (v = 1, or real s) gives +0.0 there.
     Every element is bitwise mags * (cos - 1j*sign*sin) with sign = +-1,
     away from underflowed magnitudes (where a zero's sign may differ)."""
-    logs = np.log(values)
+    logs = _logs(n)[0]
     mags = np.exp(-s.real[:, None] * logs)
-    phases = np.mod(
-        np.abs(s.imag).astype(np.longdouble)[:, None]
-        * np.log(values.astype(np.longdouble)),
-        _TWO_PI_LD,
-    ).astype(np.float64)
+    cos, sin = (row[:, :n] for row in rows)
     powers = np.empty(mags.shape, dtype=complex)
-    np.multiply(mags, np.cos(phases), out=powers.real)
-    np.multiply(mags, np.sin(phases, out=phases), out=powers.imag)
+    np.multiply(mags, cos, out=powers.real)
+    np.multiply(mags, sin, out=powers.imag)
     np.subtract(0.0, powers.imag, out=powers.imag, where=(s.imag >= 0)[:, None])
     return logs, powers
 
 
-def _em_regular(s: np.ndarray, n: int, want_derivative: bool):
+def _em_regular(s: np.ndarray, n: int, rows, want_derivative: bool):
     """Euler-Maclaurin pieces of zeta except the pole term N^(1-s)/(s-1), at
-    every point of the 1-D array s with one N.
+    every point of the 1-D array s with one N, from the points' phase rows
+    (see ``_directed_powers``).
 
     Returns one (R, R', N^(-s)) triple of complex per point, where
     zeta(s) = R + N^(1-s)/(s-1); R' is None unless requested.  The N direct
-    terms of all points are summed in one numpy pass; the few Bernoulli
-    corrections run per point in Python complex arithmetic, which rounds
-    differently from numpy's fused complex multiply.
+    terms of all points are summed in one numpy pass over the tabulated
+    logs; the few Bernoulli corrections run per point in Python complex
+    arithmetic, which rounds differently from numpy's fused complex multiply.
     """
-    ks = np.arange(1, n + 1)
-    logs, powers = _directed_powers(ks, s)
+    logs, powers = _directed_powers(s, n, rows)
     n_pows = powers[:, -1]  # N^(-s)
     totals = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
     log_n = float(logs[-1])
@@ -228,45 +262,36 @@ def _zeta_values(s: np.ndarray, n: int) -> list[complex]:
     Euler-Maclaurin evaluation (no pole or range checks)."""
     return [
         regular + n_pow * n / (s_i - 1.0)  # + N^(1-s)/(s-1)
-        for s_i, (regular, _, n_pow) in zip(s.tolist(), _em_regular(s, n, False))
+        for s_i, (regular, _, n_pow) in zip(
+            s.tolist(), _em_regular(s, n, _phase_rows(s, n), False)
+        )
     ]
 
 
 # Inside this distance from s=1 the zeta pole is cancelled symbolically;
-# outside, eta is the plain product with riemann_zeta.
+# outside, eta is the plain product (1 - 2^(1-s)) zeta(s).
 _POLE_SPLIT = 0.5
 
 
-def _eta_pieces(s: complex, want_derivative: bool):
-    """Shared assembly for the near-pole eta path."""
-    n = _choose_terms(s, _TARGET_ABS_ERROR / (10.0 if want_derivative else 2.0))
-    [(regular, regular_prime, n_pow)] = _em_regular(np.array([s]), n, want_derivative)
+def _eta(s: complex, n: int, regular: complex, n_pow: complex) -> complex:
+    """eta(s) from the Euler-Maclaurin pieces of zeta at s with N = n."""
+    u = s - 1.0
+    if abs(u) < _POLE_SPLIT:
+        # eta = phi*R + (phi/u) * N^(1-s); phi/u -> ln2 as u -> 0
+        phi = -_cexpm1(-u * _LN2)  # 1 - 2^(1-s), stable near s=1
+        return complex(phi * regular + (phi / u) * (n_pow * n))
+    return complex((1.0 - 2.0 ** (1.0 - s)) * (regular + n_pow * n / u))
+
+
+def _eta_prime(
+    s: complex, n: int, regular: complex, regular_prime: complex, n_pow: complex
+) -> complex:
+    """eta'(s) from the Euler-Maclaurin pieces of zeta and zeta' at s with
+    N = n."""
     u = s - 1.0
     log_n = math.log(n)
     n_1s = n_pow * n  # N^(1-s)
     phi = -_cexpm1(-u * _LN2)  # 1 - 2^(1-s), stable near s=1
-    return u, log_n, n_1s, phi, regular, regular_prime
-
-
-def zeta_plus(s: complex) -> complex:
-    """Dirichlet eta: (1 - 2^(1-s)) zeta(s), entire; eta(1) = ln 2."""
-    s = _validate_point(s)
-    u = s - 1.0
-    if abs(u) < _POLE_RADIUS:
-        return complex(_LN2)
-    if abs(u) < _POLE_SPLIT:
-        # eta = phi*R + (phi/u) * N^(1-s); phi/u -> ln2 as u -> 0
-        u, _, n_1s, phi, regular, _ = _eta_pieces(s, False)
-        return complex(phi * regular + (phi / u) * n_1s)
-    return complex((1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s))
-
-
-def zeta_plus_derivative(s: complex) -> complex:
-    """d/ds of zeta_plus, from differentiated Euler-Maclaurin terms."""
-    s = _validate_point(s)
-    if abs(s - 1.0) < _POLE_RADIUS:
-        return complex(_ETA_PRIME_AT_1)
-    u, log_n, n_1s, phi, regular, regular_prime = _eta_pieces(s, True)
     phi_prime = _LN2 * np.exp(-u * _LN2)  # ln2 * 2^(1-s)
     if abs(u) >= _POLE_SPLIT:
         zeta = regular + n_1s / u
@@ -285,6 +310,56 @@ def zeta_plus_derivative(s: complex) -> complex:
     return complex(
         phi_prime * regular + phi * regular_prime + n_1s * (g - log_n * (phi / u))
     )
+
+
+def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
+    """eta(s), or eta'(s) where the flag is set, at each (s, flag) of
+    ``points``: validated points off the pole that share |Im s|.  Each point
+    is summed with its own N, and the phase rows are computed once, for the
+    largest N."""
+    ns = []
+    for s, derivative in points:
+        # eta' to a 10x tighter target, near-pole eta to a 2x tighter one
+        divisor = 10.0 if derivative else 2.0 if abs(s - 1.0) < _POLE_SPLIT else 1.0
+        ns.append(_choose_terms(s, _TARGET_ABS_ERROR / divisor))
+    rows = _phase_rows(np.array([points[0][0]]), max(ns))
+    values = []
+    for (s, derivative), n in zip(points, ns):
+        [(regular, regular_prime, n_pow)] = _em_regular(
+            np.array([s]), n, rows, derivative
+        )
+        values.append(
+            _eta_prime(s, n, regular, regular_prime, n_pow) if derivative
+            else _eta(s, n, regular, n_pow)
+        )
+    return values
+
+
+def zeta_plus(s: complex) -> complex:
+    """Dirichlet eta: (1 - 2^(1-s)) zeta(s), entire; eta(1) = ln 2."""
+    s = _validate_point(s)
+    if abs(s - 1.0) < _POLE_RADIUS:
+        return complex(_LN2)
+    return _eta_values([(s, False)])[0]
+
+
+def zeta_plus_derivative(s: complex) -> complex:
+    """d/ds of zeta_plus, from differentiated Euler-Maclaurin terms."""
+    s = _validate_point(s)
+    if abs(s - 1.0) < _POLE_RADIUS:
+        return complex(_ETA_PRIME_AT_1)
+    return _eta_values([(s, True)])[0]
+
+
+def zeta_plus_triple(y: float) -> tuple[complex, complex, complex]:
+    """(eta'(1/2 + iy), eta(3/2 + iy), eta(-1/2 + iy)), the values the
+    first-order zero prediction combines; bitwise equal to
+    ``zeta_plus_derivative(complex(0.5, y))``, ``zeta_plus(complex(1.5, y))``
+    and ``zeta_plus(complex(-0.5, y))``, but the three points reduce their
+    common phases |y|*ln(v) once."""
+    points = [_validate_point(complex(x, y)) for x in (0.5, 1.5, -0.5)]
+    # none lies within _POLE_RADIUS of s = 1
+    return tuple(_eta_values(list(zip(points, (True, False, False)))))
 
 
 def _siegel_theta(t: float) -> float:

@@ -193,3 +193,27 @@ class TestConsoleScript:
         assert process.returncode == 1
         assert process.stderr.startswith("error: truncation estimate not finite")
         assert "a=0.001, d=1" in process.stderr
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            # b = 5 would keep 1.1e9 terms: a regime error
+            (["--a", "1e17", "--y-max", "15"], 1,
+             "error: no truncation b keeping at most 100000 series terms"),
+            # a --b that keeps 5e6 terms is a usage error
+            (["--a", "1e12", "--d", "1", "--b", "5", "--y-max", "15"], 2,
+             "error: truncation b*sqrt(a/d) keeps more than 100000 terms"),
+        ],
+    )
+    def test_series_length_cap(self, argv, code, message):
+        # a child process, so that an allocation of the uncapped length
+        # fails the test at its time limit instead of exhausting memory
+        process = subprocess.run(
+            [sys.executable, "-m", "qzeta", *argv],
+            cwd=Path(qzeta.__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert process.returncode == code
+        assert process.stderr.startswith(message)

@@ -18,6 +18,7 @@ from qzeta import (
     select_truncation,
     term_ratio,
 )
+from qzeta.series import MAX_SERIES_TERMS
 
 PAPER_ZA = [
     (14.134725141734693, 0.1303 + 14.1465j),
@@ -110,6 +111,15 @@ class TestSharpParams:
             SharpParams(750.0, 0.0, 15)
         with pytest.raises(ValueError):
             SharpParams(750.0, 2.0, 0)
+
+    def test_term_cap(self):
+        # sqrt(a/d) = 20000 exactly, so b = 5 keeps exactly the cap
+        a = (MAX_SERIES_TERMS / 5) ** 2
+        assert SharpParams(a, 1.0, 5).n_terms == MAX_SERIES_TERMS
+        # the last keeps infinitely many: a/d overflows
+        for a, d, b in [(a, 1.0, 6), (1e12, 1.0, 5), (1e308, 1e-10, 5)]:
+            with pytest.raises(ValueError, match=f"more than {MAX_SERIES_TERMS}"):
+                SharpParams(a, d, b)
 
 
 class TestTermRatio:
@@ -334,6 +344,18 @@ class TestSelectTruncation:
         with pytest.raises(RangeUnsupported) as info:
             select_truncation(a, d, 1.0)
         assert f"a={a:g}, d={d:g}, region_top=1" in str(info.value)
+
+    def test_term_cap(self):
+        # b = 5 keeps 5e6 terms at a = 1e12, d = 1: nothing to try
+        with pytest.raises(RangeUnsupported, match="at most 100000 series terms"):
+            select_truncation(1e12, 1.0, 14.0)
+        # at a = 1e8, d = 1, b = 5 and 10 keep 5e4 and 1e5 terms and b = 15
+        # too many: 10 passes at region_top 1, and at 14 neither does
+        assert select_truncation(1e8, 1.0, 1.0) == 10
+        assert select_truncation_by_candidate(1e8, 1.0, 1.0) == 10
+        with pytest.raises(RangeUnsupported) as info:
+            select_truncation(1e8, 1.0, 14.0)
+        assert "a=1e+08, d=1, region_top=14" in str(info.value)
 
 
 class TestLinearApproximation:

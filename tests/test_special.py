@@ -1,11 +1,16 @@
 import functools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qzeta import (
     PoleAtOne,
@@ -282,9 +287,12 @@ class TestGramPoints:
             classical_zeros(100.0)
 
 
-def complex_directed_powers(values, s):
-    """``special._directed_powers`` assembled as one complex expression,
-    mags * (cos - 1j*sign*sin): the reference its two real products match."""
+def complex_directed_powers(s, n, rows):
+    """``special._directed_powers`` from fresh logs of v = 1..n (``rows``
+    ignored), assembled as one complex expression mags * (cos - 1j*sign*sin):
+    the reference its tabulated logs, shared phase rows and two real
+    products match."""
+    values = np.arange(1, n + 1)
     logs = np.log(values)
     mags = np.exp(-s.real[:, None] * logs)
     phases = np.mod(
@@ -296,8 +304,78 @@ def complex_directed_powers(values, s):
     return logs, mags * (np.cos(phases) - 1j * sign * np.sin(phases))
 
 
+def choose_terms_reference(s, target):
+    """``special._choose_terms`` with the rising product recomputed in every
+    pass of the N-growing loop, as first written."""
+    nu = special._EM_ORDER // 2
+    sigma = s.real
+    abs_s = abs(s)
+    n = max(20, math.ceil(abs(s.imag)))
+    while True:
+        prod = 1.0
+        for j in range(2 * nu + 1):
+            prod *= abs_s + j
+        bound = (
+            abs(_B_OVER_FACT[2 * nu + 2])
+            * prod
+            * n ** (-sigma - 2 * nu - 1)
+            * (abs_s + 2 * nu + 1)
+            / (sigma + 2 * nu + 1)
+        )
+        if bound <= target:
+            return n
+        if n >= special._MAX_TERMS:
+            return None
+        n = min(special._MAX_TERMS, (3 * n) // 2 + 1)
+
+
 def bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+class TestChooseTerms:
+    # the targets of zeta and far eta, of near-pole eta, and of eta'
+    @pytest.mark.parametrize("divisor", [1.0, 2.0, 10.0])
+    def test_equals_loop_reference(self, divisor):
+        target = special._TARGET_ABS_ERROR / divisor
+        for sigma in np.linspace(-2.0, 4.0, 61):
+            for t in np.linspace(-200.0, 200.0, 81):
+                s = complex(sigma, t)
+                expected = choose_terms_reference(s, target)
+                if expected is None:
+                    with pytest.raises(RangeUnsupported):
+                        special._choose_terms(s, target)
+                else:
+                    assert special._choose_terms(s, target) == expected
+
+
+class TestLogTables:
+    def test_slices_equal_fresh_logs(self, monkeypatch):
+        monkeypatch.setattr(special, "_log_tables", (np.empty(0), np.empty(0)))
+        top = special._MAX_TERMS
+        sizes = [1, 2, 255, 256, 257, 511, 512, 513, 2047, 2049, 8193, top - 1, top]
+        # the tables grow by doubling from 256 and stop at _MAX_TERMS
+        lengths = [256] * 4 + [512] * 3 + [1024, 2048, 4096] + [top] * 3
+        # a shorter request after the largest reads a slice of the full table
+        for n, length in zip(sizes + [300], lengths + [top]):
+            logs, logs_ld = special._logs(n)
+            assert len(special._log_tables[0]) == len(special._log_tables[1])
+            assert len(special._log_tables[0]) == length
+            values = np.arange(1, n + 1)
+            assert logs.dtype == np.float64 and logs_ld.dtype == np.longdouble
+            assert (logs.view(np.uint64) == np.log(values).view(np.uint64)).all()
+            assert (logs_ld == np.log(values.astype(np.longdouble))).all()
+
+    def test_not_built_at_import(self):
+        code = "import qzeta.special as s; print(len(s._log_tables[0]))"
+        process = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=Path(special.__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert process.stdout.strip() == "0"
 
 
 class TestDirectedPowers:
@@ -308,14 +386,17 @@ class TestDirectedPowers:
         s[1::2] = s[0::2][: count // 2].conj()  # conjugate pairs
         if count % 2 and count > 1:
             s[-1] = s[-1].real  # the unpaired point is real
-        values = np.arange(1, rng.integers(2, 400) + 1)
-        logs, powers = special._directed_powers(values, s)
-        ref_logs, ref_powers = complex_directed_powers(values, s)
-        assert (powers == ref_powers).all()
-        assert (bits(powers) == bits(ref_powers)).all()
-        assert (logs == ref_logs).all()
-        # conjugate arguments give exactly conjugate rows
-        assert (powers[1::2] == powers[0::2][: count // 2].conj()).all()
+        n = int(rng.integers(2, 400))
+        ref_logs, ref_powers = complex_directed_powers(s, n, None)
+        # rows of exactly n terms, and the first n columns of longer rows
+        for rows_n in (n, 2 * n + 7):
+            rows = special._phase_rows(s, rows_n)
+            logs, powers = special._directed_powers(s, n, rows)
+            assert (powers == ref_powers).all()
+            assert (bits(powers) == bits(ref_powers)).all()
+            assert (logs == ref_logs).all()
+            # conjugate arguments give exactly conjugate rows
+            assert (powers[1::2] == powers[0::2][: count // 2].conj()).all()
 
     def test_public_values_bitwise(self, monkeypatch):
         rng = random.Random(3)
@@ -324,6 +405,7 @@ class TestDirectedPowers:
                   for _ in range(30)]
         # near the pole (both eta branches), on the real axis, near a zero
         points += [1.2 + 0.1j, 1.0005 + 0j, 2.0 + 0j, -1.5 + 0j, 0.5 + 14.1347j]
+        ys = [rng.uniform(0.01, 199.0) for _ in range(20)] + [14.1347, 1e-300]
 
         def values():
             return (
@@ -332,12 +414,25 @@ class TestDirectedPowers:
                 bits([zeta_plus(s) for s in points]),
                 bits([zeta_plus_derivative(s) for s in points]),
                 bits([riemann_zeta(s) for s in points]),
+                bits([special.zeta_plus_triple(y) for y in ys]),
             )
 
         fast = values()
         monkeypatch.setattr(special, "_directed_powers", complex_directed_powers)
         for got, ref in zip(fast, values()):
             assert (got == ref).all()
+
+    @given(st.floats(min_value=0.0, max_value=200.0, exclude_min=True))
+    @settings(max_examples=200, deadline=None)
+    def test_triple_equals_public_calls(self, y):
+        triple = special.zeta_plus_triple(y)
+        yi = complex(0.0, y)
+        expected = (
+            zeta_plus_derivative(0.5 + yi),
+            zeta_plus(1.5 + yi),
+            zeta_plus(-0.5 + yi),
+        )
+        assert (bits(triple) == bits(expected)).all()
 
 
 def record_illinois(monkeypatch):
