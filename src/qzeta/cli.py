@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from .errors import QZetaError, UsageError
 from .pipeline import PAPER_Y_MAX, RunConfig, execute
 from .report import emit_json, emit_plot_data, emit_text_report
-from .search import SearchConfig, Verdict
+from .search import SearchConfig, Verdict, escalation_schedule
 
 __all__ = ["build_parser", "parse_cli", "main"]
 
@@ -28,10 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
             "search over shrinking rectangles."
         ),
     )
-    parser.add_argument("--a", type=float, default=750.0, help="deformation scale (q = exp(-1/a))")
-    parser.add_argument("--d", type=float, default=2.0, help="Gaussian damping")
+    parser.add_argument("--a", type=float, default=RunConfig.a, help="deformation scale (q = exp(-1/a))")
+    parser.add_argument("--d", type=float, default=RunConfig.d, help="Gaussian damping")
     parser.add_argument("--y-max", type=float, default=None,
-                        help="seed all classical zeros up to this ordinate (default 48.5406)")
+                        help=f"seed all classical zeros up to this ordinate (default {PAPER_Y_MAX:g})")
     parser.add_argument("--y", type=float, action="append", default=None,
                         help="explicit seed ordinate (repeatable; overrides --y-max)")
     parser.add_argument("--c", type=int, default=None, help="opening points per rectangle side")
@@ -67,10 +66,6 @@ def _parse_target(text: str) -> tuple[str, tuple[complex, ...]]:
     raise UsageError(f"unknown target {text!r} (use 'sharp' or 'poly:...')")
 
 
-def _default_schedule(c_initial: int) -> tuple[int, ...]:
-    return (c_initial, math.ceil(c_initial * 1.5), math.ceil(c_initial * 2.25))
-
-
 def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namespace]:
     """argv -> (RunConfig, parsed arguments); the caller reads the output
     options ``format``, ``plot_data`` and ``out`` from the arguments.
@@ -80,27 +75,22 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namesp
 
     target, coefficients = _parse_target(args.target)
 
-    defaults = SearchConfig()
-    if args.c_schedule is not None:
-        try:
-            schedule = tuple(int(part) for part in args.c_schedule.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad c schedule {args.c_schedule!r}") from exc
-    elif args.c is not None:
-        schedule = _default_schedule(args.c)
-    else:
-        schedule = defaults.c_schedule
-
     # flags spelled like a SearchConfig field override it when given
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(SearchConfig)
         if getattr(args, f.name, None) is not None
     }
-    overrides.update(c_schedule=schedule)
+    if args.c_schedule is not None:
+        try:
+            overrides["c_schedule"] = tuple(int(part) for part in args.c_schedule.split(","))
+        except ValueError as exc:
+            raise UsageError(f"bad c schedule {args.c_schedule!r}") from exc
+    elif args.c is not None:
+        overrides["c_schedule"] = escalation_schedule(args.c)
 
     try:
-        search = dataclasses.replace(defaults, **overrides)
+        search = SearchConfig(**overrides)
         if args.y is not None and args.y_max is not None:
             raise UsageError("--y and --y-max are mutually exclusive")
         if args.y is not None:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import QZetaError, RangeUnsupported
-from .search import SearchConfig, Verdict, ZeroRecord, run_variants
+from .search import SearchConfig, Verdict, ZeroRecord, initial_rectangle, run_variants
 from .series import (
     SharpFunction,
     SharpParams,
@@ -108,8 +108,8 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
         if config.b_override is not None:
             b = config.b_override
         else:
-            rd = min(0.5, config.search.kappa * abs(za - 1j * y))
-            region_top = za.imag + rd
+            rect = initial_rectangle(za, y, config.search)
+            region_top = rect.center.imag + rect.rd
             if not region_top > 0:
                 raise RangeUnsupported(
                     f"seed {i} (y={y:g}): the prediction {za:.6g} puts the "

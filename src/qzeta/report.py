@@ -71,30 +71,26 @@ def emit_text_report(result: RunResult) -> str:
 
     variants = sorted({a.variant for r in result.records for a in r.trace_log})
     for variant in variants:
-        opening_c = min(
-            a.c for r in result.records for a in r.trace_log if a.variant == variant
-        )
+        opening_c = min(a.result.trace.c for r in result.records
+                        for a in r.trace_log if a.variant == variant)
         out.append("")
         out.append(f"VARIANT= {variant}  c= {opening_c}")
         for seed, record in zip(result.seeds, result.records):
             attempts = [a for a in record.trace_log if a.variant == variant]
             previous_c: int | None = None
             for attempt in attempts:
-                if previous_c is not None and attempt.c != previous_c:
+                r = attempt.result
+                rect, c = r.trace.rect, r.trace.c
+                if previous_c is not None and c != previous_c:
                     out.append("")
                     out.append("second try:")
-                previous_c = attempt.c
-                r = attempt.result
+                previous_c = c
                 out.append("")
                 b_part = f" b= {seed.b}" if seed.b is not None else ""
-                out.append(
-                    f"no= {seed.index}  y= {_g(seed.y)}{b_part} c= {attempt.c}"
-                )
+                out.append(f"no= {seed.index}  y= {_g(seed.y)}{b_part} c= {c}")
                 out.append(f"zna= {_c(attempt.zna)}")
-                out.append(f"zn= {_c(attempt.rect.center)}")
-                out.append(
-                    f"rd= {_g(attempt.rect.rd)} rad= {_g(attempt.rect.rad)}"
-                )
+                out.append(f"zn= {_c(rect.center)}")
+                out.append(f"rd= {_g(rect.rd)} rad= {_g(rect.rad)}")
                 out.append("angles over the rd*rad rectangle:")
                 for label, angle in r.trace.display_rows():
                     out.append(f"{label:<6} {_g(angle)}")
@@ -164,10 +160,10 @@ def emit_json(result: RunResult) -> str:
                 "integrations": [
                     {
                         "variant": attempt.variant,
-                        "zn": _complex_obj(attempt.rect.center),
-                        "rd": attempt.rect.rd,
-                        "rad": attempt.rect.rad,
-                        "c": attempt.c,
+                        "zn": _complex_obj(attempt.result.trace.rect.center),
+                        "rd": attempt.result.trace.rect.rd,
+                        "rad": attempt.result.trace.rect.rad,
+                        "c": attempt.result.trace.c,
                         "char": attempt.result.char,
                         "fo": attempt.result.fo,
                         "vv": attempt.result.vv,

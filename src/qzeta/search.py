@@ -27,6 +27,7 @@ __all__ = [
     "Assessment",
     "Verdict",
     "SearchConfig",
+    "escalation_schedule",
     "SearchState",
     "IntegrationAttempt",
     "ZeroRecord",
@@ -52,6 +53,12 @@ class Verdict(Enum):
     FAILED = "failed"
 
 
+def escalation_schedule(c_initial: int) -> tuple[int, ...]:
+    """Sampling densities of three variants opened at c_initial points per
+    side: c_initial, then 1.5 and 2.25 times it, rounded up."""
+    return (c_initial, math.ceil(c_initial * 1.5), math.ceil(c_initial * 2.25))
+
+
 def _knob(default, help_text=None):
     """A scalar field that ``cli.build_parser`` turns into the flag
     ``--<name-with-dashes>``, typed like its default."""
@@ -70,7 +77,7 @@ class SearchConfig:
     next sampling density.
     """
 
-    c_schedule: tuple[int, ...] = (4, 6, 9)
+    c_schedule: tuple[int, ...] = escalation_schedule(4)
     kappa: float = _knob(0.365, "initial rectangle scale")
     vv_max: float = _knob(0.8, "residual-ratio ceiling for a good integration")
     fo_good_max: int = _knob(2, "gap-metric ceiling for a good integration")
@@ -118,6 +125,11 @@ _RESTART_DE_FACTOR = 200.0
 _CONFIRM_FRACTION = 0.05
 
 
+def _error_scale(z_new: complex, z_old: complex) -> float:
+    """A tenth of the step from z_old to z_new, floored at _DE_FLOOR."""
+    return max(_DE_FLOOR, 0.1 * abs(z_new - z_old))
+
+
 @dataclass
 class SearchState:
     """Mutable per-zero search state, persisted across variants."""
@@ -128,11 +140,9 @@ class SearchState:
     zn: complex  # current rectangle center
     rd: float
     rad: float
-    c: int
     variant: int = 0  # 0-based variant index
     phase: int = 0  # 0 = a variant's opening density, 1 = its "second try"
     consecutive_good: int = 0
-    best_abs_value: float = math.inf
     accepted: list[tuple[complex, float]] = field(default_factory=list)
     variant_opening_vv: float | None = None
 
@@ -140,15 +150,19 @@ class SearchState:
     def rect(self) -> Rectangle:
         return Rectangle(self.zn, self.rd, self.rad)
 
+    @property
+    def best_abs_value(self) -> float:
+        """Smallest |f| among the accepted estimates; inf before the first."""
+        return min([math.inf, *(abs_value for _, abs_value in self.accepted)])
+
 
 @dataclass
 class IntegrationAttempt:
-    """One integration in a zero's trace log."""
+    """One integration in a zero's trace log; its rectangle and density are
+    ``result.trace.rect`` and ``result.trace.c``."""
 
     variant: int  # 1-based
-    c: int
     zna: complex
-    rect: Rectangle
     result: IntegrationResult
     assessment: Assessment
 
@@ -220,9 +234,7 @@ def assess(
         return Assessment.NOT_GOOD
     if state.consecutive_good < 1:
         return Assessment.GOOD
-    de_now = max(
-        _DE_FLOOR, 0.1 * abs(result.z_estimate - state.accepted[-1][0])
-    )
+    de_now = _error_scale(result.z_estimate, state.accepted[-1][0])
     opening_ok = state.variant > 0 or (
         state.variant_opening_vv is not None
         and state.variant_opening_vv < cfg.seed_vv_limit
@@ -265,7 +277,6 @@ def step_policy(
         state.rd /= 2.0
         state.rad /= 2.0
         state.consecutive_good += 1
-        state.best_abs_value = min(state.best_abs_value, result.abs_estimate)
         state.accepted.append((z, result.abs_estimate))
         return
     state.consecutive_good = 0
@@ -286,8 +297,7 @@ def estimate_de(state: SearchState) -> float:
         raise InsufficientHistory(
             "need two accepted estimates to bound the error"
         )
-    z_last, z_prev = state.accepted[-1][0], state.accepted[-2][0]
-    return max(_DE_FLOOR, 0.1 * abs(z_last - z_prev))
+    return _error_scale(state.accepted[-1][0], state.accepted[-2][0])
 
 
 def newton_refine(
@@ -296,9 +306,10 @@ def newton_refine(
     de: float,
     cfg: SearchConfig,
     movement_cap: float | None = None,
-) -> tuple[complex, bool]:
+) -> tuple[complex, bool, complex | None]:
     """Polish a concluded estimate with Newton steps (central-difference
-    derivative).
+    derivative); returns the point, whether the polish was accepted, and f
+    at the polished point (None when rejected).
 
     Accepted only if |f| decreased at every step, the step sizes contracted
     like a genuinely converging Newton iteration, and the total movement
@@ -313,7 +324,7 @@ def newton_refine(
         f_here = complex(f(z))
         f_abs = abs(f_here)
         if f_abs == 0.0:
-            return z, True
+            return z, True, f_here
         last_step: float | None = None
         for _ in range(cfg.newton_max_iters):
             h = 1e-6 * (1.0 + abs(z))
@@ -333,10 +344,10 @@ def newton_refine(
             last_step = abs(step)
             steps_taken += 1
     except Exception:
-        return z0, False
+        return z0, False, None
     if steps_taken == 0 or abs(z - z0) > allowance:
-        return z0, False
-    return z, True
+        return z0, False, None
+    return z, True, f_here
 
 
 class _ZeroSearch:
@@ -352,7 +363,6 @@ class _ZeroSearch:
         self.f = f
         self.cfg = cfg
         rect = initial_rectangle(za, y, cfg)
-        self._rd_initial = rect.rd
         self.state = SearchState(
             y=y,
             za=za,
@@ -360,7 +370,6 @@ class _ZeroSearch:
             zn=rect.center,
             rd=rect.rd,
             rad=rect.rad,
-            c=cfg.c_schedule[0],
         )
         self.trace_log: list[IntegrationAttempt] = []
         self.concluded = False
@@ -381,11 +390,11 @@ class _ZeroSearch:
             state.zn = state.zna
             if len(state.accepted) >= 2:
                 restart = max(_RESTART_DE_FACTOR * estimate_de(state), _MIN_RD)
-                state.rd = min(restart, self._rd_initial)
+                # the opening integration ran on the initial rectangle
+                state.rd = min(restart, self.trace_log[0].result.trace.rect.rd)
                 state.rad = state.rd / 2.0
         used = 0
         for phase_index, c in enumerate(phases):
-            state.c = c
             state.phase = phase_index
             if phase_index > 0:
                 state.zn = state.zna
@@ -398,9 +407,7 @@ class _ZeroSearch:
                 self.trace_log.append(
                     IntegrationAttempt(
                         variant=variant_index + 1,
-                        c=c,
                         zna=state.zna,
-                        rect=state.rect,
                         result=result,
                         assessment=verdict,
                     )
@@ -437,11 +444,11 @@ class _ZeroSearch:
             # allow movement up to the concluding rectangle's quadrature
             # resolution (~2% of its half-width; state.rd was already halved)
             cap = max(10.0 * de, 0.04 * state.rd)
-            z_polished, accepted = newton_refine(self.f, z, de, self.cfg, cap)
+            z_new, accepted, f_new = newton_refine(self.f, z, de, self.cfg, cap)
             if accepted:
-                de = max(_DE_FLOOR, 0.1 * abs(z_polished - z))
-                z = z_polished
-                abs_z = abs(complex(self.f(z)))
+                de = _error_scale(z_new, z)
+                z = z_new
+                abs_z = abs(f_new)
                 newton_applied = True
         vv_final = abs_z / abs_za if abs_za > 0 else math.inf
         return ZeroRecord(

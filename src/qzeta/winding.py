@@ -158,8 +158,8 @@ def _row_sums(trace: BoundaryTrace) -> list[float]:
 def _sample(f: AnalyticFunction, rect: Rectangle, c: int, positions, extra=()):
     """Points at the shared grid positions, side by side counterclockwise,
     and f there, then at the extra points: in one ``many`` call when f
-    provides it, otherwise one call each (extra points need ``many``).
-    Names the first boundary point where |f| is below the floor."""
+    provides it, otherwise one call each.  Names the first boundary point
+    where |f| is below the floor."""
     corners = rect.corners()
     points = []
     for side in range(4):
@@ -167,10 +167,11 @@ def _sample(f: AnalyticFunction, rect: Rectangle, c: int, positions, extra=()):
         edge = corners[(side + 1) % 4] - start
         points += [start + pos / (c * _GRID) * edge for pos in positions]
     many = getattr(f, "many", None)
-    values = many(np.array([*points, *extra])) if many else [f(k) for k in points]
+    wanted = [*points, *extra]
+    values = many(np.array(wanted)) if many else [f(k) for k in wanted]
     values = [complex(value) for value in values]
-    if len(values) != len(points) + len(extra):
-        raise ValueError(f"{len(values)} values for {len(points) + len(extra)} points")
+    if len(values) != len(wanted):
+        raise ValueError(f"{len(values)} values for {len(wanted)} points")
     for value, point in zip(values, points):
         if abs(value) < _CONTOUR_FLOOR:
             raise ZeroOnContour(
@@ -203,7 +204,7 @@ def refine_trace(trace: BoundaryTrace) -> BoundaryTrace:
 
 def _traced(f, rect, c, passes, extra=()) -> tuple[BoundaryTrace, list[complex]]:
     """The trace after up to ``passes`` refinement passes, and f at the extra
-    points, which ride in the opening pass's ``many`` call."""
+    points, which are evaluated with the opening pass."""
     if c < 3:
         raise ValueError("need at least 3 points per side")
     positions = list(range(0, c * _GRID, _GRID))
@@ -329,14 +330,13 @@ class IntegrationResult:
 
 
 def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult:
-    """sample -> refine -> winding/gap/zero-estimate/residual bundle.  An
-    evaluator with ``many`` gets the rectangle center in its opening call."""
-    center = [rect.center] if getattr(f, "many", None) else []
-    trace, center_value = _traced(f, rect, c, _MAX_DEPTH, center)
+    """sample -> refine -> winding/gap/zero-estimate/residual bundle.  The
+    rectangle center is evaluated with the opening samples."""
+    trace, (center_value,) = _traced(f, rect, c, _MAX_DEPTH, [rect.center])
     char = compute_char(trace)
     fo = compute_fo(trace)
     z_estimate = moment_zero_estimate(trace)
-    abs_center = abs(center_value[0] if center else complex(f(rect.center)))
+    abs_center = abs(center_value)
     try:
         abs_estimate = abs(complex(f(z_estimate)))
     except Exception:

@@ -59,7 +59,6 @@ def _state(**overrides):
         zn=0.3 + 20j,
         rd=0.1,
         rad=0.05,
-        c=4,
     )
     base.update(overrides)
     return SearchState(**base)
@@ -111,7 +110,6 @@ class TestAssess:
             consecutive_good=1,
             variant_opening_vv=0.1,
             accepted=[(0.3100001 + 20.002j, 1.0)],
-            best_abs_value=1.0,
         )
         assert assess(result, state, SearchConfig()) is Assessment.VERY_GOOD
 
@@ -124,7 +122,6 @@ class TestAssess:
             consecutive_good=1,
             variant_opening_vv=0.7,  # above seed_vv_limit
             accepted=[(0.3100001 + 20.002j, 1.0)],
-            best_abs_value=1.0,
         )
         assert assess(result, state, SearchConfig()) is Assessment.GOOD
         state.variant = 1  # later variants are exempt
@@ -184,22 +181,24 @@ class TestNewtonRefine:
     def test_linear_exact_in_one_step(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted = newton_refine(f, 0.8 - 1.1j, de=0.05, cfg=SearchConfig())
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, de=0.05, cfg=SearchConfig())
         assert accepted
         # exact up to the central-difference rounding (~1e-10 relative)
         assert abs(z - root) < 1e-9
+        assert value == f(z)
 
     def test_movement_allowance_rejects_distant_jumps(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted = newton_refine(f, 0.8 - 1.1j, de=1e-7, cfg=SearchConfig())
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, de=1e-7, cfg=SearchConfig())
         assert not accepted
         assert z == 0.8 - 1.1j
+        assert value is None
 
     def test_smooth_quadratic_convergence(self):
         root = 1.5 + 3j
         f = lambda k: (k - root) * (k + 10)
-        z, accepted = newton_refine(f, 1.52 + 3.01j, de=0.01, cfg=SearchConfig())
+        z, accepted, _ = newton_refine(f, 1.52 + 3.01j, de=0.01, cfg=SearchConfig())
         assert accepted
         assert abs(z - root) < 1e-9
 
@@ -213,16 +212,16 @@ class TestLocateZero:
 
     def test_halving_and_aspect_preserved(self):
         record = locate_zero(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
-        rds = [a.rect.rd for a in record.trace_log]
-        for before, after in zip(rds, rds[1:]):
-            assert after == before / 2  # every step here is good
-        for attempt in record.trace_log:
-            assert abs(attempt.rect.rad / attempt.rect.rd - 0.5) < 1e-15
+        rects = [a.result.trace.rect for a in record.trace_log]
+        for before, after in zip(rects, rects[1:]):
+            assert after.rd == before.rd / 2  # every step here is good
+        for rect in rects:
+            assert abs(rect.rad / rect.rd - 0.5) < 1e-15
 
     def test_containment_of_concluded_zero(self):
         record = locate_zero(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
         final = record.trace_log[-1]
-        assert final.rect.contains(final.result.z_estimate)
+        assert final.result.trace.rect.contains(final.result.z_estimate)
 
     def test_monotone_residuals_on_good_subsequence(self):
         roots = [0.3 + 20j, 3 + 22j, -2 + 18j]
@@ -242,7 +241,7 @@ class TestLocateZero:
         assert first.z == second.z
         assert len(first.trace_log) == len(second.trace_log)
         for a, b in zip(first.trace_log, second.trace_log):
-            assert a.rect == b.rect
+            assert a.result.trace.rect == b.result.trace.rect
             assert a.result.char == b.result.char
             assert a.result.z_estimate == b.result.z_estimate
 
@@ -280,9 +279,9 @@ class TestRunVariants:
 
 class TestFinish:
     """finish takes |f(za)| from the opening integration (its rectangle is
-    centred on za) and |f(z)| from the accepted estimate unless Newton
-    moved z; beyond Newton's own calls it evaluates f only at a polished
-    zero."""
+    centred on za), and |f(z)| from the accepted estimate or, when Newton
+    moved z, from Newton's last evaluation; it calls f only through
+    Newton."""
 
     @staticmethod
     def _searched(f, y, za, cfg=SearchConfig()):
@@ -296,7 +295,7 @@ class TestFinish:
         for variant in range(len(cfg.c_schedule)):
             if search.run_variant(variant):
                 break
-        assert search.trace_log[0].rect.center == za
+        assert search.trace_log[0].result.trace.rect.center == za
         calls.clear()
         return search.finish(index=1), calls
 
@@ -311,7 +310,7 @@ class TestFinish:
         record, calls = self._searched(f, 20.0, 0.29 + 20.01j)
         assert record.newton_applied
         assert 0.29 + 20.01j not in calls
-        assert calls[-1] == record.z
+        assert calls.count(record.z) == 1  # Newton's evaluation is reused
         assert record.vv_final == abs(f(record.z)) / abs(f(0.29 + 20.01j))
 
     def test_unpolished_zero_reuses_its_value(self):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qzeta.series
 from qzeta import (
     DegenerateDenominator,
+    DerivativeNearZero,
     NonFiniteResult,
     RangeUnsupported,
     SharpParams,
@@ -375,3 +377,14 @@ class TestLinearApproximation:
         za = linear_approximation(14.1347, 1e6, 2.0)
         assert abs(za.real) < 2e-4
         assert abs(za.imag - 14.1347) < 2e-4
+
+    @pytest.mark.parametrize("eta_prime", [9.9e-11, 1e-10])
+    def test_vanishing_derivative(self, monkeypatch, eta_prime):
+        # |eta'(1/2 + iy)| below 1e-10 marks y as no simple-zero ordinate
+        triple = (complex(0.0, eta_prime), 1.0 + 0.5j, 2.0 - 1.0j)
+        monkeypatch.setattr(qzeta.series, "zeta_plus_triple", lambda y: triple)
+        if eta_prime < 1e-10:
+            with pytest.raises(DerivativeNearZero, match="14.1347"):
+                linear_approximation(14.1347, 750.0, 2.0)
+        else:
+            assert math.isfinite(abs(linear_approximation(14.1347, 750.0, 2.0)))

@@ -369,10 +369,12 @@ class TestBatchedSampling:
         assert a.trace.display_rows() == b.trace.display_rows()
         # each boundary point once, the center riding in the opening batch
         assert batched.points == len(a.trace.samples) + 1
-        # a plain callable: each boundary point once, then center and estimate
+        # a plain callable: the opening points and the center, the inserted
+        # points, then the estimate
         assert len(calls) == len(b.trace.samples) + 2
-        assert set(calls[:-2]) == set(b.trace.points)
-        assert calls[-2:] == [rect.center, b.z_estimate]
+        assert calls[16] == rect.center
+        assert set(calls[:16] + calls[17:-1]) == set(b.trace.points)
+        assert calls[-1] == b.z_estimate
 
 
 class TestPaperRectangles:
