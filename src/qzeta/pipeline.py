@@ -3,8 +3,8 @@
 The default configuration reproduces the reference nine-zero run at a=750,
 d=2: classical critical-line ordinates up to 48.5406 are found, each is
 mapped to its first-order deformed-zero prediction, the series truncation is
-chosen automatically per zero, and the variant scheduler drives every zero
-to a verdict.
+chosen automatically per zero, and one search per zero drives it to a
+verdict.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
 
 
 def execute(config: RunConfig) -> RunResult:
-    """Run every seed through the variant scheduler."""
+    """Search every seed to a verdict."""
     seeds, functions = plan_seeds(config)
     if not seeds:
         return RunResult(config=config, seeds=[], records=[])

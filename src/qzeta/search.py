@@ -1,17 +1,20 @@
 """Automated per-zero search: shrinking-rectangle contour integrations with
-good/very-good verdicts, variant scheduling, error estimation, and a Newton
-polish.
+good/very-good verdicts, escalating sampling densities, error estimation,
+and a Newton polish.
 
-One search drives ``integrate`` over a sequence of rectangles.  A good
-integration (winding says exactly one zero, small gap metric, residual ratio
-under control, estimate inside and not worse than the best so far) halves the
-rectangle and recenters it between the old center and the new estimate,
-weighting by the residual ratio.  The second consecutive good integration may
-conclude the zero ("very good") when the gap metric, the error estimate, and
-the residual are all admissible.  A variant gives each zero two sampling
-densities and a small integration budget per density; zeros that do not
-conclude re-enter the next variant at the following density, restarting from
-their last good estimate.
+One search takes one zero from its seed to its record.  It drives
+``integrate`` over a sequence of rectangles.  A good integration (winding
+says exactly one zero, small gap metric, residual ratio under control,
+estimate inside and not worse than the best so far) halves the rectangle and
+recenters it between the old center and the new estimate, weighting by the
+residual ratio.  The second consecutive good integration may conclude the
+zero ("very good") when the gap metric, the error estimate, and the residual
+are all admissible.  A variant gives the zero two sampling densities and a
+small integration budget per density; a zero that does not conclude enters
+the next variant at the following density, restarting from its last good
+estimate.  The variants run in turn until one concludes or the zero has used
+``max_integrations_per_zero`` integrations; a concluded zero is then
+polished by Newton.
 """
 
 from __future__ import annotations
@@ -87,8 +90,10 @@ class SearchConfig:
     seed_vv_limit: float = _knob(
         0.45, "opening residual ratio above which variant 1 cannot conclude"
     )
-    max_integrations_per_zero: int = _knob(12)
-    newton_max_iters: int = _knob(5)
+    max_integrations_per_zero: int = _knob(
+        12, "integrations one zero may use across all its variants"
+    )
+    newton_max_iters: int = _knob(5, "Newton steps in the polish of a concluded zero")
 
     def __post_init__(self):
         if list(self.c_schedule) != sorted(set(self.c_schedule)):
@@ -99,6 +104,8 @@ class SearchConfig:
             raise ValueError("vv_max must be in (0, 1)")
         if not 0 < self.char_tol < 0.5:
             raise ValueError("char_tol must be in (0, 0.5)")
+        if self.max_integrations_per_zero < 1:
+            raise ValueError("max_integrations_per_zero must be at least 1")
 
 
 # |f(z)| may jitter at the evaluation noise floor once the search has nearly
@@ -132,14 +139,14 @@ def _error_scale(z_new: complex, z_old: complex) -> float:
 
 @dataclass
 class SearchState:
-    """Mutable per-zero search state, persisted across variants."""
+    """Mutable per-zero search state, persisted across variants.  The
+    rectangle is always twice as wide as tall."""
 
     y: float
     za: complex
     zna: complex  # seed or the estimate after the last good integration
     zn: complex  # current rectangle center
-    rd: float
-    rad: float
+    rd: float  # current rectangle half-width
     variant: int = 0  # 0-based variant index
     phase: int = 0  # 0 = a variant's opening density, 1 = its "second try"
     consecutive_good: int = 0
@@ -148,7 +155,7 @@ class SearchState:
 
     @property
     def rect(self) -> Rectangle:
-        return Rectangle(self.zn, self.rd, self.rad)
+        return Rectangle(self.zn, self.rd, self.rd / 2.0)
 
     @property
     def best_abs_value(self) -> float:
@@ -275,7 +282,6 @@ def step_policy(
         weight = result.vv if math.isfinite(result.vv) else 1.0
         state.zn = (z + weight * state.zn) / (1.0 + weight)
         state.rd /= 2.0
-        state.rad /= 2.0
         state.consecutive_good += 1
         state.accepted.append((z, result.abs_estimate))
         return
@@ -283,7 +289,6 @@ def step_policy(
     if abs(result.char - 1.0) <= cfg.char_tol:
         # no zero enclosed: grow and drift toward the (weak) moment estimate
         state.rd *= 2.0
-        state.rad *= 2.0
         state.zn = state.zn + (z - state.zn) / 4.0
     else:
         state.zn = state.zna
@@ -303,9 +308,8 @@ def estimate_de(state: SearchState) -> float:
 def newton_refine(
     f: AnalyticFunction,
     z0: complex,
-    de: float,
+    allowance: float,
     cfg: SearchConfig,
-    movement_cap: float | None = None,
 ) -> tuple[complex, bool, complex | None]:
     """Polish a concluded estimate with Newton steps (central-difference
     derivative); returns the point, whether the polish was accepted, and f
@@ -313,11 +317,9 @@ def newton_refine(
 
     Accepted only if |f| decreased at every step, the step sizes contracted
     like a genuinely converging Newton iteration, and the total movement
-    stayed within the allowance (ten times the error bound by default, or
-    the caller's cap).  Rejection is a normal outcome near the evaluation
-    noise floor, where the steps stall and |f| stops improving.
+    stayed within ``allowance``.  Rejection is a normal outcome near the
+    evaluation noise floor, where the steps stall and |f| stops improving.
     """
-    allowance = 10.0 * de if movement_cap is None else movement_cap
     z = complex(z0)
     steps_taken = 0
     try:
@@ -350,118 +352,89 @@ def newton_refine(
     return z, True, f_here
 
 
-class _ZeroSearch:
-    """Driver for one zero across variants."""
+def _integrate_variants(
+    f: AnalyticFunction,
+    state: SearchState,
+    cfg: SearchConfig,
+    trace_log: list[IntegrationAttempt],
+) -> bool:
+    """Run the variants in turn, logging each integration, until one
+    concludes (returns True) or the zero has used its integrations.
 
-    def __init__(
-        self,
-        f: AnalyticFunction,
-        y: float,
-        za: complex,
-        cfg: SearchConfig,
-    ):
-        self.f = f
-        self.cfg = cfg
-        rect = initial_rectangle(za, y, cfg)
-        self.state = SearchState(
-            y=y,
-            za=za,
-            zna=za,
-            zn=rect.center,
-            rd=rect.rd,
-            rad=rect.rad,
-        )
-        self.trace_log: list[IntegrationAttempt] = []
-        self.concluded = False
-
-    def run_variant(self, variant_index: int) -> bool:
-        """One variant: up to two sampling densities, a small integration
-        budget per density.  Returns True when the zero concluded."""
-        cfg = self.cfg
-        state = self.state
-        schedule = cfg.c_schedule
-        start = min(variant_index, len(schedule) - 1)
-        phases = schedule[start : start + 2]
-        budget = max(1, schedule[start] // 2)
+    Variant v opens at density c_schedule[v] and retries at the next one,
+    with c_schedule[v] // 2 integrations (at least one) per density.  Each
+    density restarts from the last good estimate; a later variant also
+    resizes the rectangle from the error estimate, never past the opening
+    rectangle.
+    """
+    schedule = cfg.c_schedule
+    opening_rd = state.rd
+    for variant, c_open in enumerate(schedule):
+        state.variant = variant
         state.variant_opening_vv = None
-        state.consecutive_good = 0
-        state.variant = variant_index
-        if variant_index > 0:
+        if variant > 0 and len(state.accepted) >= 2:
+            restart = max(_RESTART_DE_FACTOR * estimate_de(state), _MIN_RD)
+            state.rd = min(restart, opening_rd)
+        for phase, c in enumerate(schedule[variant : variant + 2]):
+            state.phase = phase
             state.zn = state.zna
-            if len(state.accepted) >= 2:
-                restart = max(_RESTART_DE_FACTOR * estimate_de(state), _MIN_RD)
-                # the opening integration ran on the initial rectangle
-                state.rd = min(restart, self.trace_log[0].result.trace.rect.rd)
-                state.rad = state.rd / 2.0
-        used = 0
-        for phase_index, c in enumerate(phases):
-            state.phase = phase_index
-            if phase_index > 0:
-                state.zn = state.zna
-                state.consecutive_good = 0
-            for _ in range(budget):
-                result = integrate(self.f, state.rect, c)
+            state.consecutive_good = 0
+            for _ in range(max(1, c_open // 2)):
+                if len(trace_log) >= cfg.max_integrations_per_zero:
+                    return False
+                result = integrate(f, state.rect, c)
                 if state.variant_opening_vv is None:
                     state.variant_opening_vv = result.vv
                 verdict = assess(result, state, cfg)
-                self.trace_log.append(
-                    IntegrationAttempt(
-                        variant=variant_index + 1,
-                        zna=state.zna,
-                        result=result,
-                        assessment=verdict,
-                    )
-                )
+                trace_log.append(IntegrationAttempt(variant + 1, state.zna, result, verdict))
                 step_policy(state, verdict, result, cfg)
-                used += 1
                 if verdict is Assessment.VERY_GOOD:
-                    self.concluded = True
                     return True
-                if used >= cfg.max_integrations_per_zero:
-                    return False
-        return False
+    return False
 
-    def finish(self, index: int) -> ZeroRecord:
-        state = self.state
-        # the opening integration's rectangle is centred on za
-        abs_za = self.trace_log[0].result.abs_center
-        if not state.accepted:
-            return ZeroRecord(
-                index=index,
-                y=state.y,
-                za=state.za,
-                z=state.za,
-                de=None,
-                vv_final=1.0 if abs_za else math.inf,
-                verdict=Verdict.FAILED,
-                newton_applied=False,
-                trace_log=self.trace_log,
-            )
-        z, abs_z = state.accepted[-1]
-        de = estimate_de(state) if len(state.accepted) >= 2 else None
-        newton_applied = False
-        if self.concluded and de is not None:
-            # allow movement up to the concluding rectangle's quadrature
-            # resolution (~2% of its half-width; state.rd was already halved)
-            cap = max(10.0 * de, 0.04 * state.rd)
-            z_new, accepted, f_new = newton_refine(self.f, z, de, self.cfg, cap)
-            if accepted:
-                de = _error_scale(z_new, z)
-                z = z_new
-                abs_z = abs(f_new)
-                newton_applied = True
-        vv_final = abs_z / abs_za if abs_za > 0 else math.inf
-        return ZeroRecord(
-            index=index,
-            y=state.y,
-            za=state.za,
-            z=z,
-            de=de,
-            vv_final=vv_final,
-            verdict=Verdict.VERY_GOOD if self.concluded else Verdict.GOOD_ONLY,
-            newton_applied=newton_applied,
-            trace_log=self.trace_log,
-        )
+
+def _search_zero(
+    index: int, f: AnalyticFunction, y: float, za: complex, cfg: SearchConfig
+) -> ZeroRecord:
+    """One zero from its seed to its record: the variants, then the Newton
+    polish of a concluded zero.  |f(za)| comes from the opening integration,
+    whose rectangle is centred on za."""
+    opening = initial_rectangle(za, y, cfg)
+    state = SearchState(y=y, za=za, zna=za, zn=opening.center, rd=opening.rd)
+    trace_log: list[IntegrationAttempt] = []
+    concluded = _integrate_variants(f, state, cfg, trace_log)
+    abs_za = trace_log[0].result.abs_center
+    z, abs_z = state.accepted[-1] if state.accepted else (za, abs_za)
+    de = estimate_de(state) if len(state.accepted) >= 2 else None
+    newton_applied = False
+    if concluded and de is not None:
+        # allow movement up to the concluding rectangle's quadrature
+        # resolution (~2% of its half-width; state.rd was already halved)
+        allowance = max(10.0 * de, 0.04 * state.rd)
+        z_new, accepted, f_new = newton_refine(f, z, allowance, cfg)
+        if accepted:
+            de = _error_scale(z_new, z)
+            z = z_new
+            abs_z = abs(f_new)
+            newton_applied = True
+    vv_final = abs_z / abs_za if abs_za > 0 else math.inf
+    if concluded:
+        verdict = Verdict.VERY_GOOD
+    elif state.accepted:
+        verdict = Verdict.GOOD_ONLY
+    else:  # z is the seed itself: ratio 1, even where |f(za)| is not finite
+        verdict, vv_final = Verdict.FAILED, 1.0 if abs_za else math.inf
+    return ZeroRecord(
+        index=index,
+        y=y,
+        za=za,
+        z=z,
+        de=de,
+        vv_final=vv_final,
+        verdict=verdict,
+        newton_applied=newton_applied,
+        trace_log=trace_log,
+    )
 
 
 def locate_zero(
@@ -472,7 +445,7 @@ def locate_zero(
     Raises SearchFailed (with the partial record attached) when no variant
     produced even one good integration.
     """
-    record = run_variants(f, [(y, za)], cfg)[0]
+    record = _search_zero(1, f, y, za, cfg)
     if record.verdict is Verdict.FAILED:
         error = SearchFailed(f"no good integration for the zero near {za!r}")
         error.record = record
@@ -485,28 +458,17 @@ def run_variants(
     seeds: list[tuple[float, complex]],
     cfg: SearchConfig = SearchConfig(),
 ) -> list[ZeroRecord]:
-    """Variant-synchronized scheduler over many seeds.
+    """Search every seed with its own evaluator, one zero after another.
 
-    ``functions`` is either one evaluator shared by all seeds or a sequence
-    with one evaluator per seed.  Variant 1 visits every seed; later variants
-    revisit only the zeros that have not concluded.  Records come back in
-    seed order regardless of scheduling.
+    ``functions`` holds one evaluator per seed.  Each zero runs its variants
+    to completion before the next seed starts; the seeds share no state, so
+    the order changes no record.  Records come back in seed order, indexed
+    from 1.
     """
-    if not seeds:
-        return []
-    if callable(functions):
-        per_seed = [functions] * len(seeds)
-    else:
-        per_seed = list(functions)
-        if len(per_seed) != len(seeds):
-            raise ValueError("need one evaluator per seed")
-    searches = [
-        _ZeroSearch(f, y, za, cfg) for f, (y, za) in zip(per_seed, seeds)
+    functions = list(functions)
+    if len(functions) != len(seeds):
+        raise ValueError("need one evaluator per seed")
+    return [
+        _search_zero(index, f, y, za, cfg)
+        for index, (f, (y, za)) in enumerate(zip(functions, seeds), start=1)
     ]
-    for variant_index in range(len(cfg.c_schedule)):
-        remaining = [s for s in searches if not s.concluded]
-        if not remaining:
-            break
-        for search in remaining:
-            search.run_variant(variant_index)
-    return [search.finish(index=i + 1) for i, search in enumerate(searches)]

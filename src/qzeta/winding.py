@@ -322,11 +322,19 @@ class IntegrationResult:
     char: float
     fo: int
     z_estimate: complex
-    vv: float
     trace: BoundaryTrace
-    inside: bool
     abs_center: float
     abs_estimate: float
+
+    @property
+    def vv(self) -> float:
+        """Residual ratio |f(z_estimate)| / |f(center)|; inf at a zero center."""
+        return self.abs_estimate / self.abs_center if self.abs_center > 0 else math.inf
+
+    @property
+    def inside(self) -> bool:
+        """Whether the estimate lies strictly inside the rectangle."""
+        return self.trace.rect.contains(self.z_estimate)
 
 
 def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult:
@@ -341,14 +349,11 @@ def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult
         abs_estimate = abs(complex(f(z_estimate)))
     except Exception:
         abs_estimate = math.inf
-    vv = abs_estimate / abs_center if abs_center > 0 else math.inf
     return IntegrationResult(
         char=char,
         fo=fo,
         z_estimate=z_estimate,
-        vv=vv,
         trace=trace,
-        inside=rect.contains(z_estimate),
         abs_center=abs_center,
         abs_estimate=abs_estimate,
     )

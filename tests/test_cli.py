@@ -117,7 +117,7 @@ class TestMain:
         "argv",
         [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--b", "0"], ["--a", "inf"],
          ["--y-max", "0"], ["--y-max", "-3"], ["--y-max", "nan"], ["--y-max", "inf"],
-         ["--y-max", "150"]],
+         ["--y-max", "150"], ["--max-integrations-per-zero", "0"]],
     )
     def test_config_error_exit_two(self, argv, capsys):
         assert main(argv + ["--format", "csv"]) == 2

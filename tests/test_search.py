@@ -1,15 +1,24 @@
-import pytest
+import dataclasses
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qzeta.search
 from qzeta import (
     Assessment,
     InsufficientHistory,
     Rectangle,
+    RunConfig,
     SearchConfig,
     SearchFailed,
     SearchState,
     Verdict,
     assess,
+    classical_zeros,
     estimate_de,
+    execute,
     initial_rectangle,
     integrate,
     locate_zero,
@@ -17,7 +26,8 @@ from qzeta import (
     run_variants,
     step_policy,
 )
-from qzeta.search import _ZeroSearch
+from qzeta.pipeline import PAPER_Y_MAX
+from qzeta.search import escalation_schedule
 
 
 def product_of_roots(roots):
@@ -58,7 +68,6 @@ def _state(**overrides):
         zna=0.3 + 20j,
         zn=0.3 + 20j,
         rd=0.1,
-        rad=0.05,
     )
     base.update(overrides)
     return SearchState(**base)
@@ -89,7 +98,7 @@ class TestAssess:
         f = product_of_roots([0.31 + 20.002j])
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
         result = _result_for(f, rect)
-        result.vv = 0.9
+        result.abs_estimate = 0.9 * result.abs_center  # residual ratio 0.9
         # force the estimate away from the incumbent so no waiver applies
         state = _state(zna=0.25 + 20.01j)
         assert assess(result, state, SearchConfig()) is Assessment.NOT_GOOD
@@ -135,7 +144,7 @@ class TestStepPolicy:
         result = _result_for(f, rect)
         state = _state()
         step_policy(state, Assessment.GOOD, result, SearchConfig())
-        assert state.rd == 0.05 and state.rad == 0.025
+        assert state.rd == 0.05 and state.rect.rad == 0.025
         assert state.consecutive_good == 1
         assert state.zna == result.z_estimate
         expected_zn = (result.z_estimate + result.vv * (0.3 + 20j)) / (1 + result.vv)
@@ -147,7 +156,7 @@ class TestStepPolicy:
         result = _result_for(f, rect)
         state = _state(consecutive_good=1)
         step_policy(state, Assessment.NOT_GOOD, result, SearchConfig())
-        assert state.rd == 0.2 and state.rad == 0.1
+        assert state.rd == 0.2 and state.rect.rad == 0.1
         assert state.consecutive_good == 0
         drift = state.zn - (0.3 + 20j)
         assert abs(drift - (result.z_estimate - (0.3 + 20j)) / 4) < 1e-15
@@ -181,7 +190,7 @@ class TestNewtonRefine:
     def test_linear_exact_in_one_step(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted, value = newton_refine(f, 0.8 - 1.1j, de=0.05, cfg=SearchConfig())
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=0.5, cfg=SearchConfig())
         assert accepted
         # exact up to the central-difference rounding (~1e-10 relative)
         assert abs(z - root) < 1e-9
@@ -190,7 +199,7 @@ class TestNewtonRefine:
     def test_movement_allowance_rejects_distant_jumps(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted, value = newton_refine(f, 0.8 - 1.1j, de=1e-7, cfg=SearchConfig())
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=1e-6, cfg=SearchConfig())
         assert not accepted
         assert z == 0.8 - 1.1j
         assert value is None
@@ -198,7 +207,7 @@ class TestNewtonRefine:
     def test_smooth_quadratic_convergence(self):
         root = 1.5 + 3j
         f = lambda k: (k - root) * (k + 10)
-        z, accepted, _ = newton_refine(f, 1.52 + 3.01j, de=0.01, cfg=SearchConfig())
+        z, accepted, _ = newton_refine(f, 1.52 + 3.01j, allowance=0.1, cfg=SearchConfig())
         assert accepted
         assert abs(z - root) < 1e-9
 
@@ -255,7 +264,7 @@ class TestRunVariants:
         roots = [0.2 + 10j, 0.5 + 14j, -0.3 + 18j]
         f = product_of_roots(roots)
         seeds = [(10.0, 0.21 + 10.02j), (14.0, 0.49 + 13.98j), (18.0, -0.28 + 18.01j)]
-        records = run_variants(f, seeds, SearchConfig())
+        records = run_variants([f] * 3, seeds, SearchConfig())
         assert [r.index for r in records] == [1, 2, 3]
         for record, root in zip(records, roots):
             assert record.verdict is Verdict.VERY_GOOD
@@ -263,7 +272,7 @@ class TestRunVariants:
             assert record.variants_visited == (1,)
 
     def test_empty_seed_list(self):
-        assert run_variants(lambda k: k, [], SearchConfig()) == []
+        assert run_variants([], [], SearchConfig()) == []
 
     def test_per_seed_functions(self):
         functions = [product_of_roots([0.1 + 9j]), product_of_roots([0.2 + 11j])]
@@ -276,47 +285,113 @@ class TestRunVariants:
         with pytest.raises(ValueError):
             run_variants([lambda k: k], [(9.0, 9j), (11.0, 11j)], SearchConfig())
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(5.0, 50.0),  # y
+                st.floats(-0.5, 2.0),  # Re of the root
+                st.floats(-0.3, 0.3),  # Im of the root minus y
+                st.floats(0.01, 0.3),  # |root - za|
+                st.floats(0.0, 6.28),  # direction of za from the root
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_seed_order_changes_no_record(self, draws):
+        functions, seeds = [], []
+        for y, re, dy, dist, angle in draws:
+            root = complex(re, y + dy)
+            functions.append(product_of_roots([root, root + 4 - 3j]))
+            seeds.append((y, root + dist * complex(math.cos(angle), math.sin(angle))))
+        forward = run_variants(functions, seeds)
+        backward = run_variants(functions[::-1], seeds[::-1])[::-1]
+        assert [_bits(r) for r in forward] == [_bits(r) for r in backward]
+
+    def test_locate_zero_is_a_one_seed_run(self):
+        f = product_of_roots([0.3 + 20j, 3 + 22j])
+        (record,) = run_variants([f], [(20.0, 0.29 + 20.01j)])
+        assert _bits(locate_zero(f, 20.0, 0.29 + 20.01j)) == _bits(record)
+
+
+def _bits(record):
+    """Everything a record reports, floats as exact reprs: z, de, vv_final,
+    verdict, and each attempt's rectangle, density and angles."""
+    attempts = [
+        (
+            a.variant,
+            a.assessment,
+            repr(a.result.trace.rect),
+            a.result.trace.c,
+            [repr(angle) for angle in a.result.trace.angles],
+            repr(a.result.trace.closing_angle),
+        )
+        for a in record.trace_log
+    ]
+    return (repr(record.z), repr(record.de), repr(record.vv_final), record.verdict, attempts)
+
+
+class TestIntegrationCap:
+    """max_integrations_per_zero caps each zero across all its variants."""
+
+    def test_cap_spans_variants(self):
+        cfg = SearchConfig(max_integrations_per_zero=3)
+        (record,) = run_variants([lambda k: 2.0 + 0j], [(2.0, 0.1 + 2j)], cfg)
+        assert record.verdict is Verdict.FAILED
+        assert len(record.trace_log) == 3
+
+    def test_zero_9_at_c8_stays_within_the_cap(self):
+        # with the cap counted per variant this zero used 29 integrations
+        cfg = SearchConfig(c_schedule=escalation_schedule(8))
+        y9 = classical_zeros(PAPER_Y_MAX)[-1]
+        config = RunConfig(y_max=None, y_list=(y9,), search=cfg)
+        (record,) = execute(config).records
+        assert len(record.trace_log) == cfg.max_integrations_per_zero
+
 
 class TestFinish:
-    """finish takes |f(za)| from the opening integration (its rectangle is
+    """A search takes |f(za)| from the opening integration (its rectangle is
     centred on za), and |f(z)| from the accepted estimate or, when Newton
-    moved z, from Newton's last evaluation; it calls f only through
-    Newton."""
+    moved z, from Newton's last evaluation; after its last integration it
+    calls f only through Newton."""
 
     @staticmethod
-    def _searched(f, y, za, cfg=SearchConfig()):
+    def _searched(monkeypatch, f, y, za, cfg=SearchConfig()):
         calls = []
 
         def counting(k):
             calls.append(k)
             return f(k)
 
-        search = _ZeroSearch(counting, y, za, cfg)
-        for variant in range(len(cfg.c_schedule)):
-            if search.run_variant(variant):
-                break
-        assert search.trace_log[0].result.trace.rect.center == za
-        calls.clear()
-        return search.finish(index=1), calls
+        def integrate_then_forget(f, rect, c):
+            result = integrate(f, rect, c)
+            calls.clear()  # keep only the calls after the last integration
+            return result
 
-    def test_failed_search_calls_nothing(self):
-        record, calls = self._searched(lambda k: 2.0 + 0j, 2.0, 0.1 + 2j)
+        monkeypatch.setattr(qzeta.search, "integrate", integrate_then_forget)
+        record = run_variants([counting], [(y, za)], cfg)[0]
+        assert record.trace_log[0].result.trace.rect.center == za
+        return record, calls
+
+    def test_failed_search_calls_nothing(self, monkeypatch):
+        record, calls = self._searched(monkeypatch, lambda k: 2.0 + 0j, 2.0, 0.1 + 2j)
         assert record.verdict is Verdict.FAILED
         assert record.vv_final == 1.0
         assert calls == []
 
-    def test_polished_zero_skips_the_seed(self):
+    def test_polished_zero_skips_the_seed(self, monkeypatch):
         f = product_of_roots([0.3 + 20j, 3 + 22j])
-        record, calls = self._searched(f, 20.0, 0.29 + 20.01j)
+        record, calls = self._searched(monkeypatch, f, 20.0, 0.29 + 20.01j)
         assert record.newton_applied
         assert 0.29 + 20.01j not in calls
         assert calls.count(record.z) == 1  # Newton's evaluation is reused
         assert record.vv_final == abs(f(record.z)) / abs(f(0.29 + 20.01j))
 
-    def test_unpolished_zero_reuses_its_value(self):
+    def test_unpolished_zero_reuses_its_value(self, monkeypatch):
         f = product_of_roots([0.3 + 20j, 3 + 22j])
         cfg = SearchConfig(newton_max_iters=0)  # Newton takes no step: rejected
-        record, calls = self._searched(f, 20.0, 0.29 + 20.01j, cfg)
+        record, calls = self._searched(monkeypatch, f, 20.0, 0.29 + 20.01j, cfg)
         assert record.verdict is Verdict.VERY_GOOD
         assert not record.newton_applied
         assert calls == [record.z]  # Newton's opening |f|, nothing after it
@@ -335,3 +410,10 @@ class TestSearchConfig:
             SearchConfig(vv_max=1.5)
         with pytest.raises(ValueError):
             SearchConfig(char_tol=0.7)
+        with pytest.raises(ValueError):
+            SearchConfig(max_integrations_per_zero=0)
+
+    def test_every_flag_has_help(self):
+        for f in dataclasses.fields(SearchConfig):
+            if "cli_help" in f.metadata:
+                assert f.metadata["cli_help"], f.name
