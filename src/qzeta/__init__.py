@@ -8,65 +8,16 @@ Dirichlet-eta values, each zero is localized by contour integrations over
 shrinking rectangles (winding count, gap diagnostics, first-moment zero
 estimate) and optionally polished by Newton steps.  The contour machinery
 works for any analytic function supplied as a plain callable.
+
+Submodules load on first use (PEP 562): the error types are bound at import,
+every other public name imports its submodule when first looked up, so
+``import qzeta`` and the contour engine (``winding``, ``search``) never
+import numpy.
 """
 
-from .errors import (
-    DegenerateDenominator,
-    DerivativeNearZero,
-    InsufficientHistory,
-    NonFiniteResult,
-    PoleAtOne,
-    QZetaError,
-    RangeUnsupported,
-    SearchFailed,
-    UsageError,
-    ZeroOnContour,
-)
-from .pipeline import RunConfig, RunResult, Seed, execute, plan_seeds
-from .report import emit_json, emit_plot_data, emit_text_report
-from .search import (
-    Assessment,
-    IntegrationAttempt,
-    SearchConfig,
-    SearchState,
-    Verdict,
-    ZeroRecord,
-    assess,
-    estimate_de,
-    initial_rectangle,
-    locate_zero,
-    newton_refine,
-    run_variants,
-    step_policy,
-)
-from .series import (
-    SharpFunction,
-    SharpParams,
-    evaluate,
-    linear_approximation,
-    select_truncation,
-    term_ratio,
-)
-from .special import (
-    REFERENCE_ZEROS,
-    classical_zeros,
-    hardy_z,
-    riemann_zeta,
-    zeta_plus,
-    zeta_plus_derivative,
-)
-from .winding import (
-    BoundaryTrace,
-    IntegrationResult,
-    Rectangle,
-    compute_char,
-    compute_fo,
-    fo_from_angles,
-    integrate,
-    moment_zero_estimate,
-    refine_trace,
-    sample_boundary,
-)
+import importlib
+
+from . import errors
 
 __version__ = "0.1.0"
 
@@ -74,66 +25,82 @@ __version__ = "0.1.0"
 # records include it.
 BACKEND = "numpy"
 
-__all__ = [
-    "BACKEND",
-    "__version__",
-    # errors
-    "QZetaError",
-    "PoleAtOne",
-    "RangeUnsupported",
-    "DegenerateDenominator",
-    "NonFiniteResult",
-    "DerivativeNearZero",
-    "ZeroOnContour",
-    "InsufficientHistory",
-    "SearchFailed",
-    "UsageError",
-    # special functions
-    "REFERENCE_ZEROS",
-    "riemann_zeta",
-    "zeta_plus",
-    "zeta_plus_derivative",
-    "hardy_z",
-    "classical_zeros",
-    # series
-    "SharpParams",
-    "SharpFunction",
-    "term_ratio",
-    "evaluate",
-    "select_truncation",
-    "linear_approximation",
-    # winding engine
-    "Rectangle",
-    "BoundaryTrace",
-    "IntegrationResult",
-    "sample_boundary",
-    "refine_trace",
-    "compute_char",
-    "compute_fo",
-    "fo_from_angles",
-    "moment_zero_estimate",
-    "integrate",
-    # search
-    "SearchConfig",
-    "SearchState",
-    "Assessment",
-    "Verdict",
-    "ZeroRecord",
-    "IntegrationAttempt",
-    "initial_rectangle",
-    "assess",
-    "step_policy",
-    "estimate_de",
-    "newton_refine",
-    "locate_zero",
-    "run_variants",
-    # pipeline and reports
-    "RunConfig",
-    "RunResult",
-    "Seed",
-    "plan_seeds",
-    "execute",
-    "emit_text_report",
-    "emit_json",
-    "emit_plot_data",
-]
+# Every public name, once, under the submodule that defines it.
+_API = {
+    "errors": (
+        "QZetaError",
+        "PoleAtOne",
+        "RangeUnsupported",
+        "DegenerateDenominator",
+        "NonFiniteResult",
+        "DerivativeNearZero",
+        "ZeroOnContour",
+        "InsufficientHistory",
+        "SearchFailed",
+        "UsageError",
+    ),
+    "special": (
+        "REFERENCE_ZEROS",
+        "riemann_zeta",
+        "zeta_plus",
+        "zeta_plus_derivative",
+        "hardy_z",
+        "classical_zeros",
+    ),
+    "series": (
+        "SharpParams",
+        "SharpFunction",
+        "term_ratio",
+        "evaluate",
+        "select_truncation",
+        "linear_approximation",
+    ),
+    "winding": (
+        "Rectangle",
+        "BoundaryTrace",
+        "IntegrationResult",
+        "sample_boundary",
+        "refine_trace",
+        "compute_char",
+        "compute_fo",
+        "fo_from_angles",
+        "moment_zero_estimate",
+        "integrate",
+    ),
+    "search": (
+        "SearchConfig",
+        "SearchState",
+        "Assessment",
+        "Verdict",
+        "ZeroRecord",
+        "IntegrationAttempt",
+        "initial_rectangle",
+        "assess",
+        "step_policy",
+        "estimate_de",
+        "newton_refine",
+        "locate_zero",
+        "run_variants",
+    ),
+    "pipeline": ("RunConfig", "RunResult", "Seed", "plan_seeds", "execute"),
+    "report": ("emit_text_report", "emit_json", "emit_plot_data"),
+}
+_OWNER = {name: module for module, names in _API.items() for name in names}
+globals().update((name, getattr(errors, name)) for name in _API["errors"])
+
+__all__ = ["BACKEND", "__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    if name in _API:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _OWNER:
+        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups are plain attribute reads
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_API})

@@ -121,6 +121,8 @@ def emit_text_report(result: RunResult) -> str:
         out.append(
             f"  za= {_c(seed.za, '{:.4f}')}  {de_part}   vv= {record.vv_final:.6f}"
         )
+        if record.reason is not None:
+            out.append(f"  reason: {record.reason}")
     return "\n".join(out) + "\n"
 
 
@@ -175,6 +177,9 @@ def emit_json(result: RunResult) -> str:
                     }
                     for attempt in record.trace_log
                 ],
+                # only for a search an error stopped, so other runs keep
+                # the fixed schema byte for byte
+                **({"reason": record.reason} if record.reason is not None else {}),
             }
             for seed, record in zip(result.seeds, result.records)
         ],

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InsufficientHistory, SearchFailed
+from .errors import InsufficientHistory, QZetaError, SearchFailed
 from .winding import AnalyticFunction, IntegrationResult, Rectangle, integrate
 
 __all__ = [
@@ -176,7 +176,8 @@ class IntegrationAttempt:
 
 @dataclass
 class ZeroRecord:
-    """Per-zero outcome: final estimate, error bound, residual, verdict."""
+    """Per-zero outcome: final estimate, error bound, residual, verdict.
+    ``reason`` names the error that ended a failed search, if one did."""
 
     index: int
     y: float
@@ -187,6 +188,7 @@ class ZeroRecord:
     verdict: Verdict
     newton_applied: bool
     trace_log: list[IntegrationAttempt]
+    reason: str | None = None
 
     @property
     def variants_visited(self) -> tuple[int, ...]:
@@ -398,12 +400,19 @@ def _search_zero(
 ) -> ZeroRecord:
     """One zero from its seed to its record: the variants, then the Newton
     polish of a concluded zero.  |f(za)| comes from the opening integration,
-    whose rectangle is centred on za."""
+    whose rectangle is centred on za.  A package error raised by an
+    integration fails this zero only; its record keeps the integrations
+    done so far and the error as ``reason``."""
     opening = initial_rectangle(za, y, cfg)
     state = SearchState(y=y, za=za, zna=za, zn=opening.center, rd=opening.rd)
     trace_log: list[IntegrationAttempt] = []
-    concluded = _integrate_variants(f, state, cfg, trace_log)
-    abs_za = trace_log[0].result.abs_center
+    reason = None
+    try:
+        concluded = _integrate_variants(f, state, cfg, trace_log)
+    except QZetaError as exc:
+        concluded, reason = False, f"{type(exc).__name__}: {exc}"
+    # unknown when no integration finished: nan, whose seed ratio below is 1
+    abs_za = trace_log[0].result.abs_center if trace_log else math.nan
     z, abs_z = state.accepted[-1] if state.accepted else (za, abs_za)
     de = estimate_de(state) if len(state.accepted) >= 2 else None
     newton_applied = False
@@ -420,10 +429,12 @@ def _search_zero(
     vv_final = abs_z / abs_za if abs_za > 0 else math.inf
     if concluded:
         verdict = Verdict.VERY_GOOD
-    elif state.accepted:
+    elif state.accepted and reason is None:
         verdict = Verdict.GOOD_ONLY
-    else:  # z is the seed itself: ratio 1, even where |f(za)| is not finite
-        verdict, vv_final = Verdict.FAILED, 1.0 if abs_za else math.inf
+    else:
+        verdict = Verdict.FAILED
+    if not state.accepted:  # z is the seed: ratio 1, even where |f(za)| is not finite
+        vv_final = 1.0 if abs_za else math.inf
     return ZeroRecord(
         index=index,
         y=y,
@@ -434,6 +445,7 @@ def _search_zero(
         verdict=verdict,
         newton_applied=newton_applied,
         trace_log=trace_log,
+        reason=reason,
     )
 
 
@@ -443,11 +455,15 @@ def locate_zero(
     """Search for the zero seeded at za; runs every variant if needed.
 
     Raises SearchFailed (with the partial record attached) when no variant
-    produced even one good integration.
+    produced even one good integration, or a package error stopped the
+    search; the message then gives that error.
     """
     record = _search_zero(1, f, y, za, cfg)
     if record.verdict is Verdict.FAILED:
-        error = SearchFailed(f"no good integration for the zero near {za!r}")
+        message = f"no good integration for the zero near {za!r}"
+        if record.reason is not None:
+            message = f"the search for the zero near {za!r} stopped: {record.reason}"
+        error = SearchFailed(message)
         error.record = record
         raise error
     return record

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
 
-import numpy as np
-
 from .errors import ZeroOnContour
 
 __all__ = [
@@ -168,7 +166,12 @@ def _sample(f: AnalyticFunction, rect: Rectangle, c: int, positions, extra=()):
         points += [start + pos / (c * _GRID) * edge for pos in positions]
     many = getattr(f, "many", None)
     wanted = [*points, *extra]
-    values = many(np.array(wanted)) if many else [f(k) for k in wanted]
+    if many:
+        import numpy as np  # an evaluator with ``many`` takes a numpy array
+
+        values = many(np.array(wanted))
+    else:
+        values = [f(k) for k in wanted]
     values = [complex(value) for value in values]
     if len(values) != len(wanted):
         raise ValueError(f"{len(values)} values for {len(wanted)} points")

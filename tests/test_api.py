@@ -1,0 +1,127 @@
+"""The public API: every name declared once and loaded with its submodule on
+first use, so that ``import qzeta`` and the contour engine never import
+numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qzeta
+
+SRC = Path(qzeta.__file__).resolve().parents[1]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+README_SNIPPET = """\
+from qzeta import Rectangle, integrate
+
+result = integrate(lambda k: (k - 1j) * (k - 5), Rectangle(1j, 0.5, 0.3), 6)
+assert abs(result.char) < 1e-9 and abs(result.z_estimate - 1j) < 1e-3
+"""
+
+GENERIC_RUN = f"""\
+sys.path.insert(0, {str(PERFBENCH)!r})
+import qzeta
+import workloads
+
+inputs = workloads.generic_inputs(1)
+records = qzeta.run_variants([t for t, _, _ in inputs], [(y, za) for _, y, za in inputs])
+assert len(records) == len(inputs)
+"""
+
+SUBMODULES = ["errors", "special", "series", "winding", "search", "pipeline", "report"]
+
+
+def _numpy_after(script: str, block_numpy: bool) -> str:
+    """Run script in a fresh interpreter and return what it left under
+    sys.modules["numpy"]; with block_numpy, any numpy import raises."""
+    prologue = "import sys\n"
+    if block_numpy:
+        prologue += 'sys.modules["numpy"] = None\n'
+    epilogue = '\nprint(repr(sys.modules.get("numpy", "absent")))\n'
+    process = subprocess.run(
+        [sys.executable, "-c", prologue + script + epilogue],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert process.returncode == 0, process.stderr
+    return process.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("block_numpy", [False, True])
+@pytest.mark.parametrize(
+    "script",
+    ["import qzeta\n", README_SNIPPET, GENERIC_RUN],
+    ids=["import", "readme-integrate", "generic-run-variants"],
+)
+def test_contour_engine_loads_no_numpy(script, block_numpy):
+    assert _numpy_after(script, block_numpy) == ("None" if block_numpy else "'absent'")
+
+
+def test_series_still_loads_numpy():
+    assert _numpy_after("import qzeta\nqzeta.SharpFunction\n", False).startswith("<module")
+
+
+RESOLVES_LIKE_ITS_SUBMODULE = f"""\
+import importlib
+import qzeta
+
+submodules = {SUBMODULES!r}
+assert not any(f"qzeta.{{m}}" in sys.modules for m in submodules[1:])
+for name in qzeta.__all__[2:]:  # after BACKEND and __version__
+    value = getattr(qzeta, name)
+    owner = next(m for m in submodules
+                 if hasattr(importlib.import_module(f"qzeta.{{m}}"), name))
+    assert getattr(sys.modules[f"qzeta.{{owner}}"], name) is value, name
+for m in submodules:
+    assert getattr(qzeta, m) is sys.modules[f"qzeta.{{m}}"], m
+"""
+
+
+def test_every_public_name_is_its_submodules_object():
+    # in a fresh interpreter, so each name goes through the first-use import
+    _numpy_after(RESOLVES_LIKE_ITS_SUBMODULE, False)
+
+
+def test_all_lists_each_name_once_and_dir_covers_it():
+    assert len(set(qzeta.__all__)) == len(qzeta.__all__)
+    assert set(qzeta.__all__) | set(SUBMODULES) <= set(dir(qzeta))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from qzeta import *", namespace)
+    assert set(qzeta.__all__) <= set(namespace)
+    assert namespace["integrate"] is qzeta.winding.integrate
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        qzeta.no_such_name
+    assert not hasattr(qzeta, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from qzeta import no_such_name", {})
+
+
+def test_patch_and_restore_a_public_name():
+    # how a tracer wraps a public name from outside and puts it back
+    original = getattr(qzeta, "run_variants")
+    assert original is qzeta.search.run_variants
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    setattr(qzeta, "run_variants", wrapper)
+    try:
+        assert qzeta.run_variants is wrapper
+        namespace = {}
+        exec("from qzeta import run_variants", namespace)
+        assert namespace["run_variants"] is wrapper
+    finally:
+        setattr(qzeta, "run_variants", original)
+    assert qzeta.run_variants is original
+    assert qzeta.search.run_variants is original

@@ -140,6 +140,29 @@ class TestMain:
         assert err.startswith("error: seed 1 (y=14.1347)")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,seeds",
+        # seeds above the pole line Im k = 2*eps open rectangles that reach
+        # past the series' evaluation band
+        [(["--y-max", "100"], 29), (["--a", "500", "--d", "3"], 9)],
+    )
+    def test_seed_outside_evaluation_band_fails_alone(self, argv, seeds, capsys):
+        assert main(argv + ["--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        zeros = json.loads(captured.out)["zeros"]
+        assert [z["index"] for z in zeros] == list(range(1, seeds + 1))
+        stopped = [z for z in zeros if "reason" in z]
+        assert stopped
+        for z in stopped:
+            assert z["verdict"] == "failed"
+            assert z["reason"].startswith("RangeUnsupported: Im k = ")
+        assert main(argv) == 1
+        final = capsys.readouterr().out.split("FINAL LIST OF Q-ZEROS:")[1]
+        for z in stopped:
+            entry = final[final.index(f"failed {z['index']}  "):].splitlines()
+            assert entry[2] == f"  reason: {z['reason']}"
+
     def test_b_keeping_no_terms_exit_two(self, capsys):
         assert main(["--a", "1e-3", "--d", "1", "--b", "5", "--y-max", "15"]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -125,3 +126,20 @@ class TestCrossEmitterConsistency:
         assert f"{entry['z']['re']:.4f}" in text
         assert f"{entry['z']['im']:.4f}" in text
         assert f"vv= {entry['vv']:.6f}" in text
+
+
+class TestStoppedSearchReason:
+    """A search an error stopped adds its reason to the text and JSON
+    reports; records without one report exactly as before."""
+
+    def test_reason_only_where_set(self, one_zero_run):
+        reason = "RangeUnsupported: Im k = 9 outside evaluation band [-1, 3]"
+        record = dataclasses.replace(one_zero_run.records[0], reason=reason)
+        stopped = dataclasses.replace(one_zero_run, records=[record])
+        assert emit_text_report(stopped) == (
+            emit_text_report(one_zero_run) + f"  reason: {reason}\n"
+        )
+        (entry,) = json.loads(emit_json(stopped))["zeros"]
+        assert entry.pop("reason") == reason
+        assert entry == json.loads(emit_json(one_zero_run))["zeros"][0]
+        assert emit_plot_data(stopped) == emit_plot_data(one_zero_run)

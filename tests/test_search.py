@@ -9,6 +9,7 @@ import qzeta.search
 from qzeta import (
     Assessment,
     InsufficientHistory,
+    RangeUnsupported,
     Rectangle,
     RunConfig,
     SearchConfig,
@@ -396,6 +397,69 @@ class TestFinish:
         assert not record.newton_applied
         assert calls == [record.z]  # Newton's opening |f|, nothing after it
         assert record.vv_final == abs(f(record.z)) / abs(f(0.29 + 20.01j))
+
+
+class TestStoppedSearch:
+    """A package error raised while integrating one seed fails that seed
+    only: its record keeps the finished integrations and names the error."""
+
+    @staticmethod
+    def _failing_after(f, calls_allowed, error=RangeUnsupported("Im k = 9 too high")):
+        calls = []
+
+        def g(k):
+            if len(calls) >= calls_allowed:
+                raise error
+            calls.append(k)
+            return f(k)
+
+        return g
+
+    def test_error_before_any_integration(self):
+        f = self._failing_after(product_of_roots([0.3 + 20j]), 0)
+        (record,) = run_variants([f], [(20.0, 0.29 + 20.01j)])
+        assert record.verdict is Verdict.FAILED
+        assert record.trace_log == []
+        assert record.z == 0.29 + 20.01j
+        assert record.de is None
+        assert record.vv_final == 1.0
+        assert record.reason == "RangeUnsupported: Im k = 9 too high"
+
+    def test_finished_integrations_are_kept(self):
+        f = product_of_roots([0.3 + 20j, 3 + 22j])
+        (full,) = run_variants([f], [(20.0, 0.29 + 20.01j)])
+        calls = []
+        integrate(lambda k: calls.append(k) or f(k), full.trace_log[0].result.trace.rect,
+                  full.trace_log[0].result.trace.c)
+        stopped = self._failing_after(f, len(calls))
+        (record,) = run_variants([stopped], [(20.0, 0.29 + 20.01j)])
+        assert record.verdict is Verdict.FAILED
+        assert record.reason.startswith("RangeUnsupported: ")
+        assert _bits(record)[4] == _bits(full)[4][:1]
+
+    def test_other_seeds_keep_their_records(self):
+        f = product_of_roots([0.3 + 20j, 3 + 22j])
+        seeds = [(20.0, 0.29 + 20.01j), (22.0, 2.99 + 22.01j)]
+        records = run_variants([self._failing_after(f, 0), f], seeds)
+        assert [r.verdict for r in records] == [Verdict.FAILED, Verdict.VERY_GOOD]
+        assert records[1].reason is None
+        assert _bits(records[1]) == _bits(run_variants([f], seeds[1:])[0])
+
+    def test_programming_errors_still_raise(self):
+        f = self._failing_after(product_of_roots([0.3 + 20j]), 5, ZeroDivisionError())
+        with pytest.raises(ZeroDivisionError):
+            run_variants([f], [(20.0, 0.29 + 20.01j)])
+
+    def test_locate_zero_names_the_reason(self):
+        f = self._failing_after(product_of_roots([0.3 + 20j]), 0)
+        with pytest.raises(SearchFailed, match="stopped: RangeUnsupported: Im k = 9") as info:
+            locate_zero(f, 20.0, 0.29 + 20.01j)
+        assert info.value.record.reason.startswith("RangeUnsupported")
+
+    def test_search_without_error_has_no_reason(self):
+        (record,) = run_variants([lambda k: 2.0 + 0j], [(2.0, 0.1 + 2j)])
+        assert record.verdict is Verdict.FAILED
+        assert record.reason is None
 
 
 class TestSearchConfig:
