@@ -35,8 +35,6 @@ _API = {
         "NonFiniteResult",
         "DerivativeNearZero",
         "ZeroOnContour",
-        "InsufficientHistory",
-        "SearchFailed",
         "UsageError",
     ),
     "special": (
@@ -59,8 +57,6 @@ _API = {
         "Rectangle",
         "BoundaryTrace",
         "IntegrationResult",
-        "sample_boundary",
-        "refine_trace",
         "compute_char",
         "compute_fo",
         "fo_from_angles",
@@ -77,9 +73,7 @@ _API = {
         "initial_rectangle",
         "assess",
         "step_policy",
-        "estimate_de",
         "newton_refine",
-        "locate_zero",
         "run_variants",
     ),
     "pipeline": ("RunConfig", "RunResult", "Seed", "plan_seeds", "execute"),

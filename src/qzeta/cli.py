@@ -33,7 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"seed all classical zeros up to this ordinate (default {PAPER_Y_MAX:g})")
     parser.add_argument("--y", type=float, action="append", default=None,
                         help="explicit seed ordinate (repeatable; overrides --y-max)")
-    parser.add_argument("--c", type=int, default=None, help="opening points per rectangle side")
+    parser.add_argument("--c", default=None,
+                        help="opening points per rectangle side, escalated by 1.5 and "
+                             "2.25 for the later variants (4 gives 4,6,9), or the "
+                             "comma-separated densities of every variant")
     parser.add_argument("--b", type=int, default=None, help="series truncation multiplier override")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--plot-data", action="store_true",
@@ -41,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--target", default="sharp",
                         help="'sharp' or 'poly:<comma-separated complex coefficients>'")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--c-schedule", default=None,
-                        help="comma-separated escalation densities, e.g. 4,6,9")
     # one flag per scalar SearchConfig field, declared there with its help
     for f in dataclasses.fields(SearchConfig):
         if "cli_help" in f.metadata:
@@ -51,18 +52,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_target(text: str) -> tuple[str, tuple[complex, ...]]:
+def _parse_target(text: str) -> tuple[complex, ...]:
+    """The polynomial coefficients of a target; none for the series."""
     if text == "sharp":
-        return "sharp", ()
+        return ()
     if text.startswith("poly:"):
         body = text[len("poly:"):]
         try:
             coefficients = tuple(complex(part) for part in body.split(","))
         except ValueError as exc:
             raise UsageError(f"bad polynomial coefficients {body!r}") from exc
-        if len(coefficients) < 2:
-            raise UsageError("polynomial target needs at least two coefficients")
-        return "poly", coefficients
+        return coefficients
     raise UsageError(f"unknown target {text!r} (use 'sharp' or 'poly:...')")
 
 
@@ -73,7 +73,7 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namesp
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    target, coefficients = _parse_target(args.target)
+    coefficients = _parse_target(args.target)
 
     # flags spelled like a SearchConfig field override it when given
     overrides = {
@@ -81,13 +81,14 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namesp
         for f in dataclasses.fields(SearchConfig)
         if getattr(args, f.name, None) is not None
     }
-    if args.c_schedule is not None:
+    if args.c is not None:
         try:
-            overrides["c_schedule"] = tuple(int(part) for part in args.c_schedule.split(","))
+            densities = tuple(int(part) for part in args.c.split(","))
         except ValueError as exc:
-            raise UsageError(f"bad c schedule {args.c_schedule!r}") from exc
-    elif args.c is not None:
-        overrides["c_schedule"] = escalation_schedule(args.c)
+            raise UsageError(f"bad --c {args.c!r}") from exc
+        overrides["c_schedule"] = (
+            escalation_schedule(densities[0]) if len(densities) == 1 else densities
+        )
 
     try:
         search = SearchConfig(**overrides)
@@ -104,7 +105,6 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namesp
             y_max=y_max,
             y_list=y_list,
             b_override=args.b,
-            target=target,
             poly_coefficients=coefficients,
             search=search,
         )

@@ -30,14 +30,5 @@ class ZeroOnContour(QZetaError):
     must be perturbed before integrating."""
 
 
-class InsufficientHistory(QZetaError):
-    """An error estimate was requested before two accepted zero estimates
-    exist."""
-
-
-class SearchFailed(QZetaError):
-    """A zero search was deferred by every variant without concluding."""
-
-
 class UsageError(QZetaError):
     """Bad command-line arguments (exit status 2)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import QZetaError, RangeUnsupported
+from .errors import RangeUnsupported
 from .search import SearchConfig, Verdict, ZeroRecord, initial_rectangle, run_variants
 from .series import (
     SharpFunction,
@@ -29,24 +29,25 @@ PAPER_Y_MAX = 48.5406
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: target function family, seeds, and search knobs."""
+    """One run: target function family, seeds, and search knobs.  A run
+    with polynomial coefficients searches that polynomial; without, the
+    deformed series."""
 
     a: float = 750.0
     d: float = 2.0
     y_max: float | None = PAPER_Y_MAX
     y_list: tuple[float, ...] | None = None
     b_override: int | None = None
-    target: str = "sharp"  # "sharp" or "poly"
     poly_coefficients: tuple[complex, ...] = ()
     search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
         if (self.y_max is None) == (self.y_list is None):
             raise ValueError("exactly one of y_max / y_list must be set")
-        if self.target not in ("sharp", "poly"):
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.target == "poly" and len(self.poly_coefficients) < 2:
+        if len(self.poly_coefficients) == 1:
             raise ValueError("polynomial target needs at least two coefficients")
+        if self.poly_coefficients and self.b_override is not None:
+            raise ValueError("b applies to the series, not to a polynomial target")
         if not (0 < self.a < math.inf and 0 < self.d < math.inf):
             raise ValueError("a and d must be positive and finite")
         if self.y_max is not None and not 0 < self.y_max <= CLASSICAL_Y_MAX:
@@ -55,8 +56,13 @@ class RunConfig:
             raise ValueError("every seed ordinate y must be positive and finite")
         if self.b_override is not None and self.b_override < 1:
             raise ValueError("b must be a positive integer")
-        if self.b_override is not None and self.target == "sharp":
+        if self.b_override is not None:
             SharpParams(self.a, self.d, self.b_override)  # checks the term count
+
+    @property
+    def target(self) -> str:
+        """The target family: "poly" for a polynomial run, else "sharp"."""
+        return "poly" if self.poly_coefficients else "sharp"
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
         ys = classical_zeros(config.y_max)
     seeds: list[Seed] = []
     functions = []
-    if config.target == "poly":
+    if config.poly_coefficients:
         f = _Polynomial(config.poly_coefficients)
         for i, y in enumerate(ys, start=1):
             seeds.append(Seed(index=i, y=y, za=complex(0.0, y), b=None))
@@ -123,18 +129,18 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
 
 
 def execute(config: RunConfig) -> RunResult:
-    """Search every seed to a verdict."""
+    """Search every seed to a verdict.  A series zero concluded outside the
+    search strip fails, with the reason, and the other seeds keep theirs."""
     seeds, functions = plan_seeds(config)
     if not seeds:
         return RunResult(config=config, seeds=[], records=[])
     records = run_variants(functions, [(s.y, s.za) for s in seeds], config.search)
-    if config.target == "sharp":
+    if not config.poly_coefficients:
         half_band = 2.0 * functions[0].params.epsilon
         for record in records:
             if record.verdict is Verdict.VERY_GOOD and not (
                 0.0 < record.z.imag and abs(record.z.real) < half_band
             ):
-                raise QZetaError(
-                    f"accepted zero {record.z!r} escaped the search strip"
-                )
+                record.verdict = Verdict.FAILED
+                record.reason = f"accepted zero {record.z!r} escaped the search strip"
     return RunResult(config=config, seeds=seeds, records=records)

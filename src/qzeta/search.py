@@ -10,11 +10,13 @@ recenters it between the old center and the new estimate, weighting by the
 residual ratio.  The second consecutive good integration may conclude the
 zero ("very good") when the gap metric, the error estimate, and the residual
 are all admissible.  A variant gives the zero two sampling densities and a
-small integration budget per density; a zero that does not conclude enters
-the next variant at the following density, restarting from its last good
-estimate.  The variants run in turn until one concludes or the zero has used
-``max_integrations_per_zero`` integrations; a concluded zero is then
-polished by Newton.
+budget of ``max(1, c // 2)`` integrations per density, with c the variant's
+opening density; a zero that does not conclude enters the next variant at
+the following density, restarting from its last good estimate.  The variants
+run in turn until one concludes or the schedule is spent, so the density
+schedule alone bounds the integrations of each zero; a concluded zero is
+then polished by Newton.  ``run_variants`` is the one entry point, for one
+seed or many.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InsufficientHistory, QZetaError, SearchFailed
+from .errors import QZetaError
 from .winding import AnalyticFunction, IntegrationResult, Rectangle, integrate
 
 __all__ = [
@@ -37,9 +39,7 @@ __all__ = [
     "initial_rectangle",
     "assess",
     "step_policy",
-    "estimate_de",
     "newton_refine",
-    "locate_zero",
     "run_variants",
 ]
 
@@ -90,9 +90,6 @@ class SearchConfig:
     seed_vv_limit: float = _knob(
         0.45, "opening residual ratio above which variant 1 cannot conclude"
     )
-    max_integrations_per_zero: int = _knob(
-        12, "integrations one zero may use across all its variants"
-    )
     newton_max_iters: int = _knob(5, "Newton steps in the polish of a concluded zero")
 
     def __post_init__(self):
@@ -104,8 +101,6 @@ class SearchConfig:
             raise ValueError("vv_max must be in (0, 1)")
         if not 0 < self.char_tol < 0.5:
             raise ValueError("char_tol must be in (0, 0.5)")
-        if self.max_integrations_per_zero < 1:
-            raise ValueError("max_integrations_per_zero must be at least 1")
 
 
 # |f(z)| may jitter at the evaluation noise floor once the search has nearly
@@ -142,8 +137,6 @@ class SearchState:
     """Mutable per-zero search state, persisted across variants.  The
     rectangle is always twice as wide as tall."""
 
-    y: float
-    za: complex
     zna: complex  # seed or the estimate after the last good integration
     zn: complex  # current rectangle center
     rd: float  # current rectangle half-width
@@ -156,6 +149,15 @@ class SearchState:
     @property
     def rect(self) -> Rectangle:
         return Rectangle(self.zn, self.rd, self.rd / 2.0)
+
+    @property
+    def de(self) -> float | None:
+        """Error scale from the last two accepted estimates: a tenth of the
+        inter-step movement, floored at 1e-6 (ten times this bounds the
+        observed movement); None before the second accepted estimate."""
+        if len(self.accepted) < 2:
+            return None
+        return _error_scale(self.accepted[-1][0], self.accepted[-2][0])
 
     @property
     def best_abs_value(self) -> float:
@@ -296,17 +298,6 @@ def step_policy(
         state.zn = state.zna
 
 
-def estimate_de(state: SearchState) -> float:
-    """Error scale from the last two accepted estimates: a tenth of the
-    inter-step movement, floored at 1e-6 (ten times this bounds the observed
-    movement)."""
-    if len(state.accepted) < 2:
-        raise InsufficientHistory(
-            "need two accepted estimates to bound the error"
-        )
-    return _error_scale(state.accepted[-1][0], state.accepted[-2][0])
-
-
 def newton_refine(
     f: AnalyticFunction,
     z0: complex,
@@ -361,7 +352,7 @@ def _integrate_variants(
     trace_log: list[IntegrationAttempt],
 ) -> bool:
     """Run the variants in turn, logging each integration, until one
-    concludes (returns True) or the zero has used its integrations.
+    concludes (returns True) or the schedule is spent.
 
     Variant v opens at density c_schedule[v] and retries at the next one,
     with c_schedule[v] // 2 integrations (at least one) per density.  Each
@@ -374,16 +365,14 @@ def _integrate_variants(
     for variant, c_open in enumerate(schedule):
         state.variant = variant
         state.variant_opening_vv = None
-        if variant > 0 and len(state.accepted) >= 2:
-            restart = max(_RESTART_DE_FACTOR * estimate_de(state), _MIN_RD)
+        if variant > 0 and state.de is not None:
+            restart = max(_RESTART_DE_FACTOR * state.de, _MIN_RD)
             state.rd = min(restart, opening_rd)
         for phase, c in enumerate(schedule[variant : variant + 2]):
             state.phase = phase
             state.zn = state.zna
             state.consecutive_good = 0
             for _ in range(max(1, c_open // 2)):
-                if len(trace_log) >= cfg.max_integrations_per_zero:
-                    return False
                 result = integrate(f, state.rect, c)
                 if state.variant_opening_vv is None:
                     state.variant_opening_vv = result.vv
@@ -404,7 +393,7 @@ def _search_zero(
     integration fails this zero only; its record keeps the integrations
     done so far and the error as ``reason``."""
     opening = initial_rectangle(za, y, cfg)
-    state = SearchState(y=y, za=za, zna=za, zn=opening.center, rd=opening.rd)
+    state = SearchState(zna=za, zn=opening.center, rd=opening.rd)
     trace_log: list[IntegrationAttempt] = []
     reason = None
     try:
@@ -414,7 +403,7 @@ def _search_zero(
     # unknown when no integration finished: nan, whose seed ratio below is 1
     abs_za = trace_log[0].result.abs_center if trace_log else math.nan
     z, abs_z = state.accepted[-1] if state.accepted else (za, abs_za)
-    de = estimate_de(state) if len(state.accepted) >= 2 else None
+    de = state.de
     newton_applied = False
     if concluded and de is not None:
         # allow movement up to the concluding rectangle's quadrature
@@ -449,26 +438,6 @@ def _search_zero(
     )
 
 
-def locate_zero(
-    f: AnalyticFunction, y: float, za: complex, cfg: SearchConfig = SearchConfig()
-) -> ZeroRecord:
-    """Search for the zero seeded at za; runs every variant if needed.
-
-    Raises SearchFailed (with the partial record attached) when no variant
-    produced even one good integration, or a package error stopped the
-    search; the message then gives that error.
-    """
-    record = _search_zero(1, f, y, za, cfg)
-    if record.verdict is Verdict.FAILED:
-        message = f"no good integration for the zero near {za!r}"
-        if record.reason is not None:
-            message = f"the search for the zero near {za!r} stopped: {record.reason}"
-        error = SearchFailed(message)
-        error.record = record
-        raise error
-    return record
-
-
 def run_variants(
     functions,
     seeds: list[tuple[float, complex]],
@@ -479,7 +448,8 @@ def run_variants(
     ``functions`` holds one evaluator per seed.  Each zero runs its variants
     to completion before the next seed starts; the seeds share no state, so
     the order changes no record.  Records come back in seed order, indexed
-    from 1.
+    from 1.  A search that fails is a record with verdict FAILED, not an
+    exception, so one seed is searched as ``run_variants([f], [(y, za)])``.
     """
     functions = list(functions)
     if len(functions) != len(seeds):

@@ -14,14 +14,16 @@ all four sides at once, so the refined samples stay aligned side by side;
 reports can then show the classic four-side angle sums.  A refinement pass
 evaluates only the points it inserts and recomputes only the phase increments
 next to them.  The winding count, the gap metric, and a first-moment estimate
-of the enclosed zero are all read off the refined trace.
+of the enclosed zero are all read off the refined trace.  ``integrate`` is the
+one entry point: it samples, refines and measures, and its result carries the
+refined trace.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
@@ -32,8 +34,6 @@ __all__ = [
     "Rectangle",
     "BoundaryTrace",
     "IntegrationResult",
-    "sample_boundary",
-    "refine_trace",
     "compute_char",
     "compute_fo",
     "fo_from_angles",
@@ -102,8 +102,7 @@ class BoundaryTrace:
     shared position of side s sits at index s*m + n with m = per_side().
     ``closing_angle`` continues the unwrapped sequence back to the first
     sample, so (closing_angle - angles[0]) / 2*pi is the discrete winding
-    estimate.  ``function`` lets ``refine_trace`` evaluate the points it
-    inserts.
+    estimate.
     """
 
     rect: Rectangle
@@ -113,7 +112,6 @@ class BoundaryTrace:
     samples: list[complex]
     angles: list[float]
     closing_angle: float
-    function: AnalyticFunction = field(repr=False, compare=False)
 
     @property
     def winding(self) -> float:
@@ -184,46 +182,23 @@ def _sample(f: AnalyticFunction, rect: Rectangle, c: int, positions, extra=()):
     return points, values
 
 
-def sample_boundary(f: AnalyticFunction, rect: Rectangle, c: int) -> BoundaryTrace:
-    """Evaluate f at c equally spaced points per side (counterclockwise from
-    the bottom-left corner) and unwrap the argument sequence."""
-    return _traced(f, rect, c, 0)[0]
-
-
-def refine_trace(trace: BoundaryTrace) -> BoundaryTrace:
-    """Bisect parameter intervals wherever consecutive displayed angles (the
-    four-side sums) differ by more than _GAP_THRESHOLD; repeat up to
-    _MAX_DEPTH passes.
-
-    Bisection inserts the midpoint position on all four sides, keeping the
-    side-by-side alignment of the displayed angle sums.  A single side
-    jumping close to the branch limit forces a split too.  Gaps that survive
-    _MAX_DEPTH passes are left for the gap metric to report.
-    """
-    positions = [i * _GRID + off for i, group in enumerate(trace.offsets) for off in group]
-    return _refined(trace.function, trace.rect, trace.c, positions,
-                    list(trace.points), list(trace.samples), _MAX_DEPTH)
-
-
 def _traced(f, rect, c, passes, extra=()) -> tuple[BoundaryTrace, list[complex]]:
     """The trace after up to ``passes`` refinement passes, and f at the extra
-    points, which are evaluated with the opening pass."""
+    points, which are evaluated with the opening pass.
+
+    A pass bisects, on all four sides at once, each parameter interval whose
+    four-side angle sum (or a single side) jumps past its threshold.  It
+    keeps the phase increment ``steps[k]`` (sample k to the next) of samples
+    that stay adjacent and computes only the two around each inserted
+    sample; the angles are their running sum, the same float additions in
+    the same order as a fresh unwrap.  Gaps that survive the last pass are
+    left for the gap metric to report.
+    """
     if c < 3:
         raise ValueError("need at least 3 points per side")
     positions = list(range(0, c * _GRID, _GRID))
     points, values = _sample(f, rect, c, positions, extra)
-    return _refined(f, rect, c, positions, points, values[: 4 * c], passes), values[4 * c :]
-
-
-def _refined(f, rect, c, positions, points, values, passes) -> BoundaryTrace:
-    """Unwrap the samples, then refine for up to ``passes`` passes, updating
-    the per-sample lists in place.
-
-    A pass keeps the phase increment ``steps[k]`` (sample k to the next) of
-    samples that stay adjacent and computes only the two around each inserted
-    sample; the angles are their running sum, the same float additions in
-    the same order as a fresh unwrap.
-    """
+    values, extra_values = values[: 4 * c], values[4 * c :]
     steps = [cmath.phase(here / prev) for prev, here in zip(values, values[1:] + values[:1])]
     angles = list(accumulate(steps, initial=cmath.phase(values[0])))
     for _ in range(passes):
@@ -256,7 +231,7 @@ def _refined(f, rect, c, positions, points, values, passes) -> BoundaryTrace:
     for pos in positions:
         offsets[pos // _GRID].append(pos % _GRID)
     closing = angles.pop()
-    return BoundaryTrace(rect, c, offsets, points, values, angles, closing, f)
+    return BoundaryTrace(rect, c, offsets, points, values, angles, closing), extra_values
 
 
 def compute_char(trace: BoundaryTrace) -> float:

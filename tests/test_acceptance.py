@@ -28,8 +28,6 @@ from qzeta import (
     integrate,
     linear_approximation,
     moment_zero_estimate,
-    refine_trace,
-    sample_boundary,
     select_truncation,
     term_ratio,
     zeta_plus,
@@ -234,7 +232,7 @@ class TestCriterion7PropertySuite:
                     value *= k - r
                 return value
 
-            trace = refine_trace(sample_boundary(f, rect, 6))
+            trace = integrate(f, rect, 6).trace
             char = 1.0 - trace.winding
             worst = max(worst, abs(char - round(char)))
             cases += 1
@@ -265,7 +263,7 @@ class TestCriterion7PropertySuite:
                     value *= k - r
                 return value
 
-            trace = refine_trace(sample_boundary(f, rect, 24))
+            trace = integrate(f, rect, 24).trace
             estimate = moment_zero_estimate(trace)
             worst = max(worst, abs(estimate - inside) / diam)
         ok = worst < 1e-4

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qzeta
+import qzeta.pipeline
 from qzeta import SearchConfig, UsageError
 from qzeta.cli import main, parse_cli
 
@@ -42,7 +43,7 @@ class TestParsing:
     def test_search_knobs(self):
         config, _ = parse_cli(
             ["--kappa", "0.4", "--vv-max", "0.7", "--de-admissible", "1e-5",
-             "--c-schedule", "4,8", "--newton-max-iters", "3"]
+             "--c", "4,8", "--newton-max-iters", "3"]
         )
         assert config.search.kappa == 0.4
         assert config.search.vv_max == 0.7
@@ -61,7 +62,7 @@ class TestParsing:
             value = kind(f.default) + 1 if kind is int else f.default / 2
             argv += ["--" + f.name.replace("_", "-"), str(value)]
             expected[f.name] = value
-        assert len(expected) == 9
+        assert len(expected) == 8
         config, _ = parse_cli(argv)
         for name, value in expected.items():
             assert getattr(config.search, name) == value
@@ -71,16 +72,23 @@ class TestParsing:
         config, _ = parse_cli(["--c", "6"])
         assert config.search.c_schedule[0] == 6
         assert config.search.c_schedule == (6, 9, 14)
+        config, _ = parse_cli(["--c", "4,6,9"])
+        assert config.search.c_schedule == (4, 6, 9)
+        config, _ = parse_cli(["--c", "5,8"])
+        assert config.search.c_schedule == (5, 8)
 
     def test_bad_target(self):
         with pytest.raises(UsageError):
             parse_cli(["--target", "spline"])
         with pytest.raises(UsageError):
             parse_cli(["--target", "poly:one,two"])
+        with pytest.raises(UsageError, match="two coefficients"):
+            parse_cli(["--target", "poly:1", "--y", "1"])
 
     def test_bad_schedule(self):
-        with pytest.raises(UsageError):
-            parse_cli(["--c-schedule", "9,6"])
+        for c in ("9,6", "4,,6", "four", ""):
+            with pytest.raises(UsageError):
+                parse_cli(["--c", c])
 
     def test_seed_flags_are_exclusive(self):
         with pytest.raises(UsageError):
@@ -117,7 +125,7 @@ class TestMain:
         "argv",
         [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--b", "0"], ["--a", "inf"],
          ["--y-max", "0"], ["--y-max", "-3"], ["--y-max", "nan"], ["--y-max", "inf"],
-         ["--y-max", "150"], ["--max-integrations-per-zero", "0"]],
+         ["--y-max", "150"], ["--target", "poly:1,-1-2j", "--y", "2", "--b", "5"]],
     )
     def test_config_error_exit_two(self, argv, capsys):
         assert main(argv + ["--format", "csv"]) == 2
@@ -162,6 +170,26 @@ class TestMain:
         for z in stopped:
             entry = final[final.index(f"failed {z['index']}  "):].splitlines()
             assert entry[2] == f"  reason: {z['reason']}"
+
+    def test_escaped_zero_fails_alone(self, monkeypatch, capsys):
+        real = qzeta.pipeline.run_variants
+
+        def escaping(functions, seeds, cfg):
+            records = real(functions, seeds, cfg)
+            # Re k = -100 lies past the strip's half-width 2*eps = 48.54
+            records[0].z = complex(-100.0, records[0].z.imag)
+            return records
+
+        monkeypatch.setattr(qzeta.pipeline, "run_variants", escaping)
+        assert main(["--y-max", "22"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        final = captured.out.split("FINAL LIST OF Q-ZEROS:")[1].splitlines()
+        final = [line for line in final if line]
+        assert final[0].startswith("failed 1  14.1347  z: -100.0000 + ")
+        assert final[2].startswith("  reason: accepted zero (-100+14.")
+        assert final[2].endswith("j) escaped the search strip")
+        assert final[3].startswith("very good 2  21.022  z: ")
 
     def test_b_keeping_no_terms_exit_two(self, capsys):
         assert main(["--a", "1e-3", "--d", "1", "--b", "5", "--y-max", "15"]) == 2

@@ -28,7 +28,6 @@ def poly_run():
         RunConfig(
             y_max=None,
             y_list=(2.0,),
-            target="poly",
             poly_coefficients=(1 + 0j, -(1 + 2j)),
         )
     )

@@ -8,21 +8,17 @@ from hypothesis import strategies as st
 import qzeta.search
 from qzeta import (
     Assessment,
-    InsufficientHistory,
     RangeUnsupported,
     Rectangle,
     RunConfig,
     SearchConfig,
-    SearchFailed,
     SearchState,
     Verdict,
     assess,
     classical_zeros,
-    estimate_de,
     execute,
     initial_rectangle,
     integrate,
-    locate_zero,
     newton_refine,
     run_variants,
     step_policy,
@@ -64,8 +60,6 @@ class TestInitialRectangle:
 
 def _state(**overrides):
     base = dict(
-        y=20.0,
-        za=0.3 + 20j,
         zna=0.3 + 20j,
         zn=0.3 + 20j,
         rd=0.1,
@@ -176,15 +170,15 @@ class TestStepPolicy:
 class TestEstimateDe:
     def test_floor(self):
         state = _state(accepted=[(0.3 + 20j, 1.0), (0.3 + 20j, 0.5)])
-        assert estimate_de(state) == 1e-6
+        assert state.de == 1e-6
 
     def test_movement_scale(self):
         state = _state(accepted=[(0.3 + 20j, 1.0), (0.3005 + 20j, 0.5)])
-        assert abs(estimate_de(state) - 5e-5) < 1e-18
+        assert abs(state.de - 5e-5) < 1e-18
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistory):
-            estimate_de(_state(accepted=[(0.3 + 20j, 1.0)]))
+        assert _state().de is None
+        assert _state(accepted=[(0.3 + 20j, 1.0)]).de is None
 
 
 class TestNewtonRefine:
@@ -213,15 +207,20 @@ class TestNewtonRefine:
         assert abs(z - root) < 1e-9
 
 
+def _one_seed(f, y, za):
+    (record,) = run_variants([f], [(y, za)])
+    return record
+
+
 class TestLocateZero:
     def test_linear_target(self):
-        record = locate_zero(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
+        record = _one_seed(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
         assert record.verdict is Verdict.VERY_GOOD
         assert abs(record.z - (0.3 + 20j)) < 1e-6
         assert len(record.trace_log) <= 3
 
     def test_halving_and_aspect_preserved(self):
-        record = locate_zero(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
+        record = _one_seed(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
         rects = [a.result.trace.rect for a in record.trace_log]
         for before, after in zip(rects, rects[1:]):
             assert after.rd == before.rd / 2  # every step here is good
@@ -229,13 +228,13 @@ class TestLocateZero:
             assert abs(rect.rad / rect.rd - 0.5) < 1e-15
 
     def test_containment_of_concluded_zero(self):
-        record = locate_zero(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
+        record = _one_seed(lambda k: k - (0.3 + 20j), 20.0, 0.29 + 20.01j)
         final = record.trace_log[-1]
         assert final.result.trace.rect.contains(final.result.z_estimate)
 
     def test_monotone_residuals_on_good_subsequence(self):
         roots = [0.3 + 20j, 3 + 22j, -2 + 18j]
-        record = locate_zero(product_of_roots(roots), 20.0, 0.29 + 20.01j)
+        record = _one_seed(product_of_roots(roots), 20.0, 0.29 + 20.01j)
         values = [
             a.result.abs_estimate
             for a in record.trace_log
@@ -246,8 +245,8 @@ class TestLocateZero:
 
     def test_determinism(self):
         f = product_of_roots([0.3 + 20j, 3 + 22j])
-        first = locate_zero(f, 20.0, 0.29 + 20.01j)
-        second = locate_zero(f, 20.0, 0.29 + 20.01j)
+        first = _one_seed(f, 20.0, 0.29 + 20.01j)
+        second = _one_seed(f, 20.0, 0.29 + 20.01j)
         assert first.z == second.z
         assert len(first.trace_log) == len(second.trace_log)
         for a, b in zip(first.trace_log, second.trace_log):
@@ -256,8 +255,9 @@ class TestLocateZero:
             assert a.result.z_estimate == b.result.z_estimate
 
     def test_search_failed_when_nothing_encloses(self):
-        with pytest.raises(SearchFailed):
-            locate_zero(lambda k: 2.0 + 0j, 2.0, 0.1 + 2j)  # nonvanishing
+        record = _one_seed(lambda k: 2.0 + 0j, 2.0, 0.1 + 2j)  # nonvanishing
+        assert record.verdict is Verdict.FAILED
+        assert record.z == 0.1 + 2j and record.de is None
 
 
 class TestRunVariants:
@@ -310,11 +310,6 @@ class TestRunVariants:
         backward = run_variants(functions[::-1], seeds[::-1])[::-1]
         assert [_bits(r) for r in forward] == [_bits(r) for r in backward]
 
-    def test_locate_zero_is_a_one_seed_run(self):
-        f = product_of_roots([0.3 + 20j, 3 + 22j])
-        (record,) = run_variants([f], [(20.0, 0.29 + 20.01j)])
-        assert _bits(locate_zero(f, 20.0, 0.29 + 20.01j)) == _bits(record)
-
 
 def _bits(record):
     """Everything a record reports, floats as exact reprs: z, de, vv_final,
@@ -333,22 +328,25 @@ def _bits(record):
     return (repr(record.z), repr(record.de), repr(record.vv_final), record.verdict, attempts)
 
 
-class TestIntegrationCap:
-    """max_integrations_per_zero caps each zero across all its variants."""
+class TestBudget:
+    """Variant v gives each of its two densities max(1, c // 2) integrations,
+    with c its opening density, so the schedule bounds every zero."""
 
-    def test_cap_spans_variants(self):
-        cfg = SearchConfig(max_integrations_per_zero=3)
+    @pytest.mark.parametrize("c, budget", [(4, 4 + 6 + 4), (8, 8 + 12 + 9)], ids=["c4", "c8"])
+    def test_never_vanishing_target_uses_the_schedule_budget(self, c, budget):
+        cfg = SearchConfig(c_schedule=escalation_schedule(c))
         (record,) = run_variants([lambda k: 2.0 + 0j], [(2.0, 0.1 + 2j)], cfg)
         assert record.verdict is Verdict.FAILED
-        assert len(record.trace_log) == 3
+        assert len(record.trace_log) == budget
+        assert record.variants_visited == (1, 2, 3)
 
-    def test_zero_9_at_c8_stays_within_the_cap(self):
-        # with the cap counted per variant this zero used 29 integrations
+    def test_zero_9_at_c8_visits_variant_3(self):
         cfg = SearchConfig(c_schedule=escalation_schedule(8))
         y9 = classical_zeros(PAPER_Y_MAX)[-1]
         config = RunConfig(y_max=None, y_list=(y9,), search=cfg)
         (record,) = execute(config).records
-        assert len(record.trace_log) == cfg.max_integrations_per_zero
+        assert record.variants_visited == (1, 2, 3)
+        assert record.verdict is Verdict.GOOD_ONLY
 
 
 class TestFinish:
@@ -450,12 +448,6 @@ class TestStoppedSearch:
         with pytest.raises(ZeroDivisionError):
             run_variants([f], [(20.0, 0.29 + 20.01j)])
 
-    def test_locate_zero_names_the_reason(self):
-        f = self._failing_after(product_of_roots([0.3 + 20j]), 0)
-        with pytest.raises(SearchFailed, match="stopped: RangeUnsupported: Im k = 9") as info:
-            locate_zero(f, 20.0, 0.29 + 20.01j)
-        assert info.value.record.reason.startswith("RangeUnsupported")
-
     def test_search_without_error_has_no_reason(self):
         (record,) = run_variants([lambda k: 2.0 + 0j], [(2.0, 0.1 + 2j)])
         assert record.verdict is Verdict.FAILED
@@ -474,8 +466,6 @@ class TestSearchConfig:
             SearchConfig(vv_max=1.5)
         with pytest.raises(ValueError):
             SearchConfig(char_tol=0.7)
-        with pytest.raises(ValueError):
-            SearchConfig(max_integrations_per_zero=0)
 
     def test_every_flag_has_help(self):
         for f in dataclasses.fields(SearchConfig):

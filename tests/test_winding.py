@@ -17,10 +17,8 @@ from qzeta import (
     fo_from_angles,
     integrate,
     moment_zero_estimate,
-    refine_trace,
-    sample_boundary,
 )
-from qzeta.winding import _MAX_DEPTH
+from qzeta.winding import _MAX_DEPTH, _traced
 
 
 def poly_from_roots(roots, scale=1.0):
@@ -61,26 +59,26 @@ class TestRectangle:
 class TestSampling:
     def test_minimum_density(self):
         with pytest.raises(ValueError):
-            sample_boundary(lambda k: k + 5, Rectangle(0j, 1.0, 0.5), 2)
+            _traced(lambda k: k + 5, Rectangle(0j, 1.0, 0.5), 2, 0)
 
     def test_constant_function(self):
-        trace = sample_boundary(lambda k: 2 + 1j, Rectangle(0j, 1.0, 0.5), 4)
+        trace = _traced(lambda k: 2 + 1j, Rectangle(0j, 1.0, 0.5), 4, 0)[0]
         assert trace.winding == 0.0
         assert len(set(trace.angles)) == 1
 
     def test_zero_on_contour_detected(self):
         corner = 1.0 + 0.5j
         with pytest.raises(ZeroOnContour):
-            sample_boundary(lambda k: k - corner, Rectangle(0j, 1.0, 0.5), 4)
+            _traced(lambda k: k - corner, Rectangle(0j, 1.0, 0.5), 4, 0)
 
     def test_zero_on_contour_detected_in_batch(self):
         corner = 1.0 + 0.5j
         with pytest.raises(ZeroOnContour, match=re.escape(repr(corner))):
-            sample_boundary(BatchLinear(corner), Rectangle(0j, 1.0, 0.5), 4)
+            _traced(BatchLinear(corner), Rectangle(0j, 1.0, 0.5), 4, 0)
 
     def test_angles_are_unwrapped_principal_args(self):
         f = poly_from_roots([0.2 + 0.1j])
-        trace = sample_boundary(f, Rectangle(0j, 1.0, 0.5), 6)
+        trace = _traced(f, Rectangle(0j, 1.0, 0.5), 6, 0)[0]
         angles = trace.angles + [trace.closing_angle]
         for a, b in zip(angles, angles[1:]):
             assert abs(b - a) <= math.pi
@@ -91,26 +89,27 @@ class TestSampling:
 
 class TestRefinement:
     def test_no_op_when_gaps_small(self):
-        trace = sample_boundary(lambda k: k + 10, Rectangle(0j, 1.0, 0.5), 6)
-        refined = refine_trace(trace)
+        trace = _traced(lambda k: k + 10, Rectangle(0j, 1.0, 0.5), 6, 0)[0]
+        refined = integrate(lambda k: k + 10, Rectangle(0j, 1.0, 0.5), 6).trace
         assert refined.per_side() == trace.per_side()
 
     def test_cubic_winding_after_refinement(self):
         center = 0.2 + 0.3j
         f = lambda k: (k - center) ** 3
-        trace = refine_trace(sample_boundary(f, Rectangle(center, 0.5, 0.25), 4))
+        trace = integrate(f, Rectangle(center, 0.5, 0.25), 4).trace
         assert abs(trace.winding - 3.0) <= 0.01
 
     def test_max_gap_never_increases(self):
         f = SharpFunction(SharpParams(750.0, 2.0, 15))
-        raw = sample_boundary(f, Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789), 4)
-        refined = refine_trace(raw)
+        rect = Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789)
+        raw = _traced(f, rect, 4, 0)[0]
+        refined = integrate(f, rect, 4).trace
         assert refined.max_gap() <= raw.max_gap() + 1e-12
 
     def test_refined_offsets_and_points_on_the_grid(self):
         rect = Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789)
         # c = 3 is no power of two, so t = pos / (3 * grid) rounds
-        trace = refine_trace(sample_boundary(SharpFunction(PAPER_B15), rect, 3))
+        trace = integrate(SharpFunction(PAPER_B15), rect, 3).trace
         grid = 2**_MAX_DEPTH
         assert trace.per_side() > trace.c
         assert all(
@@ -130,7 +129,7 @@ class TestRefinement:
 
     def test_display_rows_close_the_boundary(self):
         f = poly_from_roots([0.1 + 0.2j, 3 + 3j])
-        trace = refine_trace(sample_boundary(f, Rectangle(0j, 1.0, 0.6), 5))
+        trace = integrate(f, Rectangle(0j, 1.0, 0.6), 5).trace
         rows = trace.display_rows()
         total = rows[-1][1] - rows[0][1]
         assert abs(total - 2 * math.pi * trace.winding) < 1e-9
@@ -144,19 +143,19 @@ class TestGapMetric:
 
     def test_refined_trace_usually_clean(self):
         f = poly_from_roots([0.0j])
-        trace = refine_trace(sample_boundary(f, Rectangle(0j, 1.0, 0.5), 6))
+        trace = integrate(f, Rectangle(0j, 1.0, 0.5), 6).trace
         assert compute_fo(trace) == 0
 
 
 class TestChar:
     def test_single_zero(self):
         f = poly_from_roots([0.1 - 0.05j])
-        trace = refine_trace(sample_boundary(f, Rectangle(0j, 1.0, 0.5), 4))
+        trace = integrate(f, Rectangle(0j, 1.0, 0.5), 4).trace
         assert abs(compute_char(trace)) <= 0.01
 
     def test_double_zero(self):
         f = lambda k: (k - 0.1j) ** 2
-        trace = refine_trace(sample_boundary(f, Rectangle(0j, 1.0, 0.5), 4))
+        trace = integrate(f, Rectangle(0j, 1.0, 0.5), 4).trace
         assert abs(compute_char(trace) + 1.0) <= 0.01
 
     def test_orientation_reflection_negates_count(self):
@@ -169,8 +168,8 @@ class TestChar:
             return f((k - center).conjugate() + center)
 
         rect = Rectangle(center, 0.6, 0.4)
-        char_f = compute_char(refine_trace(sample_boundary(f, rect, 6)))
-        char_g = compute_char(refine_trace(sample_boundary(reflected, rect, 6)))
+        char_f = compute_char(integrate(f, rect, 6).trace)
+        char_g = compute_char(integrate(reflected, rect, 6).trace)
         assert abs((char_g - 1.0) + (char_f - 1.0)) < 0.02
 
 
@@ -186,7 +185,7 @@ class TestMomentEstimate:
             k0 = rect.center + complex(
                 rng.uniform(-0.9, 0.9) * rect.rd, rng.uniform(-0.9, 0.9) * rect.rad
             )
-            trace = refine_trace(sample_boundary(lambda k: k - k0, rect, 6))
+            trace = integrate(lambda k: k - k0, rect, 6).trace
             estimate = moment_zero_estimate(trace)
             assert abs(estimate - k0) <= 1e-6 * (rect.rd + rect.rad)
 
@@ -261,7 +260,7 @@ class TestWindingIntegrality:
             if any(boundary_distance(r) < margin for r in roots):
                 continue
             f = poly_from_roots(roots)
-            trace = refine_trace(sample_boundary(f, rect, 6))
+            trace = integrate(f, rect, 6).trace
             char = compute_char(trace)
             assert abs(char - round(char)) < 0.02
             # count correctness needs the sampling to resolve root clusters;
@@ -309,7 +308,7 @@ class TestWindingIntegrality:
                     value /= k - p
                 return value
 
-            trace = refine_trace(sample_boundary(f, rect, 8))
+            trace = integrate(f, rect, 8).trace
             char = compute_char(trace)
             expected = 1 - sum(1 for r in roots if rect.contains(r)) + sum(
                 1 for p in poles if rect.contains(p)
@@ -520,21 +519,21 @@ def reference_integrate(f, rect, c):
 
 
 def assert_matches_reference(f, rect, c):
-    """refine_trace(sample_boundary) and integrate against the reference;
-    repr compares floats bit for bit, signs of zeros included."""
+    """integrate and its refined trace against the reference; repr compares
+    floats bit for bit, signs of zeros included."""
     ref = reference_integrate(f, rect, c)
     result = integrate(f, rect, c)
-    for trace in (refine_trace(sample_boundary(f, rect, c)), result.trace):
-        got = {
-            "offsets": trace.offsets,
-            "points": trace.points,
-            "samples": trace.samples,
-            "angles": trace.angles,
-            "closing_angle": trace.closing_angle,
-            "display_rows": trace.display_rows(),
-        }
-        for key, value in got.items():
-            assert repr(value) == repr(ref[key]), key
+    trace = result.trace
+    got = {
+        "offsets": trace.offsets,
+        "points": trace.points,
+        "samples": trace.samples,
+        "angles": trace.angles,
+        "closing_angle": trace.closing_angle,
+        "display_rows": trace.display_rows(),
+    }
+    for key, value in got.items():
+        assert repr(value) == repr(ref[key]), key
     for key in ("char", "fo", "z_estimate", "vv", "inside", "abs_center", "abs_estimate"):
         assert repr(getattr(result, key)) == repr(ref[key]), key
     return result.trace
