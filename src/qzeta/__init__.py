@@ -42,10 +42,13 @@ _API = {
         "riemann_zeta",
         "zeta_plus",
         "zeta_plus_derivative",
+        "zeta_plus_triple",
         "hardy_z",
         "classical_zeros",
+        "CLASSICAL_Y_MAX",
     ),
     "series": (
+        "MAX_SERIES_TERMS",
         "SharpParams",
         "SharpFunction",
         "term_ratio",
@@ -54,6 +57,7 @@ _API = {
         "linear_approximation",
     ),
     "winding": (
+        "AnalyticFunction",
         "Rectangle",
         "BoundaryTrace",
         "IntegrationResult",
@@ -65,6 +69,7 @@ _API = {
     ),
     "search": (
         "SearchConfig",
+        "escalation_schedule",
         "SearchState",
         "Assessment",
         "Verdict",

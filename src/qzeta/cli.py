@@ -8,7 +8,6 @@ Exit status: 0 on success, 1 when any zero ends failed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .errors import QZetaError, UsageError
@@ -40,15 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--b", type=int, default=None, help="series truncation multiplier override")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--plot-data", action="store_true",
-                        help="append the per-zero CSV after the main report")
+                        help="append the per-zero CSV after the text report")
     parser.add_argument("--target", default="sharp",
                         help="'sharp' or 'poly:<comma-separated complex coefficients>'")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    # one flag per scalar SearchConfig field, declared there with its help
-    for f in dataclasses.fields(SearchConfig):
-        if "cli_help" in f.metadata:
-            parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                                default=None, help=f.metadata["cli_help"])
     return parser
 
 
@@ -74,24 +68,20 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namesp
     args = parser.parse_args(argv)
 
     coefficients = _parse_target(args.target)
+    if args.plot_data and args.format != "text":
+        raise UsageError("--plot-data needs --format text")
 
-    # flags spelled like a SearchConfig field override it when given
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(SearchConfig)
-        if getattr(args, f.name, None) is not None
-    }
+    densities = None
     if args.c is not None:
         try:
             densities = tuple(int(part) for part in args.c.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --c {args.c!r}") from exc
-        overrides["c_schedule"] = (
-            escalation_schedule(densities[0]) if len(densities) == 1 else densities
-        )
+        if len(densities) == 1:
+            densities = escalation_schedule(densities[0])
 
     try:
-        search = SearchConfig(**overrides)
+        search = SearchConfig() if densities is None else SearchConfig(densities)
         if args.y is not None and args.y_max is not None:
             raise UsageError("--y and --y-max are mutually exclusive")
         if args.y is not None:
@@ -130,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         report = emit_plot_data(result)
     else:
         report = emit_text_report(result)
-    if args.plot_data and args.format != "csv":
+    if args.plot_data:
         report = report + "\n" + emit_plot_data(result)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -29,7 +29,7 @@ PAPER_Y_MAX = 48.5406
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: target function family, seeds, and search knobs.  A run
+    """One run: target function family, seeds, and density schedule.  A run
     with polynomial coefficients searches that polynomial; without, the
     deformed series."""
 
@@ -114,7 +114,7 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
         if config.b_override is not None:
             b = config.b_override
         else:
-            rect = initial_rectangle(za, y, config.search)
+            rect = initial_rectangle(za, y)
             region_top = rect.center.imag + rect.rd
             if not region_top > 0:
                 raise RangeUnsupported(
@@ -136,10 +136,11 @@ def execute(config: RunConfig) -> RunResult:
         return RunResult(config=config, seeds=[], records=[])
     records = run_variants(functions, [(s.y, s.za) for s in seeds], config.search)
     if not config.poly_coefficients:
-        half_band = 2.0 * functions[0].params.epsilon
+        # the strip 0 < Im k < 2*eps, cut at |Re k| < 2*eps
+        width = 2.0 * functions[0].params.epsilon
         for record in records:
             if record.verdict is Verdict.VERY_GOOD and not (
-                0.0 < record.z.imag and abs(record.z.real) < half_band
+                0.0 < record.z.imag < width and abs(record.z.real) < width
             ):
                 record.verdict = Verdict.FAILED
                 record.reason = f"accepted zero {record.z!r} escaped the search strip"

@@ -10,7 +10,6 @@ table's 4-decimal layout.  The JSON and CSV emitters carry the same numbers
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -146,7 +145,7 @@ def emit_json(result: RunResult) -> str:
             ],
             # the opening density, kept as its own key of the fixed schema
             "c_initial": config.search.c_schedule[0],
-            **dataclasses.asdict(config.search),
+            "c_schedule": list(config.search.c_schedule),
         },
         "zeros": [
             {

@@ -62,45 +62,36 @@ def escalation_schedule(c_initial: int) -> tuple[int, ...]:
     return (c_initial, math.ceil(c_initial * 1.5), math.ceil(c_initial * 2.25))
 
 
-def _knob(default, help_text=None):
-    """A scalar field that ``cli.build_parser`` turns into the flag
-    ``--<name-with-dashes>``, typed like its default."""
-    return field(default=default, metadata={"cli_help": help_text})
+# The search protocol's thresholds, as the reference program fixes them.
+KAPPA = 0.365  # opening half-width per unit of seed displacement
+VV_MAX = 0.8  # residual-ratio ceiling for a good integration
+FO_GOOD_MAX = 2  # gap-metric ceiling for a good integration
+FO_VERYGOOD_MAX = 1  # gap-metric ceiling for concluding
+CHAR_TOL = 0.05  # winding-defect tolerance
+DE_ADMISSIBLE = 2.5e-4  # error-estimate ceiling for concluding
+# Guards against over-trusting a sloppy seed: when the opening integration's
+# residual ratio is at or above this, the zero cannot conclude within
+# variant 1 and is re-confirmed at the next sampling density.
+SEED_VV_LIMIT = 0.45
+NEWTON_MAX_ITERS = 5  # Newton steps in the polish of a concluded zero
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the search protocol; defaults reproduce the reference run.
+    """The density schedule of a search; the default reproduces the
+    reference run.
 
     ``c_schedule`` lists the sampling densities (points per rectangle side)
     of successive variants; its first entry opens every search.
-    ``seed_vv_limit`` guards against over-trusting a sloppy seed: when a
-    variant's opening integration has residual ratio at or above the limit,
-    the zero cannot conclude within that variant and is re-confirmed at the
-    next sampling density.
     """
 
     c_schedule: tuple[int, ...] = escalation_schedule(4)
-    kappa: float = _knob(0.365, "initial rectangle scale")
-    vv_max: float = _knob(0.8, "residual-ratio ceiling for a good integration")
-    fo_good_max: int = _knob(2, "gap-metric ceiling for a good integration")
-    fo_verygood_max: int = _knob(1, "gap-metric ceiling for concluding")
-    char_tol: float = _knob(0.05, "winding-defect tolerance")
-    de_admissible: float = _knob(2.5e-4, "error-estimate ceiling for concluding")
-    seed_vv_limit: float = _knob(
-        0.45, "opening residual ratio above which variant 1 cannot conclude"
-    )
-    newton_max_iters: int = _knob(5, "Newton steps in the polish of a concluded zero")
 
     def __post_init__(self):
         if list(self.c_schedule) != sorted(set(self.c_schedule)):
             raise ValueError("c_schedule must be strictly increasing")
         if not self.c_schedule or self.c_schedule[0] < 3:
             raise ValueError("c_schedule must start at 3 or more points per side")
-        if not 0 < self.vv_max < 1:
-            raise ValueError("vv_max must be in (0, 1)")
-        if not 0 < self.char_tol < 0.5:
-            raise ValueError("char_tol must be in (0, 0.5)")
 
 
 # |f(z)| may jitter at the evaluation noise floor once the search has nearly
@@ -197,24 +188,22 @@ class ZeroRecord:
         return tuple(sorted({a.variant for a in self.trace_log}))
 
 
-def initial_rectangle(za: complex, y: float, cfg: SearchConfig) -> Rectangle:
+def initial_rectangle(za: complex, y: float) -> Rectangle:
     """First search rectangle: centered on the seed, sized by the seed's
     displacement from the classical zero, capped at 0.5 and floored against
     degenerate seeds; always twice as wide as tall."""
     if not y > 0:
         raise ValueError("y must be positive")
-    rd = min(0.5, cfg.kappa * abs(za - 1j * y))
+    rd = min(0.5, KAPPA * abs(za - 1j * y))
     rd = max(rd, _MIN_RD)
     return Rectangle(za, rd, rd / 2.0)
 
 
-def assess(
-    result: IntegrationResult, state: SearchState, cfg: SearchConfig
-) -> Assessment:
+def assess(result: IntegrationResult, state: SearchState) -> Assessment:
     """Classify one integration against the current search state.
 
     Good: winding defect within tolerance, gap metric small, residual ratio
-    below vv_max, estimate strictly inside the rectangle, and |f| at the
+    below VV_MAX, estimate strictly inside the rectangle, and |f| at the
     estimate not above the best accepted value (with noise slack).  The two
     residual gates are waived when the estimate lands on the incumbent
     location: once the search rides the evaluation noise floor, residual
@@ -229,14 +218,14 @@ def assess(
         abs(result.z_estimate - state.zna)
         <= _CONFIRM_FRACTION * (rect.rd + rect.rad)
     )
-    vv_ok = result.vv < cfg.vv_max or confirms_location
+    vv_ok = result.vv < VV_MAX or confirms_location
     residual_ok = (
         result.abs_estimate <= state.best_abs_value * _RESIDUAL_SLACK
         or confirms_location
     )
     good = (
-        abs(result.char) <= cfg.char_tol
-        and result.fo <= cfg.fo_good_max
+        abs(result.char) <= CHAR_TOL
+        and result.fo <= FO_GOOD_MAX
         and vv_ok
         and result.inside
         and residual_ok
@@ -248,15 +237,15 @@ def assess(
     de_now = _error_scale(result.z_estimate, state.accepted[-1][0])
     opening_ok = state.variant > 0 or (
         state.variant_opening_vv is not None
-        and state.variant_opening_vv < cfg.seed_vv_limit
+        and state.variant_opening_vv < SEED_VV_LIMIT
     )
     # a variant's opening density may conclude only when the estimate has
     # stopped moving at the reporting floor; anything else needs the
     # confirmation pass at the escalated density
     confirmed = state.phase > 0 or de_now <= _DE_FLOOR
     if (
-        result.fo <= cfg.fo_verygood_max
-        and de_now <= cfg.de_admissible
+        result.fo <= FO_VERYGOOD_MAX
+        and de_now <= DE_ADMISSIBLE
         and vv_ok
         and opening_ok
         and confirmed
@@ -266,10 +255,7 @@ def assess(
 
 
 def step_policy(
-    state: SearchState,
-    assessment: Assessment,
-    result: IntegrationResult,
-    cfg: SearchConfig,
+    state: SearchState, assessment: Assessment, result: IntegrationResult
 ) -> None:
     """Advance the state after one integration.
 
@@ -290,7 +276,7 @@ def step_policy(
         state.accepted.append((z, result.abs_estimate))
         return
     state.consecutive_good = 0
-    if abs(result.char - 1.0) <= cfg.char_tol:
+    if abs(result.char - 1.0) <= CHAR_TOL:
         # no zero enclosed: grow and drift toward the (weak) moment estimate
         state.rd *= 2.0
         state.zn = state.zn + (z - state.zn) / 4.0
@@ -299,10 +285,7 @@ def step_policy(
 
 
 def newton_refine(
-    f: AnalyticFunction,
-    z0: complex,
-    allowance: float,
-    cfg: SearchConfig,
+    f: AnalyticFunction, z0: complex, allowance: float
 ) -> tuple[complex, bool, complex | None]:
     """Polish a concluded estimate with Newton steps (central-difference
     derivative); returns the point, whether the polish was accepted, and f
@@ -321,7 +304,7 @@ def newton_refine(
         if f_abs == 0.0:
             return z, True, f_here
         last_step: float | None = None
-        for _ in range(cfg.newton_max_iters):
+        for _ in range(NEWTON_MAX_ITERS):
             h = 1e-6 * (1.0 + abs(z))
             derivative = (complex(f(z + h)) - complex(f(z - h))) / (2.0 * h)
             if derivative == 0:
@@ -376,9 +359,9 @@ def _integrate_variants(
                 result = integrate(f, state.rect, c)
                 if state.variant_opening_vv is None:
                     state.variant_opening_vv = result.vv
-                verdict = assess(result, state, cfg)
+                verdict = assess(result, state)
                 trace_log.append(IntegrationAttempt(variant + 1, state.zna, result, verdict))
-                step_policy(state, verdict, result, cfg)
+                step_policy(state, verdict, result)
                 if verdict is Assessment.VERY_GOOD:
                     return True
     return False
@@ -392,7 +375,7 @@ def _search_zero(
     whose rectangle is centred on za.  A package error raised by an
     integration fails this zero only; its record keeps the integrations
     done so far and the error as ``reason``."""
-    opening = initial_rectangle(za, y, cfg)
+    opening = initial_rectangle(za, y)
     state = SearchState(zna=za, zn=opening.center, rd=opening.rd)
     trace_log: list[IntegrationAttempt] = []
     reason = None
@@ -402,14 +385,23 @@ def _search_zero(
         concluded, reason = False, f"{type(exc).__name__}: {exc}"
     # unknown when no integration finished: nan, whose seed ratio below is 1
     abs_za = trace_log[0].result.abs_center if trace_log else math.nan
-    z, abs_z = state.accepted[-1] if state.accepted else (za, abs_za)
-    de = state.de
+    # a concluded zero reports its last estimate, any other the accepted one
+    # with the smallest |f|; de is the error of the step into it
+    z, abs_z, de = za, abs_za, None
+    estimates = state.accepted
+    if estimates:
+        i = len(estimates) - 1
+        if not concluded:
+            i = min(range(len(estimates)), key=lambda j: estimates[j][1])
+        z, abs_z = estimates[i]
+        if i > 0:
+            de = _error_scale(z, estimates[i - 1][0])
     newton_applied = False
     if concluded and de is not None:
         # allow movement up to the concluding rectangle's quadrature
         # resolution (~2% of its half-width; state.rd was already halved)
         allowance = max(10.0 * de, 0.04 * state.rd)
-        z_new, accepted, f_new = newton_refine(f, z, allowance, cfg)
+        z_new, accepted, f_new = newton_refine(f, z, allowance)
         if accepted:
             de = _error_scale(z_new, z)
             z = z_new

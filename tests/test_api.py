@@ -2,6 +2,7 @@
 first use, so that ``import qzeta`` and the contour engine never import
 numpy."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -125,3 +126,18 @@ def test_patch_and_restore_a_public_name():
         setattr(qzeta, "run_variants", original)
     assert qzeta.run_variants is original
     assert qzeta.search.run_variants is original
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_public_table_matches_each_submodule(module):
+    submodule = importlib.import_module(f"qzeta.{module}")
+    if module == "errors":  # no __all__: its names are its exception classes
+        names = [
+            name for name, value in vars(submodule).items()
+            if isinstance(value, type) and issubclass(value, Exception)
+        ]
+    else:
+        names = submodule.__all__
+    assert sorted(qzeta._API[module]) == sorted(names)
+    for name in names:
+        assert getattr(qzeta, name) is getattr(submodule, name), name

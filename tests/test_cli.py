@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +7,7 @@ import pytest
 
 import qzeta
 import qzeta.pipeline
-from qzeta import SearchConfig, UsageError
+from qzeta import UsageError
 from qzeta.cli import main, parse_cli
 
 
@@ -41,32 +40,12 @@ class TestParsing:
         assert config.poly_coefficients == (1 + 0j, -1 - 2j)
 
     def test_search_knobs(self):
-        config, _ = parse_cli(
-            ["--kappa", "0.4", "--vv-max", "0.7", "--de-admissible", "1e-5",
-             "--c", "4,8", "--newton-max-iters", "3"]
-        )
-        assert config.search.kappa == 0.4
-        assert config.search.vv_max == 0.7
-        assert config.search.de_admissible == 1e-5
+        config, _ = parse_cli(["--c", "4,8"])
         assert config.search.c_schedule == (4, 8)
-        assert config.search.newton_max_iters == 3
-
-        # every flag generated from SearchConfig sets its field, with the
-        # type the field declares
-        kinds = {"int": int, "float": float}
-        argv, expected = [], {}
-        for f in dataclasses.fields(SearchConfig):
-            if "cli_help" not in f.metadata:
-                continue
-            kind = kinds[f.type]
-            value = kind(f.default) + 1 if kind is int else f.default / 2
-            argv += ["--" + f.name.replace("_", "-"), str(value)]
-            expected[f.name] = value
-        assert len(expected) == 8
-        config, _ = parse_cli(argv)
-        for name, value in expected.items():
-            assert getattr(config.search, name) == value
-            assert type(getattr(config.search, name)) is type(value)
+        # the protocol's thresholds are constants of the search, not flags
+        for flag in ("--kappa", "--vv-max", "--char-tol", "--newton-max-iters"):
+            with pytest.raises(SystemExit):
+                parse_cli([flag, "1"])
 
     def test_c_override_builds_schedule(self):
         config, _ = parse_cli(["--c", "6"])
@@ -155,6 +134,8 @@ class TestMain:
         [(["--y-max", "100"], 29), (["--a", "500", "--d", "3"], 9)],
     )
     def test_seed_outside_evaluation_band_fails_alone(self, argv, seeds, capsys):
+        # zero 7 of a=500, d=3 concludes at Im k = 41.57, above 2*eps = 32.36
+        escaped = [7] if "500" in argv else []
         assert main(argv + ["--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -164,7 +145,11 @@ class TestMain:
         assert stopped
         for z in stopped:
             assert z["verdict"] == "failed"
-            assert z["reason"].startswith("RangeUnsupported: Im k = ")
+            if z["index"] in escaped:
+                assert z["reason"].endswith(") escaped the search strip")
+            else:
+                assert z["reason"].startswith("RangeUnsupported: Im k = ")
+        assert {z["index"] for z in stopped} >= set(escaped)
         assert main(argv) == 1
         final = capsys.readouterr().out.split("FINAL LIST OF Q-ZEROS:")[1]
         for z in stopped:
@@ -207,6 +192,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "FINAL LIST OF Q-ZEROS:" in out
         assert "y,re_za,im_za" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_plot_data_needs_text_format(self, fmt, capsys):
+        assert main(["--y-max", "15", "--format", fmt, "--plot-data"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --plot-data needs --format text\n"
 
     def test_poly_linear_run(self, capsys):
         code = main(["--target", "poly:1,-0.3-20j", "--y", "20", "--format", "csv"])

@@ -8,6 +8,7 @@ import pytest
 
 import qzeta.pipeline
 from qzeta import RunConfig, initial_rectangle, plan_seeds, select_truncation
+from qzeta.search import KAPPA
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -20,7 +21,7 @@ def _workloads():
 
 
 def test_truncation_region_is_the_opening_rectangle(monkeypatch):
-    # at a = 1e5 the seed lies kappa*|za - iy| ~ 3.6e-4 from the classical
+    # at a = 1e5 the seed lies KAPPA*|za - iy| ~ 3.6e-4 from the classical
     # zero, below the 1e-3 floor of the opening half-width
     tops = []
 
@@ -31,8 +32,8 @@ def test_truncation_region_is_the_opening_rectangle(monkeypatch):
     monkeypatch.setattr(qzeta.pipeline, "select_truncation", spy)
     config = RunConfig(a=1e5, d=2.0, y_max=None, y_list=(14.134725141984639,))
     (seed,), _ = plan_seeds(config)
-    rect = initial_rectangle(seed.za, seed.y, config.search)
-    assert config.search.kappa * abs(seed.za - 1j * seed.y) < 4e-4
+    rect = initial_rectangle(seed.za, seed.y)
+    assert KAPPA * abs(seed.za - 1j * seed.y) < 4e-4
     assert rect.rd == 1e-3
     assert tops == [rect.center.imag + rect.rd]
     assert seed.b == select_truncation(1e5, 2.0, tops[0])
@@ -46,7 +47,7 @@ def test_floor_leaves_the_sweep_plans(seed):
     for a, d in workloads.sweep_inputs(seed):
         config = RunConfig(a=a, d=d, y_max=workloads.SWEEP_Y_MAX)
         for s in plan_seeds(config)[0]:
-            rd = min(0.5, config.search.kappa * abs(s.za - 1j * s.y))
+            rd = min(0.5, KAPPA * abs(s.za - 1j * s.y))
             assert rd > 1e-3
             assert s.b == select_truncation(a, d, s.za.imag + rd)
 

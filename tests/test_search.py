@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -39,22 +38,22 @@ def product_of_roots(roots):
 
 class TestInitialRectangle:
     def test_sized_by_seed_displacement(self):
-        rect = initial_rectangle(0.130263 + 14.1465j, 14.1347, SearchConfig())
+        rect = initial_rectangle(0.130263 + 14.1465j, 14.1347)
         assert abs(rect.rd - 0.0477578) < 1e-4
         assert abs(rect.rad - 0.0238789) < 1e-4
         assert rect.center == 0.130263 + 14.1465j
 
     def test_cap_at_half(self):
-        rect = initial_rectangle(1.76753 + 38.1895j, 37.5862, SearchConfig())
+        rect = initial_rectangle(1.76753 + 38.1895j, 37.5862)
         assert rect.rd == 0.5
         assert rect.rad == 0.25
 
     def test_degenerate_seed_floor(self):
-        rect = initial_rectangle(14.1347j, 14.1347, SearchConfig())
+        rect = initial_rectangle(14.1347j, 14.1347)
         assert rect.rd == 1e-3
 
     def test_aspect_ratio(self):
-        rect = initial_rectangle(0.3 + 20.01j, 20.0, SearchConfig())
+        rect = initial_rectangle(0.3 + 20.01j, 20.0)
         assert abs(rect.rad / rect.rd - 0.5) < 1e-15
 
 
@@ -78,15 +77,15 @@ class TestAssess:
         f = product_of_roots([5 + 5j])
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
         result = _result_for(f, rect)
-        verdict = assess(result, _state(), SearchConfig())
+        verdict = assess(result, _state())
         assert verdict is Assessment.NOT_GOOD
 
     def test_gap_metric_violation_blocks_good(self):
         f = product_of_roots([0.3 + 20j + 0.01j])
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
         result = _result_for(f, rect)
-        result.fo = 3  # beyond fo_good_max
-        verdict = assess(result, _state(), SearchConfig())
+        result.fo = 3  # beyond FO_GOOD_MAX
+        verdict = assess(result, _state())
         assert verdict is Assessment.NOT_GOOD
 
     def test_residual_ratio_violation(self):
@@ -96,13 +95,13 @@ class TestAssess:
         result.abs_estimate = 0.9 * result.abs_center  # residual ratio 0.9
         # force the estimate away from the incumbent so no waiver applies
         state = _state(zna=0.25 + 20.01j)
-        assert assess(result, state, SearchConfig()) is Assessment.NOT_GOOD
+        assert assess(result, state) is Assessment.NOT_GOOD
 
     def test_first_good_is_only_good(self):
         f = product_of_roots([0.31 + 20.002j])
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
         result = _result_for(f, rect)
-        verdict = assess(result, _state(), SearchConfig())
+        verdict = assess(result, _state())
         assert verdict is Assessment.GOOD
 
     def test_second_consecutive_good_concludes_in_second_phase(self):
@@ -115,7 +114,7 @@ class TestAssess:
             variant_opening_vv=0.1,
             accepted=[(0.3100001 + 20.002j, 1.0)],
         )
-        assert assess(result, state, SearchConfig()) is Assessment.VERY_GOOD
+        assert assess(result, state) is Assessment.VERY_GOOD
 
     def test_sloppy_opening_blocks_variant_one(self):
         f = product_of_roots([0.31 + 20.002j])
@@ -124,12 +123,12 @@ class TestAssess:
         state = _state(
             phase=1,
             consecutive_good=1,
-            variant_opening_vv=0.7,  # above seed_vv_limit
+            variant_opening_vv=0.7,  # above SEED_VV_LIMIT
             accepted=[(0.3100001 + 20.002j, 1.0)],
         )
-        assert assess(result, state, SearchConfig()) is Assessment.GOOD
+        assert assess(result, state) is Assessment.GOOD
         state.variant = 1  # later variants are exempt
-        assert assess(result, state, SearchConfig()) is Assessment.VERY_GOOD
+        assert assess(result, state) is Assessment.VERY_GOOD
 
 
 class TestStepPolicy:
@@ -138,7 +137,7 @@ class TestStepPolicy:
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
         result = _result_for(f, rect)
         state = _state()
-        step_policy(state, Assessment.GOOD, result, SearchConfig())
+        step_policy(state, Assessment.GOOD, result)
         assert state.rd == 0.05 and state.rect.rad == 0.025
         assert state.consecutive_good == 1
         assert state.zna == result.z_estimate
@@ -150,7 +149,7 @@ class TestStepPolicy:
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
         result = _result_for(f, rect)
         state = _state(consecutive_good=1)
-        step_policy(state, Assessment.NOT_GOOD, result, SearchConfig())
+        step_policy(state, Assessment.NOT_GOOD, result)
         assert state.rd == 0.2 and state.rect.rad == 0.1
         assert state.consecutive_good == 0
         drift = state.zn - (0.3 + 20j)
@@ -162,7 +161,7 @@ class TestStepPolicy:
         result = _result_for(f, rect)
         result.char = 0.3  # non-integral winding defect
         state = _state(zn=0.35 + 20.01j, zna=0.29 + 20.001j)
-        step_policy(state, Assessment.NOT_GOOD, result, SearchConfig())
+        step_policy(state, Assessment.NOT_GOOD, result)
         assert state.zn == 0.29 + 20.001j
         assert state.rd == 0.1  # same size
 
@@ -185,7 +184,7 @@ class TestNewtonRefine:
     def test_linear_exact_in_one_step(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=0.5, cfg=SearchConfig())
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=0.5)
         assert accepted
         # exact up to the central-difference rounding (~1e-10 relative)
         assert abs(z - root) < 1e-9
@@ -194,7 +193,7 @@ class TestNewtonRefine:
     def test_movement_allowance_rejects_distant_jumps(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=1e-6, cfg=SearchConfig())
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=1e-6)
         assert not accepted
         assert z == 0.8 - 1.1j
         assert value is None
@@ -202,7 +201,7 @@ class TestNewtonRefine:
     def test_smooth_quadratic_convergence(self):
         root = 1.5 + 3j
         f = lambda k: (k - root) * (k + 10)
-        z, accepted, _ = newton_refine(f, 1.52 + 3.01j, allowance=0.1, cfg=SearchConfig())
+        z, accepted, _ = newton_refine(f, 1.52 + 3.01j, allowance=0.1)
         assert accepted
         assert abs(z - root) < 1e-9
 
@@ -356,7 +355,7 @@ class TestFinish:
     calls f only through Newton."""
 
     @staticmethod
-    def _searched(monkeypatch, f, y, za, cfg=SearchConfig()):
+    def _searched(monkeypatch, f, y, za):
         calls = []
 
         def counting(k):
@@ -369,7 +368,7 @@ class TestFinish:
             return result
 
         monkeypatch.setattr(qzeta.search, "integrate", integrate_then_forget)
-        record = run_variants([counting], [(y, za)], cfg)[0]
+        record = run_variants([counting], [(y, za)])[0]
         assert record.trace_log[0].result.trace.rect.center == za
         return record, calls
 
@@ -389,12 +388,35 @@ class TestFinish:
 
     def test_unpolished_zero_reuses_its_value(self, monkeypatch):
         f = product_of_roots([0.3 + 20j, 3 + 22j])
-        cfg = SearchConfig(newton_max_iters=0)  # Newton takes no step: rejected
-        record, calls = self._searched(monkeypatch, f, 20.0, 0.29 + 20.01j, cfg)
+        monkeypatch.setattr(qzeta.search, "NEWTON_MAX_ITERS", 0)  # no step: rejected
+        record, calls = self._searched(monkeypatch, f, 20.0, 0.29 + 20.01j)
         assert record.verdict is Verdict.VERY_GOOD
         assert not record.newton_applied
         assert calls == [record.z]  # Newton's opening |f|, nothing after it
         assert record.vv_final == abs(f(record.z)) / abs(f(0.29 + 20.01j))
+
+
+class TestReportedEstimate:
+    """A concluded zero reports its last estimate; any other zero reports
+    the accepted estimate with the smallest |f|, with the error of the step
+    into it."""
+
+    def test_good_only_zero_reports_its_best_estimate(self):
+        # at c=5 zero 9 ends good only, and its last accepted estimate is
+        # not its best one
+        cfg = SearchConfig(c_schedule=escalation_schedule(5))
+        y9 = classical_zeros(PAPER_Y_MAX)[-1]
+        (record,) = execute(RunConfig(y_max=None, y_list=(y9,), search=cfg)).records
+        assert record.verdict is Verdict.GOOD_ONLY
+        abs_za = record.trace_log[0].result.abs_center
+        accepted = [
+            a.result for a in record.trace_log if a.assessment is not Assessment.NOT_GOOD
+        ]
+        i = min(range(len(accepted)), key=lambda j: accepted[j].abs_estimate)
+        assert 0 < i < len(accepted) - 1
+        assert record.vv_final == min(r.abs_estimate for r in accepted) / abs_za
+        assert record.z == accepted[i].z_estimate
+        assert record.de == max(1e-6, 0.1 * abs(record.z - accepted[i - 1].z_estimate))
 
 
 class TestStoppedSearch:
@@ -462,12 +484,3 @@ class TestSearchConfig:
             SearchConfig(c_schedule=())
         with pytest.raises(ValueError):
             SearchConfig(c_schedule=(2, 3))
-        with pytest.raises(ValueError):
-            SearchConfig(vv_max=1.5)
-        with pytest.raises(ValueError):
-            SearchConfig(char_tol=0.7)
-
-    def test_every_flag_has_help(self):
-        for f in dataclasses.fields(SearchConfig):
-            if "cli_help" in f.metadata:
-                assert f.metadata["cli_help"], f.name
