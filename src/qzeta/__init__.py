@@ -68,7 +68,6 @@ _API = {
         "integrate",
     ),
     "search": (
-        "SearchConfig",
         "escalation_schedule",
         "SearchState",
         "Assessment",

@@ -13,7 +13,7 @@ import sys
 from .errors import QZetaError, UsageError
 from .pipeline import PAPER_Y_MAX, RunConfig, execute
 from .report import emit_json, emit_plot_data, emit_text_report
-from .search import SearchConfig, Verdict, escalation_schedule
+from .search import Verdict
 
 __all__ = ["build_parser", "parse_cli", "main"]
 
@@ -32,14 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"seed all classical zeros up to this ordinate (default {PAPER_Y_MAX:g})")
     parser.add_argument("--y", type=float, action="append", default=None,
                         help="explicit seed ordinate (repeatable; overrides --y-max)")
-    parser.add_argument("--c", default=None,
+    parser.add_argument("--c", type=int, default=RunConfig.c,
                         help="opening points per rectangle side, escalated by 1.5 and "
-                             "2.25 for the later variants (4 gives 4,6,9), or the "
-                             "comma-separated densities of every variant")
-    parser.add_argument("--b", type=int, default=None, help="series truncation multiplier override")
+                             "2.25 for the later variants (4 gives 4,6,9)")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--plot-data", action="store_true",
-                        help="append the per-zero CSV after the text report")
     parser.add_argument("--target", default="sharp",
                         help="'sharp' or 'poly:<comma-separated complex coefficients>'")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -62,26 +58,13 @@ def _parse_target(text: str) -> tuple[complex, ...]:
 
 def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namespace]:
     """argv -> (RunConfig, parsed arguments); the caller reads the output
-    options ``format``, ``plot_data`` and ``out`` from the arguments.
+    options ``format`` and ``out`` from the arguments.
     Raises UsageError on bad values."""
     parser = build_parser()
     args = parser.parse_args(argv)
 
     coefficients = _parse_target(args.target)
-    if args.plot_data and args.format != "text":
-        raise UsageError("--plot-data needs --format text")
-
-    densities = None
-    if args.c is not None:
-        try:
-            densities = tuple(int(part) for part in args.c.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad --c {args.c!r}") from exc
-        if len(densities) == 1:
-            densities = escalation_schedule(densities[0])
-
     try:
-        search = SearchConfig() if densities is None else SearchConfig(densities)
         if args.y is not None and args.y_max is not None:
             raise UsageError("--y and --y-max are mutually exclusive")
         if args.y is not None:
@@ -94,9 +77,8 @@ def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namesp
             d=args.d,
             y_max=y_max,
             y_list=y_list,
-            b_override=args.b,
             poly_coefficients=coefficients,
-            search=search,
+            c=args.c,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -120,8 +102,6 @@ def main(argv: list[str] | None = None) -> int:
         report = emit_plot_data(result)
     else:
         report = emit_text_report(result)
-    if args.plot_data:
-        report = report + "\n" + emit_plot_data(result)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(report)

@@ -10,10 +10,10 @@ verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import RangeUnsupported
-from .search import SearchConfig, Verdict, ZeroRecord, initial_rectangle, run_variants
+from .errors import QZetaError, RangeUnsupported
+from .search import Verdict, ZeroRecord, escalation_schedule, initial_rectangle, run_variants
 from .series import (
     SharpFunction,
     SharpParams,
@@ -29,35 +29,29 @@ PAPER_Y_MAX = 48.5406
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: target function family, seeds, and density schedule.  A run
-    with polynomial coefficients searches that polynomial; without, the
-    deformed series."""
+    """One run: target function family, seeds, and opening density c (the
+    variants run at ``escalation_schedule(c)``).  A run with polynomial
+    coefficients searches that polynomial; without, the deformed series."""
 
     a: float = 750.0
     d: float = 2.0
     y_max: float | None = PAPER_Y_MAX
     y_list: tuple[float, ...] | None = None
-    b_override: int | None = None
     poly_coefficients: tuple[complex, ...] = ()
-    search: SearchConfig = field(default_factory=SearchConfig)
+    c: int = 4
 
     def __post_init__(self):
         if (self.y_max is None) == (self.y_list is None):
             raise ValueError("exactly one of y_max / y_list must be set")
         if len(self.poly_coefficients) == 1:
             raise ValueError("polynomial target needs at least two coefficients")
-        if self.poly_coefficients and self.b_override is not None:
-            raise ValueError("b applies to the series, not to a polynomial target")
         if not (0 < self.a < math.inf and 0 < self.d < math.inf):
             raise ValueError("a and d must be positive and finite")
         if self.y_max is not None and not 0 < self.y_max <= CLASSICAL_Y_MAX:
             raise ValueError(f"y_max must be in (0, {CLASSICAL_Y_MAX:g}]")
         if self.y_list is not None and not all(0 < y < math.inf for y in self.y_list):
             raise ValueError("every seed ordinate y must be positive and finite")
-        if self.b_override is not None and self.b_override < 1:
-            raise ValueError("b must be a positive integer")
-        if self.b_override is not None:
-            SharpParams(self.a, self.d, self.b_override)  # checks the term count
+        escalation_schedule(self.c)  # checks the density
 
     @property
     def target(self) -> str:
@@ -67,12 +61,14 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Seed:
-    """One search seed: classical ordinate, predicted location, truncation."""
+    """One search seed: classical ordinate, predicted location, truncation,
+    and the error that stopped its planning, if one did."""
 
     index: int
     y: float
     za: complex
     b: int | None
+    reason: str | None = None
 
 
 @dataclass
@@ -96,7 +92,9 @@ class _Polynomial:
 
 
 def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
-    """Resolve the seed list and one evaluator per seed."""
+    """Resolve the seed list and one evaluator per seed.  A series seed
+    whose prediction or truncation raised a package error keeps the error
+    as its ``reason``, an unknown prediction as nan and no evaluator."""
     if config.y_list is not None:
         ys = list(config.y_list)
     else:
@@ -110,38 +108,61 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
             functions.append(f)
         return seeds, functions
     for i, y in enumerate(ys, start=1):
-        za = linear_approximation(y, config.a, config.d)
-        if config.b_override is not None:
-            b = config.b_override
-        else:
+        za, b, f, reason = complex(math.nan, math.nan), None, None, None
+        try:
+            za = linear_approximation(y, config.a, config.d)
             rect = initial_rectangle(za, y)
             region_top = rect.center.imag + rect.rd
             if not region_top > 0:
                 raise RangeUnsupported(
-                    f"seed {i} (y={y:g}): the prediction {za:.6g} puts the "
-                    f"top of its search region at Im k = {region_top:g}, "
-                    f"not above the real axis"
+                    f"the prediction {za:.6g} puts the top of its search "
+                    f"region at Im k = {region_top:g}, not above the real axis"
                 )
             b = select_truncation(config.a, config.d, region_top)
-        seeds.append(Seed(index=i, y=y, za=za, b=b))
-        functions.append(SharpFunction(SharpParams(config.a, config.d, b)))
+            f = SharpFunction(SharpParams(config.a, config.d, b))
+        except QZetaError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        seeds.append(Seed(index=i, y=y, za=za, b=b, reason=reason))
+        functions.append(f)
     return seeds, functions
 
 
 def execute(config: RunConfig) -> RunResult:
-    """Search every seed to a verdict.  A series zero concluded outside the
-    search strip fails, with the reason, and the other seeds keep theirs."""
+    """Search every seed to a verdict.  A seed fails, with the reason, and
+    the other seeds keep theirs, when its planning raised, when its series
+    prediction lies on or above the pole line Im k = 2*eps (both without a
+    search), or when its series zero concludes outside the search strip."""
     seeds, functions = plan_seeds(config)
-    if not seeds:
-        return RunResult(config=config, seeds=[], records=[])
-    records = run_variants(functions, [(s.y, s.za) for s in seeds], config.search)
+    reasons = [seed.reason for seed in seeds]
     if not config.poly_coefficients:
+        for i, (seed, f) in enumerate(zip(seeds, functions)):
+            if reasons[i] is None and not seed.za.imag < 2.0 * f.params.epsilon:
+                reasons[i] = (
+                    f"prediction {seed.za!r} lies on or above the pole line "
+                    f"Im k = 2*eps = {2.0 * f.params.epsilon:g}"
+                )
+    todo = [i for i, reason in enumerate(reasons) if reason is None]
+    searched = iter(
+        run_variants([functions[i] for i in todo], [(seeds[i].y, seeds[i].za) for i in todo],
+                     config.c)
+    )
+    records = []
+    for seed, f, reason in zip(seeds, functions, reasons):
+        if reason is not None:
+            # z is the seed, so |f(z)|/|f(za)| is 1, as for a search that
+            # accepted no estimate
+            records.append(ZeroRecord(
+                index=seed.index, y=seed.y, za=seed.za, z=seed.za, de=None, vv_final=1.0,
+                verdict=Verdict.FAILED, newton_applied=False, trace_log=[], reason=reason,
+            ))
+            continue
+        record = next(searched)
+        record.index = seed.index
         # the strip 0 < Im k < 2*eps, cut at |Re k| < 2*eps
-        width = 2.0 * functions[0].params.epsilon
-        for record in records:
-            if record.verdict is Verdict.VERY_GOOD and not (
-                0.0 < record.z.imag < width and abs(record.z.real) < width
-            ):
+        if not config.poly_coefficients and record.verdict is Verdict.VERY_GOOD:
+            width = 2.0 * f.params.epsilon
+            if not (0.0 < record.z.imag < width and abs(record.z.real) < width):
                 record.verdict = Verdict.FAILED
                 record.reason = f"accepted zero {record.z!r} escaped the search strip"
+        records.append(record)
     return RunResult(config=config, seeds=seeds, records=records)

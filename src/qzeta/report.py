@@ -14,7 +14,7 @@ import io
 import json
 
 from .pipeline import RunResult
-from .search import Assessment, Verdict
+from .search import Assessment, Verdict, escalation_schedule
 
 __all__ = ["emit_text_report", "emit_json", "emit_plot_data"]
 
@@ -138,14 +138,13 @@ def emit_json(result: RunResult) -> str:
             "d": config.d,
             "y_max": config.y_max,
             "y_list": list(config.y_list) if config.y_list is not None else None,
-            "b_override": config.b_override,
             "target": config.target,
             "poly_coefficients": [
                 [c.real, c.imag] for c in config.poly_coefficients
             ],
-            # the opening density, kept as its own key of the fixed schema
-            "c_initial": config.search.c_schedule[0],
-            "c_schedule": list(config.search.c_schedule),
+            # c_schedule follows from c_initial; the fixed schema keeps both
+            "c_initial": config.c,
+            "c_schedule": list(escalation_schedule(config.c)),
         },
         "zeros": [
             {

@@ -31,7 +31,6 @@ from .winding import AnalyticFunction, IntegrationResult, Rectangle, integrate
 __all__ = [
     "Assessment",
     "Verdict",
-    "SearchConfig",
     "escalation_schedule",
     "SearchState",
     "IntegrationAttempt",
@@ -56,10 +55,12 @@ class Verdict(Enum):
     FAILED = "failed"
 
 
-def escalation_schedule(c_initial: int) -> tuple[int, ...]:
-    """Sampling densities of three variants opened at c_initial points per
-    side: c_initial, then 1.5 and 2.25 times it, rounded up."""
-    return (c_initial, math.ceil(c_initial * 1.5), math.ceil(c_initial * 2.25))
+def escalation_schedule(c: int) -> tuple[int, ...]:
+    """Sampling densities of three variants opened at c points per side: c,
+    then 1.5 and 2.25 times it, rounded up."""
+    if c < 3:
+        raise ValueError("c must be 3 or more points per side")
+    return (c, math.ceil(c * 1.5), math.ceil(c * 2.25))
 
 
 # The search protocol's thresholds, as the reference program fixes them.
@@ -74,24 +75,6 @@ DE_ADMISSIBLE = 2.5e-4  # error-estimate ceiling for concluding
 # variant 1 and is re-confirmed at the next sampling density.
 SEED_VV_LIMIT = 0.45
 NEWTON_MAX_ITERS = 5  # Newton steps in the polish of a concluded zero
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """The density schedule of a search; the default reproduces the
-    reference run.
-
-    ``c_schedule`` lists the sampling densities (points per rectangle side)
-    of successive variants; its first entry opens every search.
-    """
-
-    c_schedule: tuple[int, ...] = escalation_schedule(4)
-
-    def __post_init__(self):
-        if list(self.c_schedule) != sorted(set(self.c_schedule)):
-            raise ValueError("c_schedule must be strictly increasing")
-        if not self.c_schedule or self.c_schedule[0] < 3:
-            raise ValueError("c_schedule must start at 3 or more points per side")
 
 
 # |f(z)| may jitter at the evaluation noise floor once the search has nearly
@@ -331,19 +314,18 @@ def newton_refine(
 def _integrate_variants(
     f: AnalyticFunction,
     state: SearchState,
-    cfg: SearchConfig,
+    schedule: tuple[int, ...],
     trace_log: list[IntegrationAttempt],
 ) -> bool:
     """Run the variants in turn, logging each integration, until one
     concludes (returns True) or the schedule is spent.
 
-    Variant v opens at density c_schedule[v] and retries at the next one,
-    with c_schedule[v] // 2 integrations (at least one) per density.  Each
+    Variant v opens at density schedule[v] and retries at the next one,
+    with schedule[v] // 2 integrations (at least one) per density.  Each
     density restarts from the last good estimate; a later variant also
     resizes the rectangle from the error estimate, never past the opening
     rectangle.
     """
-    schedule = cfg.c_schedule
     opening_rd = state.rd
     for variant, c_open in enumerate(schedule):
         state.variant = variant
@@ -368,7 +350,7 @@ def _integrate_variants(
 
 
 def _search_zero(
-    index: int, f: AnalyticFunction, y: float, za: complex, cfg: SearchConfig
+    index: int, f: AnalyticFunction, y: float, za: complex, schedule: tuple[int, ...]
 ) -> ZeroRecord:
     """One zero from its seed to its record: the variants, then the Newton
     polish of a concluded zero.  |f(za)| comes from the opening integration,
@@ -380,7 +362,7 @@ def _search_zero(
     trace_log: list[IntegrationAttempt] = []
     reason = None
     try:
-        concluded = _integrate_variants(f, state, cfg, trace_log)
+        concluded = _integrate_variants(f, state, schedule, trace_log)
     except QZetaError as exc:
         concluded, reason = False, f"{type(exc).__name__}: {exc}"
     # unknown when no integration finished: nan, whose seed ratio below is 1
@@ -431,22 +413,23 @@ def _search_zero(
 
 
 def run_variants(
-    functions,
-    seeds: list[tuple[float, complex]],
-    cfg: SearchConfig = SearchConfig(),
+    functions, seeds: list[tuple[float, complex]], c: int = 4
 ) -> list[ZeroRecord]:
     """Search every seed with its own evaluator, one zero after another.
 
-    ``functions`` holds one evaluator per seed.  Each zero runs its variants
-    to completion before the next seed starts; the seeds share no state, so
-    the order changes no record.  Records come back in seed order, indexed
-    from 1.  A search that fails is a record with verdict FAILED, not an
-    exception, so one seed is searched as ``run_variants([f], [(y, za)])``.
+    ``functions`` holds one evaluator per seed, and the variants run at the
+    densities ``escalation_schedule(c)`` (c = 4 in the reference run).  Each
+    zero runs its variants to completion before the next seed starts; the
+    seeds share no state, so the order changes no record.  Records come
+    back in seed order, indexed from 1.  A search that fails is a record
+    with verdict FAILED, not an exception, so one seed is searched as
+    ``run_variants([f], [(y, za)])``.
     """
     functions = list(functions)
     if len(functions) != len(seeds):
         raise ValueError("need one evaluator per seed")
+    schedule = escalation_schedule(c)
     return [
-        _search_zero(index, f, y, za, cfg)
+        _search_zero(index, f, y, za, schedule)
         for index, (f, (y, za)) in enumerate(zip(functions, seeds), start=1)
     ]

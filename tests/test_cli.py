@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,38 @@ import pytest
 
 import qzeta
 import qzeta.pipeline
-from qzeta import UsageError
-from qzeta.cli import main, parse_cli
+from qzeta import RangeUnsupported, UsageError
+from qzeta.cli import build_parser, main, parse_cli
+from qzeta.search import escalation_schedule
+
+
+def _planning_failed(argv, reason):
+    """Run the CLI in a child process, where a planning step that hangs or
+    allocates without bound meets a time limit.  The one seed fails at
+    planning, without a search and with the error as its reason, and the
+    run ends with a report (JSON and text), exit 1 and no error line."""
+
+    def run(*extra):
+        process = subprocess.run(
+            [sys.executable, "-m", "qzeta", *argv, *extra],
+            cwd=Path(qzeta.__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert process.returncode == 1
+        assert process.stderr == ""
+        return process.stdout
+
+    (zero,) = json.loads(run("--format", "json"))["zeros"]
+    assert zero["verdict"] == "failed"
+    assert zero["integrations"] == []
+    assert zero["b"] is None
+    assert zero["reason"].startswith(reason)
+    text = run()
+    assert text.split("FINAL LIST OF Q-ZEROS:")[1].split()[:4] == ["failed", "1", "14.1347", "z:"]
+    assert text.endswith(f"\n  reason: {zero['reason']}\n")
+    return zero
 
 
 class TestParsing:
@@ -19,8 +50,7 @@ class TestParsing:
         assert config.y_max == 48.5406
         assert config.y_list is None
         assert config.target == "sharp"
-        assert config.search.c_schedule[0] == 4
-        assert config.search.c_schedule == (4, 6, 9)
+        assert config.c == 4
         assert args.format == "text"
         assert args.out is None
 
@@ -40,8 +70,8 @@ class TestParsing:
         assert config.poly_coefficients == (1 + 0j, -1 - 2j)
 
     def test_search_knobs(self):
-        config, _ = parse_cli(["--c", "4,8"])
-        assert config.search.c_schedule == (4, 8)
+        config, _ = parse_cli(["--c", "8"])
+        assert config.c == 8
         # the protocol's thresholds are constants of the search, not flags
         for flag in ("--kappa", "--vv-max", "--char-tol", "--newton-max-iters"):
             with pytest.raises(SystemExit):
@@ -49,12 +79,8 @@ class TestParsing:
 
     def test_c_override_builds_schedule(self):
         config, _ = parse_cli(["--c", "6"])
-        assert config.search.c_schedule[0] == 6
-        assert config.search.c_schedule == (6, 9, 14)
-        config, _ = parse_cli(["--c", "4,6,9"])
-        assert config.search.c_schedule == (4, 6, 9)
-        config, _ = parse_cli(["--c", "5,8"])
-        assert config.search.c_schedule == (5, 8)
+        assert config.c == 6
+        assert escalation_schedule(config.c) == (6, 9, 14)
 
     def test_bad_target(self):
         with pytest.raises(UsageError):
@@ -65,9 +91,13 @@ class TestParsing:
             parse_cli(["--target", "poly:1", "--y", "1"])
 
     def test_bad_schedule(self):
+        # --c takes one integer density
         for c in ("9,6", "4,,6", "four", ""):
-            with pytest.raises(UsageError):
+            with pytest.raises(SystemExit) as info:
                 parse_cli(["--c", c])
+            assert info.value.code == 2
+        with pytest.raises(UsageError, match="3 or more"):
+            parse_cli(["--c", "2"])
 
     def test_seed_flags_are_exclusive(self):
         with pytest.raises(UsageError):
@@ -102,9 +132,9 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--b", "0"], ["--a", "inf"],
+        [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--d", "0"], ["--a", "inf"],
          ["--y-max", "0"], ["--y-max", "-3"], ["--y-max", "nan"], ["--y-max", "inf"],
-         ["--y-max", "150"], ["--target", "poly:1,-1-2j", "--y", "2", "--b", "5"]],
+         ["--y-max", "150"], ["--target", "poly:1", "--y", "2"]],
     )
     def test_config_error_exit_two(self, argv, capsys):
         assert main(argv + ["--format", "csv"]) == 2
@@ -112,44 +142,69 @@ class TestMain:
         assert "error:" in err
         assert "Traceback" not in err
 
-    def test_non_finite_prediction_exit_one(self, capsys):
+    def test_non_finite_prediction_exit_one(self):
         # at a=1e308 the first-order correction's denominator overflows
-        assert main(["--a", "1e308", "--y-max", "15"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: first-order prediction at y=14.1347")
-        assert "a=1e+308" in err
-        assert "Traceback" not in err
+        zero = _planning_failed(
+            ["--a", "1e308", "--y-max", "15"],
+            "NonFiniteResult: first-order prediction at y=14.1347",
+        )
+        assert "a=1e+308" in zero["reason"]
+        # no prediction: z and za read nan
+        assert all(math.isnan(zero[key][part]) for key in ("z", "za") for part in ("re", "im"))
 
-    def test_region_top_below_axis_exit_one(self, capsys):
+    def test_region_top_below_axis_exit_one(self):
         # the prediction 6464.9 - 223.9i leaves no search region above Im k = 0
-        assert main(["--a", "0.5", "--d", "0.01", "--y-max", "15"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: seed 1 (y=14.1347)")
-        assert "Traceback" not in err
+        zero = _planning_failed(
+            ["--a", "0.5", "--d", "0.01", "--y-max", "15"],
+            "RangeUnsupported: the prediction 6464.88-223.924j puts the top",
+        )
+        assert zero["z"] == zero["za"]  # the prediction, which was not searched
+        assert zero["za"]["im"] == pytest.approx(-223.924, abs=1e-3)
+
+    def test_planning_error_fails_its_seed_alone(self, monkeypatch, capsys):
+        real = qzeta.pipeline.select_truncation
+
+        def failing_second(a, d, region_top):
+            if region_top > 20:
+                raise RangeUnsupported("no truncation for this seed")
+            return real(a, d, region_top)
+
+        monkeypatch.setattr(qzeta.pipeline, "select_truncation", failing_second)
+        assert main(["--y-max", "22", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, second = json.loads(captured.out)["zeros"]
+        assert first["verdict"] == "very_good" and "reason" not in first
+        assert second["verdict"] == "failed" and second["integrations"] == []
+        assert second["reason"] == "RangeUnsupported: no truncation for this seed"
 
     @pytest.mark.parametrize(
         "argv,seeds",
-        # seeds above the pole line Im k = 2*eps open rectangles that reach
-        # past the series' evaluation band
-        [(["--y-max", "100"], 29), (["--a", "500", "--d", "3"], 9)],
+        # a seed predicted on or above the pole line Im k = 2*eps fails
+        # without a search: 2*eps is 48.54 at the default a and d, 32.36 at
+        # a=500, d=3
+        [(["--y-max", "100"], 29), (["--a", "500", "--d", "3"], 9),
+         (["--y-max", "60"], 13)],
     )
     def test_seed_outside_evaluation_band_fails_alone(self, argv, seeds, capsys):
-        # zero 7 of a=500, d=3 concludes at Im k = 41.57, above 2*eps = 32.36
-        escaped = [7] if "500" in argv else []
+        above = range(5, 10) if "500" in argv else range(10, seeds + 1)
+        pole_line = "32.3604" if "500" in argv else "48.5406"
         assert main(argv + ["--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
         zeros = json.loads(captured.out)["zeros"]
         assert [z["index"] for z in zeros] == list(range(1, seeds + 1))
         stopped = [z for z in zeros if "reason" in z]
-        assert stopped
+        assert [z["index"] for z in stopped] == list(above)
         for z in stopped:
             assert z["verdict"] == "failed"
-            if z["index"] in escaped:
-                assert z["reason"].endswith(") escaped the search strip")
-            else:
-                assert z["reason"].startswith("RangeUnsupported: Im k = ")
-        assert {z["index"] for z in stopped} >= set(escaped)
+            assert z["integrations"] == []
+            assert z["za"]["im"] >= float(pole_line)
+            assert z["reason"].startswith("prediction (")
+            assert z["reason"].endswith(
+                f"j) lies on or above the pole line Im k = 2*eps = {pole_line}"
+            )
+        assert all(z["verdict"] == "very_good" for z in zeros if "reason" not in z)
         assert main(argv) == 1
         final = capsys.readouterr().out.split("FINAL LIST OF Q-ZEROS:")[1]
         for z in stopped:
@@ -159,8 +214,8 @@ class TestMain:
     def test_escaped_zero_fails_alone(self, monkeypatch, capsys):
         real = qzeta.pipeline.run_variants
 
-        def escaping(functions, seeds, cfg):
-            records = real(functions, seeds, cfg)
+        def escaping(functions, seeds, c):
+            records = real(functions, seeds, c)
             # Re k = -100 lies past the strip's half-width 2*eps = 48.54
             records[0].z = complex(-100.0, records[0].z.imag)
             return records
@@ -176,29 +231,30 @@ class TestMain:
         assert final[2].endswith("j) escaped the search strip")
         assert final[3].startswith("very good 2  21.022  z: ")
 
-    def test_b_keeping_no_terms_exit_two(self, capsys):
-        assert main(["--a", "1e-3", "--d", "1", "--b", "5", "--y-max", "15"]) == 2
-        err = capsys.readouterr().err
-        assert "error: truncation b*sqrt(a/d) keeps no terms" in err
-        assert "Traceback" not in err
-
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["--bogus"])
         assert info.value.code == 2
 
-    def test_plot_data_appended(self, capsys):
-        assert main(["--y-max", "15", "--plot-data"]) == 0
-        out = capsys.readouterr().out
-        assert "FINAL LIST OF Q-ZEROS:" in out
-        assert "y,re_za,im_za" in out
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_plot_data_needs_text_format(self, fmt, capsys):
-        assert main(["--y-max", "15", "--format", fmt, "--plot-data"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        # the density schedule follows from one --c, the truncation comes
+        # from select_truncation, and --format csv gives the CSV
+        [["--c", "4,8"], ["--b", "5"], ["--plot-data"]],
+        ids=["c-list", "b", "plot-data"],
+    )
+    def test_removed_options_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--y-max", "15", *argv])
+        assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --plot-data needs --format text\n"
+        assert "error:" in captured.err
+
+    def test_eight_options(self):
+        options = [a.option_strings[0] for a in build_parser()._actions]
+        assert options == ["-h", "--a", "--d", "--y-max", "--y", "--c", "--format",
+                           "--target", "--out"]
 
     def test_poly_linear_run(self, capsys):
         code = main(["--target", "poly:1,-0.3-20j", "--y", "20", "--format", "csv"])
@@ -222,41 +278,17 @@ class TestConsoleScript:
         assert "no zeros requested" in process.stdout
 
     def test_overflowing_truncation_estimate_exit_one(self):
-        # e^(l/a) overflows in every truncation estimate at a=1e-3; a child
-        # process, so that a return of the endless candidate loop fails the
-        # test at its time limit instead of hanging it
-        process = subprocess.run(
-            [sys.executable, "-m", "qzeta", "--a", "1e-3", "--d", "1",
-             "--y-max", "15"],
-            cwd=Path(qzeta.__file__).resolve().parents[1],
-            capture_output=True,
-            text=True,
-            timeout=60,
+        # e^(l/a) overflows in every truncation estimate at a=1e-3, where an
+        # unchecked candidate loop would never end
+        zero = _planning_failed(
+            ["--a", "1e-3", "--d", "1", "--y-max", "15"],
+            "RangeUnsupported: truncation estimate not finite",
         )
-        assert process.returncode == 1
-        assert process.stderr.startswith("error: truncation estimate not finite")
-        assert "a=0.001, d=1" in process.stderr
+        assert "a=0.001, d=1" in zero["reason"]
 
-    @pytest.mark.parametrize(
-        "argv,code,message",
-        [
-            # b = 5 would keep 1.1e9 terms: a regime error
-            (["--a", "1e17", "--y-max", "15"], 1,
-             "error: no truncation b keeping at most 100000 series terms"),
-            # a --b that keeps 5e6 terms is a usage error
-            (["--a", "1e12", "--d", "1", "--b", "5", "--y-max", "15"], 2,
-             "error: truncation b*sqrt(a/d) keeps more than 100000 terms"),
-        ],
-    )
-    def test_series_length_cap(self, argv, code, message):
-        # a child process, so that an allocation of the uncapped length
-        # fails the test at its time limit instead of exhausting memory
-        process = subprocess.run(
-            [sys.executable, "-m", "qzeta", *argv],
-            cwd=Path(qzeta.__file__).resolve().parents[1],
-            capture_output=True,
-            text=True,
-            timeout=60,
+    def test_no_truncation_within_the_series_length_cap_exit_one(self):
+        # b = 5 would keep 1.1e9 terms, an allocation the cap must prevent
+        _planning_failed(
+            ["--a", "1e17", "--y-max", "15"],
+            "RangeUnsupported: no truncation b keeping at most 100000 series terms",
         )
-        assert process.returncode == code
-        assert process.stderr.startswith(message)

@@ -56,7 +56,5 @@ def test_polynomial_run_is_set_by_its_coefficients():
     config = RunConfig(y_max=None, y_list=(2.0,), poly_coefficients=(1, -2j))
     assert config.target == "poly"
     assert RunConfig().target == "sharp"
-    with pytest.raises(ValueError, match="not to a polynomial"):
-        RunConfig(y_max=None, y_list=(2.0,), b_override=5, poly_coefficients=(1, -2j))
     with pytest.raises(ValueError, match="two coefficients"):
         RunConfig(y_max=None, y_list=(2.0,), poly_coefficients=(1,))

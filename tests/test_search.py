@@ -10,7 +10,6 @@ from qzeta import (
     RangeUnsupported,
     Rectangle,
     RunConfig,
-    SearchConfig,
     SearchState,
     Verdict,
     assess,
@@ -264,7 +263,7 @@ class TestRunVariants:
         roots = [0.2 + 10j, 0.5 + 14j, -0.3 + 18j]
         f = product_of_roots(roots)
         seeds = [(10.0, 0.21 + 10.02j), (14.0, 0.49 + 13.98j), (18.0, -0.28 + 18.01j)]
-        records = run_variants([f] * 3, seeds, SearchConfig())
+        records = run_variants([f] * 3, seeds)
         assert [r.index for r in records] == [1, 2, 3]
         for record, root in zip(records, roots):
             assert record.verdict is Verdict.VERY_GOOD
@@ -272,18 +271,18 @@ class TestRunVariants:
             assert record.variants_visited == (1,)
 
     def test_empty_seed_list(self):
-        assert run_variants([], [], SearchConfig()) == []
+        assert run_variants([], []) == []
 
     def test_per_seed_functions(self):
         functions = [product_of_roots([0.1 + 9j]), product_of_roots([0.2 + 11j])]
         seeds = [(9.0, 0.11 + 9.01j), (11.0, 0.19 + 11.01j)]
-        records = run_variants(functions, seeds, SearchConfig())
+        records = run_variants(functions, seeds)
         assert abs(records[0].z - (0.1 + 9j)) < 1e-6
         assert abs(records[1].z - (0.2 + 11j)) < 1e-6
 
     def test_function_count_mismatch(self):
         with pytest.raises(ValueError):
-            run_variants([lambda k: k], [(9.0, 9j), (11.0, 11j)], SearchConfig())
+            run_variants([lambda k: k], [(9.0, 9j), (11.0, 11j)])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -333,16 +332,20 @@ class TestBudget:
 
     @pytest.mark.parametrize("c, budget", [(4, 4 + 6 + 4), (8, 8 + 12 + 9)], ids=["c4", "c8"])
     def test_never_vanishing_target_uses_the_schedule_budget(self, c, budget):
-        cfg = SearchConfig(c_schedule=escalation_schedule(c))
-        (record,) = run_variants([lambda k: 2.0 + 0j], [(2.0, 0.1 + 2j)], cfg)
+        (record,) = run_variants([lambda k: 2.0 + 0j], [(2.0, 0.1 + 2j)], c=c)
         assert record.verdict is Verdict.FAILED
         assert len(record.trace_log) == budget
         assert record.variants_visited == (1, 2, 3)
+        # each variant opens at its density of the schedule
+        schedule = escalation_schedule(c)
+        for variant, c_open in enumerate(schedule, start=1):
+            densities = [a.result.trace.c for a in record.trace_log if a.variant == variant]
+            assert densities[0] == c_open
+            assert set(densities) == set(schedule[variant - 1 : variant + 1])
 
     def test_zero_9_at_c8_visits_variant_3(self):
-        cfg = SearchConfig(c_schedule=escalation_schedule(8))
         y9 = classical_zeros(PAPER_Y_MAX)[-1]
-        config = RunConfig(y_max=None, y_list=(y9,), search=cfg)
+        config = RunConfig(y_max=None, y_list=(y9,), c=8)
         (record,) = execute(config).records
         assert record.variants_visited == (1, 2, 3)
         assert record.verdict is Verdict.GOOD_ONLY
@@ -404,9 +407,8 @@ class TestReportedEstimate:
     def test_good_only_zero_reports_its_best_estimate(self):
         # at c=5 zero 9 ends good only, and its last accepted estimate is
         # not its best one
-        cfg = SearchConfig(c_schedule=escalation_schedule(5))
         y9 = classical_zeros(PAPER_Y_MAX)[-1]
-        (record,) = execute(RunConfig(y_max=None, y_list=(y9,), search=cfg)).records
+        (record,) = execute(RunConfig(y_max=None, y_list=(y9,), c=5)).records
         assert record.verdict is Verdict.GOOD_ONLY
         abs_za = record.trace_log[0].result.abs_center
         accepted = [
@@ -476,11 +478,14 @@ class TestStoppedSearch:
         assert record.reason is None
 
 
-class TestSearchConfig:
+class TestEscalationSchedule:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(c_schedule=(6, 4))
-        with pytest.raises(ValueError):
-            SearchConfig(c_schedule=())
-        with pytest.raises(ValueError):
-            SearchConfig(c_schedule=(2, 3))
+        assert escalation_schedule(3) == (3, 5, 7)
+        assert escalation_schedule(4) == (4, 6, 9)
+        for c in (2, 0, -4):
+            with pytest.raises(ValueError, match="3 or more"):
+                escalation_schedule(c)
+        with pytest.raises(ValueError, match="3 or more"):
+            RunConfig(c=2)
+        with pytest.raises(ValueError, match="3 or more"):
+            run_variants([lambda k: k], [(9.0, 9j)], c=2)
