@@ -94,7 +94,9 @@ class _Polynomial:
 def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
     """Resolve the seed list and one evaluator per seed.  A series seed
     whose prediction or truncation raised a package error keeps the error
-    as its ``reason``, an unknown prediction as nan and no evaluator."""
+    as its ``reason``, an unknown prediction as nan and no evaluator.  All
+    seeds are predicted in one ``linear_approximation`` call and truncated
+    in one ``select_truncation`` call."""
     if config.y_list is not None:
         ys = list(config.y_list)
     else:
@@ -107,21 +109,34 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
             seeds.append(Seed(index=i, y=y, za=complex(0.0, y), b=None))
             functions.append(f)
         return seeds, functions
-    for i, y in enumerate(ys, start=1):
-        za, b, f, reason = complex(math.nan, math.nan), None, None, None
-        try:
-            za = linear_approximation(y, config.a, config.d)
+    a, d = config.a, config.d
+    zas = linear_approximation(ys, a, d)  # a prediction or an error per seed
+    tops = []  # the top of each seed's search region, or its planning error
+    for y, za in zip(ys, zas):
+        top = za
+        if not isinstance(za, Exception):
             rect = initial_rectangle(za, y)
-            region_top = rect.center.imag + rect.rd
-            if not region_top > 0:
-                raise RangeUnsupported(
+            top = rect.center.imag + rect.rd
+            if not top > 0:
+                top = RangeUnsupported(
                     f"the prediction {za:.6g} puts the top of its search "
-                    f"region at Im k = {region_top:g}, not above the real axis"
+                    f"region at Im k = {top:g}, not above the real axis"
                 )
-            b = select_truncation(config.a, config.d, region_top)
-            f = SharpFunction(SharpParams(config.a, config.d, b))
-        except QZetaError as exc:
-            reason = f"{type(exc).__name__}: {exc}"
+        tops.append(top)
+    truncations = iter(select_truncation(
+        a, d, [top for top in tops if not isinstance(top, Exception)]
+    ))
+    for i, (y, za, top) in enumerate(zip(ys, zas, tops), start=1):
+        b = top if isinstance(top, Exception) else next(truncations)
+        f, reason = None, None
+        if isinstance(b, QZetaError):
+            b, reason = None, f"{type(b).__name__}: {b}"
+        elif isinstance(b, Exception):
+            raise b
+        else:
+            f = SharpFunction(SharpParams(a, d, b))
+        if isinstance(za, Exception):
+            za = complex(math.nan, math.nan)
         seeds.append(Seed(index=i, y=y, za=za, b=b, reason=reason))
         functions.append(f)
     return seeds, functions

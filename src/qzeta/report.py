@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .pipeline import RunResult
 from .search import Assessment, Verdict, escalation_schedule
@@ -130,7 +131,8 @@ def _complex_obj(value: complex) -> dict:
 
 
 def emit_json(result: RunResult) -> str:
-    """Fixed-schema JSON document; byte-deterministic for a given run."""
+    """Fixed-schema JSON document; byte-deterministic for a given run.  A
+    number that is not finite reads null."""
     config = result.config
     doc = {
         "config": {
@@ -182,7 +184,20 @@ def emit_json(result: RunResult) -> str:
             for seed, record in zip(result.seeds, result.records)
         ],
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
+
+
+def _finite_or_null(value):
+    """value with every non-finite float (a prediction that could not be
+    computed, an infinite ratio) replaced by None, which JSON writes as
+    null: strict parsers reject NaN and Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def emit_plot_data(result: RunResult) -> str:

@@ -11,6 +11,7 @@ first order in 1/a from eta and eta' values on three vertical lines.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     DegenerateDenominator,
     DerivativeNearZero,
     NonFiniteResult,
+    QZetaError,
     RangeUnsupported,
 )
 from .special import zeta_plus_triple
@@ -229,9 +231,16 @@ _B_CANDIDATE_STEP = 5
 # Candidates b tried by the first pass (b <= 20 covers the reference run);
 # each later pass doubles the count.
 _B_FIRST_CANDIDATES = 4
+# Most entries in one table of select_truncation's growth terms (at least
+# one row): region tops share a table in blocks of rows, so many tops at the
+# term cap hold one row of MAX_SERIES_TERMS entries at a time, while a
+# sweep plan's 29 rows of at most ~1100 terms fit in one block.
+_TABLE_ENTRIES = 1 << 17
 
 
-def select_truncation(a: float, d: float, region_top: float) -> int:
+def select_truncation(
+    a: float, d: float, region_top: float | Sequence[float]
+) -> int | list:
     """Smallest b in {5, 10, 15, ...} whose estimated dropped-term size at
     k = i*region_top is below the calibrated threshold.
 
@@ -247,66 +256,130 @@ def select_truncation(a: float, d: float, region_top: float) -> int:
     overflows) raises ``RangeUnsupported``, and so does a pass that fails
     with a candidate that would keep more than MAX_SERIES_TERMS terms,
     before anything that long is allocated.
+
+    For a sequence of region tops, returns a list with one entry per top:
+    its b, or the error that top alone raises.  The candidates' B depend on
+    a and d alone, so each pass computes m once and one table of log terms,
+    a row per top still without a b, with one sequential cumulative sum per
+    row; ``select_truncation(a, d, [t])[0] == select_truncation(a, d, t)``.
     """
-    if not (a > 0 and d > 0):
-        raise ValueError("a and d must be positive")
-    if not (region_top > 0 and math.isfinite(region_top)):
-        raise ValueError("region_top must be positive and finite")
+    tops = [region_top] if np.ndim(region_top) == 0 else list(region_top)
+    results: list = [None] * len(tops)  # b or error per top
+    chords = {}  # 4*sin^2(t/(2a)) of each top still without a b
+    for i, top in enumerate(tops):
+        try:
+            if not (a > 0 and d > 0):
+                raise ValueError("a and d must be positive")
+            if not (top > 0 and math.isfinite(top)):
+                raise ValueError("region_top must be positive and finite")
+            angle = top / (2.0 * a)
+            if not math.isfinite(angle):
+                raise RangeUnsupported(
+                    f"truncation estimate not finite for a={a:g}, d={d:g}, "
+                    f"region_top={top:g}"
+                )
+            chords[i] = 4.0 * math.sin(angle) ** 2
+        except (ValueError, RangeUnsupported) as exc:
+            results[i] = exc
     log_threshold = math.log(_TRUNCATION_THRESHOLD)
-    root = math.sqrt(a / d)
-    chord_sq = 4.0 * math.sin(region_top / (2.0 * a)) ** 2
     count = _B_FIRST_CANDIDATES
-    while True:
+    while chords:  # so a and d are positive
+        root = math.sqrt(a / d)
         candidates = range(
             _B_CANDIDATE_STEP, _B_CANDIDATE_STEP * count + 1, _B_CANDIDATE_STEP
         )
         # those that keep at most MAX_SERIES_TERMS terms (b*root may be inf)
         bs = [b for b in candidates if b * root < MAX_SERIES_TERMS + 1]
         n_terms = [math.floor(b * root) for b in bs]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            m = np.expm1(np.arange(1, max(n_terms, default=0) + 1) / a)
-            growth = np.cumsum(0.5 * np.log1p((1.0 + m) * chord_sq / (m * m)))
-        for b, n in zip(bs, n_terms):
-            if n < 1:
-                continue
-            log_estimate = -d * n * n / (4.0 * a) + growth[n - 1]
-            if not math.isfinite(log_estimate):
-                raise RangeUnsupported(
-                    f"truncation estimate not finite at b={b} for a={a:g}, "
-                    f"d={d:g}, region_top={region_top:g}"
-                )
-            if log_estimate < log_threshold:
-                return b
-        if len(bs) < len(candidates):
-            raise RangeUnsupported(
-                f"no truncation b keeping at most {MAX_SERIES_TERMS} series "
-                f"terms meets the threshold at a={a:g}, d={d:g}, "
-                f"region_top={region_top:g}"
-            )
+        width = max(n_terms, default=0)
+        with np.errstate(over="ignore"):
+            m = np.expm1(np.arange(1, width + 1) / a)
+        pending = list(chords)
+        step = max(1, _TABLE_ENTRIES // max(width, 1))
+        for block in range(0, len(pending), step):
+            rows = pending[block:block + step]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                growth = np.multiply.outer([chords[i] for i in rows], 1.0 + m)
+                growth /= m * m
+                np.log1p(growth, out=growth)
+                growth *= 0.5
+                np.cumsum(growth, axis=1, out=growth)
+            for i, row in zip(rows, growth):
+                for b, n in zip(bs, n_terms):
+                    if n < 1:
+                        continue
+                    log_estimate = -d * n * n / (4.0 * a) + row[n - 1]
+                    if not math.isfinite(log_estimate):
+                        results[i] = RangeUnsupported(
+                            f"truncation estimate not finite at b={b} for "
+                            f"a={a:g}, d={d:g}, region_top={tops[i]:g}"
+                        )
+                        break
+                    if log_estimate < log_threshold:
+                        results[i] = b
+                        break
+                if results[i] is None and len(bs) < len(candidates):
+                    results[i] = RangeUnsupported(
+                        f"no truncation b keeping at most {MAX_SERIES_TERMS} "
+                        f"series terms meets the threshold at a={a:g}, "
+                        f"d={d:g}, region_top={tops[i]:g}"
+                    )
+                if results[i] is not None:
+                    del chords[i]
         count *= 2
+    if np.ndim(region_top) == 0:
+        [b] = results
+        if isinstance(b, Exception):
+            raise b
+        return b
+    return results
 
 
-def linear_approximation(y: float, a: float, d: float) -> complex:
+def linear_approximation(
+    y: float | Sequence[float], a: float, d: float
+) -> complex | list:
     """First-order prediction of the deformed zero for the classical
     critical-line zero at k = y*i.
 
     Combines eta at 3/2+yi and -1/2+yi with eta' at 1/2+yi, all three from
-    one ``zeta_plus_triple`` call; the correction is proportional to
-    1/(12a), so the prediction tends to y*i as a grows.
+    ``zeta_plus_triple``; the correction is proportional to 1/(12a), so the
+    prediction tends to y*i as a grows.
+
+    For a sequence of ordinates, returns a list with one entry per
+    ordinate: its prediction, or the error that ordinate alone raises.  The
+    eta values of all ordinates come from one ``zeta_plus_triple`` call, so
+    they share its passes; ``linear_approximation([y], a, d)[0] ==
+    linear_approximation(y, a, d)``.
     """
-    if not y > 0:
-        raise ValueError("y must be positive")
-    yi = complex(0.0, y)
-    eta_prime, eta_right, eta_left = zeta_plus_triple(y)
-    if abs(eta_prime) < 1e-10:
-        raise DerivativeNearZero(
-            f"eta'(1/2 + {y:g}i) ~ 0; not a simple-zero ordinate"
-        )
-    numerator = (4.0 / d) * (0.5 + yi) * eta_right - d * (-1.0 + yi) * eta_left
-    denominator = 12.0 * a * eta_prime
-    za = yi * (1.0 - numerator / denominator)
-    if not (math.isfinite(za.real) and math.isfinite(za.imag)):
-        raise NonFiniteResult(
-            f"first-order prediction at y={y:g}, a={a:g}, d={d:g} is {za!r}"
-        )
-    return za
+    ys = [y] if np.ndim(y) == 0 else list(y)
+    triples = iter(zeta_plus_triple([y_i for y_i in ys if y_i > 0]))
+    zas: list = []
+    for y_i in ys:
+        try:
+            if not y_i > 0:
+                raise ValueError("y must be positive")
+            triple = next(triples)
+            if isinstance(triple, Exception):
+                raise triple
+            eta_prime, eta_right, eta_left = triple
+            if abs(eta_prime) < 1e-10:
+                raise DerivativeNearZero(
+                    f"eta'(1/2 + {y_i:g}i) ~ 0; not a simple-zero ordinate"
+                )
+            yi = complex(0.0, y_i)
+            numerator = (4.0 / d) * (0.5 + yi) * eta_right - d * (-1.0 + yi) * eta_left
+            denominator = 12.0 * a * eta_prime
+            za = yi * (1.0 - numerator / denominator)
+            if not (math.isfinite(za.real) and math.isfinite(za.imag)):
+                raise NonFiniteResult(
+                    f"first-order prediction at y={y_i:g}, a={a:g}, d={d:g} is {za!r}"
+                )
+            zas.append(za)
+        except (ValueError, QZetaError) as exc:
+            zas.append(exc)
+    if np.ndim(y) == 0:
+        [za] = zas
+        if isinstance(za, Exception):
+            raise za
+        return za
+    return zas

@@ -6,10 +6,12 @@ term N^(1-s)/(s-1), and Bernoulli corrections.  N is grown until a rigorous
 first-omitted-term bound meets a fixed absolute error of 1e-12, which then
 holds over the whole supported region (Re s >= -2, |Im s| <= 200).  The
 direct terms n^(-s) read ln n from tables built once per process (float64
-and long double, grown by doubling), and their phases |Im s| ln n, reduced
-mod 2 pi in long double, come as cos/sin rows that points sharing |Im s|
-share: ``zeta_plus_triple`` gives the three eta values of a first-order
-prediction from one row.
+and long double, grown by doubling), and their phases |Im s| ln n are
+reduced mod 2 pi in long double.  Points evaluated together share that
+work: eta and eta' values come from one long-double pass over one phase
+row per distinct |Im s| and one magnitude row n^(-Re s) per distinct Re s,
+so ``zeta_plus_triple`` over the ordinates of a whole run gives every
+first-order prediction's three eta values from one pass.
 
 The alternating-sum variant eta(s) = (1 - 2^(1-s)) zeta(s) is assembled so
 that the zeta pole cancels analytically rather than numerically: near s = 1
@@ -31,6 +33,7 @@ and grows to ~1e-9 at the extreme corner of the supported region.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections.abc import Sequence
 
@@ -195,34 +198,42 @@ def _directed_powers(s: np.ndarray, n: int, rows):
     return logs, powers
 
 
-def _em_regular(s: np.ndarray, n: int, rows, want_derivative: bool):
+def _em_regular(s: np.ndarray, n: int, rows):
     """Euler-Maclaurin pieces of zeta except the pole term N^(1-s)/(s-1), at
     every point of the 1-D array s with one N, from the points' phase rows
     (see ``_directed_powers``).
 
-    Returns one (R, R', N^(-s)) triple of complex per point, where
-    zeta(s) = R + N^(1-s)/(s-1); R' is None unless requested.  The N direct
-    terms of all points are summed in one numpy pass over the tabulated
-    logs; the few Bernoulli corrections run per point in Python complex
-    arithmetic, which rounds differently from numpy's fused complex multiply.
+    Returns one (R, None, N^(-s)) triple of complex per point, where
+    zeta(s) = R + N^(1-s)/(s-1).  The N direct terms of all points are
+    summed in one numpy pass over the tabulated logs, and
+    ``_em_corrections`` adds the Bernoulli corrections.
     """
     logs, powers = _directed_powers(s, n, rows)
     n_pows = powers[:, -1]  # N^(-s)
     totals = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
-    log_n = float(logs[-1])
-    derivs = [None] * len(s)
-    if want_derivative:
-        derivs = -(logs[:-1] * powers[:, :-1]).sum(axis=1) - 0.5 * log_n * n_pows
-        derivs = derivs.tolist()
+    count = len(s)
+    return _em_corrections(
+        s.tolist(), [n] * count, totals.tolist(), [None] * count,
+        n_pows.tolist(), [None] * count,
+    )
 
-    n_sq = float(n) * float(n)
+
+def _em_corrections(s, ns, totals, derivs, n_pows, log_ns):
+    """Add the Bernoulli corrections of zeta's Euler-Maclaurin sum to each
+    point's direct sums: ``totals`` (the N direct terms, the last one
+    halved) and ``derivs`` (the same for zeta', or None where it is not
+    wanted), given s, N, N^(-s) and ln N per point as Python numbers.
+
+    Returns one (R, R', N^(-s)) triple per point.  The corrections run per
+    point in Python complex arithmetic, which rounds differently from
+    numpy's fused complex multiply.
+    """
     pieces = []
-    for s_i, total, deriv, n_pow in zip(
-        s.tolist(), totals.tolist(), derivs, n_pows.tolist()
-    ):
+    for s_i, n, total, deriv, n_pow, log_n in zip(s, ns, totals, derivs, n_pows, log_ns):
         # Corrections: T_k = B_2k/(2k)! * N^(1-s-2k) * prod_{j=0}^{2k-2} (s+j).
         # The rising product and its s-derivative advance together (product
         # rule), which stays exact when some factor s+j vanishes.
+        n_sq = float(n) * float(n)
         rising = s_i
         rising_d = 1.0 + 0.0j
         scale = n_pow * n  # N^(1-s)
@@ -230,7 +241,7 @@ def _em_regular(s: np.ndarray, n: int, rows, want_derivative: bool):
             scale = scale / n_sq  # N^(1-s-2k)
             coeff = _B_OVER_FACT[2 * k]
             total += coeff * rising * scale
-            if want_derivative:
+            if deriv is not None:
                 deriv += coeff * scale * (rising_d - rising * log_n)
             if k < _EM_ORDER // 2:
                 f1, f2 = s_i + (2 * k - 1), s_i + 2 * k
@@ -263,7 +274,7 @@ def _zeta_values(s: np.ndarray, n: int) -> list[complex]:
     return [
         regular + n_pow * n / (s_i - 1.0)  # + N^(1-s)/(s-1)
         for s_i, (regular, _, n_pow) in zip(
-            s.tolist(), _em_regular(s, n, _phase_rows(s, n), False)
+            s.tolist(), _em_regular(s, n, _phase_rows(s, n))
         )
     ]
 
@@ -314,25 +325,65 @@ def _eta_prime(
 
 def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
     """eta(s), or eta'(s) where the flag is set, at each (s, flag) of
-    ``points``: validated points off the pole that share |Im s|.  Each point
-    is summed with its own N, and the phase rows are computed once, for the
-    largest N."""
+    ``points``: validated points off the pole.  Each point is summed with
+    its own N, and its value is bitwise the one the point alone gives.
+
+    The points share the work their direct terms have in common.  The
+    phases |Im s|*ln(v) are reduced mod 2*pi in one long-double pass over
+    ragged rows laid end to end (see ``_phase_rows``), one row per
+    distinct |Im s| and as long as the largest N among its points, and the
+    magnitudes exp(-Re s * ln v) come from one row per distinct Re s.
+    Each point multiplies the first N entries of its two rows as
+    ``_directed_powers`` does, and its sums run over that contiguous slice.
+    """
+    ss = [s for s, _ in points]
     ns = []
     for s, derivative in points:
         # eta' to a 10x tighter target, near-pole eta to a 2x tighter one
         divisor = 10.0 if derivative else 2.0 if abs(s - 1.0) < _POLE_SPLIT else 1.0
         ns.append(_choose_terms(s, _TARGET_ABS_ERROR / divisor))
-    rows = _phase_rows(np.array([points[0][0]]), max(ns))
-    values = []
-    for (s, derivative), n in zip(points, ns):
-        [(regular, regular_prime, n_pow)] = _em_regular(
-            np.array([s]), n, rows, derivative
-        )
-        values.append(
-            _eta_prime(s, n, regular, regular_prime, n_pow) if derivative
-            else _eta(s, n, regular, n_pow)
-        )
-    return values
+    heights: dict[float, int] = {}  # |Im s| -> its phase row
+    sigmas: dict[float, int] = {}  # Re s -> its magnitude row
+    rows = [heights.setdefault(abs(s.imag), len(heights)) for s in ss]
+    mag_rows = [sigmas.setdefault(s.real, len(sigmas)) for s in ss]
+    row_n = [0] * len(heights)
+    for r, n in zip(rows, ns):
+        row_n[r] = max(row_n[r], n)
+    row_start = list(itertools.accumulate(row_n, initial=0))
+    logs, logs_ld = _logs(max(ns))
+    phases = np.concatenate(
+        [np.longdouble(h) * logs_ld[:n] for h, n in zip(heights, row_n)]
+    )
+    phases = np.mod(phases, _TWO_PI_LD, out=phases).astype(np.float64)
+    cos, sin = np.cos(phases), np.sin(phases, out=phases)
+    mags = np.exp(np.multiply.outer(-np.array(list(sigmas)), logs))
+
+    sums, slopes, n_pows = [], [], []
+    for s, (_, derivative), n, r, k in zip(ss, points, ns, rows, mag_rows):
+        start, row_mags = row_start[r], mags[k, :n]
+        powers = np.empty(n, dtype=complex)
+        np.multiply(row_mags, cos[start:start + n], out=powers.real)
+        np.multiply(row_mags, sin[start:start + n], out=powers.imag)
+        if s.imag >= 0:
+            np.subtract(0.0, powers.imag, out=powers.imag)
+        sums.append(np.add.reduce(powers[:-1]))
+        slopes.append(np.add.reduce(logs[:n - 1] * powers[:-1]) if derivative else 0j)
+        n_pows.append(powers[-1])  # N^(-s)
+    n_pows = np.array(n_pows)
+    log_ns = logs.take([n - 1 for n in ns])  # ln N
+    derivs = [None] * len(points)
+    if any(derivative for _, derivative in points):
+        values = (-np.array(slopes) - 0.5 * log_ns * n_pows).tolist()
+        derivs = [v if derivative else None for v, (_, derivative) in zip(values, points)]
+    pieces = _em_corrections(
+        ss, ns, (np.array(sums) + 0.5 * n_pows).tolist(), derivs,
+        n_pows.tolist(), log_ns.tolist(),
+    )
+    return [
+        _eta_prime(s, n, regular, regular_prime, n_pow) if derivative
+        else _eta(s, n, regular, n_pow)
+        for (s, derivative), n, (regular, regular_prime, n_pow) in zip(points, ns, pieces)
+    ]
 
 
 def zeta_plus(s: complex) -> complex:
@@ -351,15 +402,44 @@ def zeta_plus_derivative(s: complex) -> complex:
     return _eta_values([(s, True)])[0]
 
 
-def zeta_plus_triple(y: float) -> tuple[complex, complex, complex]:
+def zeta_plus_triple(
+    y: float | Sequence[float],
+) -> tuple[complex, complex, complex] | list:
     """(eta'(1/2 + iy), eta(3/2 + iy), eta(-1/2 + iy)), the values the
     first-order zero prediction combines; bitwise equal to
     ``zeta_plus_derivative(complex(0.5, y))``, ``zeta_plus(complex(1.5, y))``
-    and ``zeta_plus(complex(-0.5, y))``, but the three points reduce their
-    common phases |y|*ln(v) once."""
-    points = [_validate_point(complex(x, y)) for x in (0.5, 1.5, -0.5)]
-    # none lies within _POLE_RADIUS of s = 1
-    return tuple(_eta_values(list(zip(points, (True, False, False)))))
+    and ``zeta_plus(complex(-0.5, y))``.
+
+    For a sequence of ordinates, returns a list with one entry per
+    ordinate: its triple, or the ``RangeUnsupported`` error the ordinate
+    alone raises.  All triples come from one ``_eta_values`` pass, so the
+    three points of an ordinate reduce their common phases |y|*ln(v) once
+    and all points sharing a real part share one magnitude row;
+    ``zeta_plus_triple([y])[0] == zeta_plus_triple(y)``.
+    """
+    ys = [y] if np.ndim(y) == 0 else list(y)
+    entries = []
+    for y_i in ys:
+        try:
+            entries.append([_validate_point(complex(x, y_i)) for x in (0.5, 1.5, -0.5)])
+        except RangeUnsupported as exc:
+            entries.append(exc)
+    # no point lies within _POLE_RADIUS of s = 1
+    points = [
+        (s, derivative)
+        for entry in entries if not isinstance(entry, Exception)
+        for s, derivative in zip(entry, (True, False, False))
+    ]
+    values = iter(_eta_values(points) if points else [])
+    triples = [
+        entry if isinstance(entry, Exception) else (next(values), next(values), next(values))
+        for entry in entries
+    ]
+    if np.ndim(y) == 0:
+        if isinstance(triples[0], Exception):
+            raise triples[0]
+        return triples[0]
+    return triples
 
 
 def _siegel_theta(t: float) -> float:

@@ -1,5 +1,4 @@
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +10,11 @@ import qzeta.pipeline
 from qzeta import RangeUnsupported, UsageError
 from qzeta.cli import build_parser, main, parse_cli
 from qzeta.search import escalation_schedule
+
+
+def _reject(constant):
+    """parse_constant for strict JSON, which has no NaN or Infinity."""
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def _planning_failed(argv, reason):
@@ -31,7 +35,7 @@ def _planning_failed(argv, reason):
         assert process.stderr == ""
         return process.stdout
 
-    (zero,) = json.loads(run("--format", "json"))["zeros"]
+    (zero,) = json.loads(run("--format", "json"), parse_constant=_reject)["zeros"]
     assert zero["verdict"] == "failed"
     assert zero["integrations"] == []
     assert zero["b"] is None
@@ -149,8 +153,8 @@ class TestMain:
             "NonFiniteResult: first-order prediction at y=14.1347",
         )
         assert "a=1e+308" in zero["reason"]
-        # no prediction: z and za read nan
-        assert all(math.isnan(zero[key][part]) for key in ("z", "za") for part in ("re", "im"))
+        # no prediction: z and za read null
+        assert all(zero[key][part] is None for key in ("z", "za") for part in ("re", "im"))
 
     def test_region_top_below_axis_exit_one(self):
         # the prediction 6464.9 - 223.9i leaves no search region above Im k = 0
@@ -164,10 +168,12 @@ class TestMain:
     def test_planning_error_fails_its_seed_alone(self, monkeypatch, capsys):
         real = qzeta.pipeline.select_truncation
 
-        def failing_second(a, d, region_top):
-            if region_top > 20:
-                raise RangeUnsupported("no truncation for this seed")
-            return real(a, d, region_top)
+        def failing_second(a, d, region_tops):
+            # the entry of a rejected top carries its error
+            return [
+                RangeUnsupported("no truncation for this seed") if top > 20 else b
+                for top, b in zip(region_tops, real(a, d, region_tops))
+            ]
 
         monkeypatch.setattr(qzeta.pipeline, "select_truncation", failing_second)
         assert main(["--y-max", "22", "--format", "json"]) == 1

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 import qzeta.pipeline
-from qzeta import RunConfig, initial_rectangle, plan_seeds, select_truncation
+from qzeta import (
+    RunConfig,
+    initial_rectangle,
+    linear_approximation,
+    plan_seeds,
+    select_truncation,
+)
 from qzeta.search import KAPPA
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -25,9 +31,9 @@ def test_truncation_region_is_the_opening_rectangle(monkeypatch):
     # zero, below the 1e-3 floor of the opening half-width
     tops = []
 
-    def spy(a, d, region_top):
-        tops.append(region_top)
-        return select_truncation(a, d, region_top)
+    def spy(a, d, region_tops):
+        tops.extend(region_tops)
+        return select_truncation(a, d, region_tops)
 
     monkeypatch.setattr(qzeta.pipeline, "select_truncation", spy)
     config = RunConfig(a=1e5, d=2.0, y_max=None, y_list=(14.134725141984639,))
@@ -42,14 +48,29 @@ def test_truncation_region_is_the_opening_rectangle(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_floor_leaves_the_sweep_plans(seed):
     """The benchmark sweep's seeds all lie above the floor, so their
-    truncations are those of the unfloored half-width."""
+    truncations are those of the unfloored half-width.  The plan predicts
+    and truncates all seeds together; each seed's prediction is bitwise the
+    one its ordinate alone gives."""
     workloads = _workloads()
     for a, d in workloads.sweep_inputs(seed):
         config = RunConfig(a=a, d=d, y_max=workloads.SWEEP_Y_MAX)
         for s in plan_seeds(config)[0]:
+            za = linear_approximation(s.y, a, d)
+            assert (s.za.real.hex(), s.za.imag.hex()) == (za.real.hex(), za.imag.hex())
             rd = min(0.5, KAPPA * abs(s.za - 1j * s.y))
             assert rd > 1e-3
             assert s.b == select_truncation(a, d, s.za.imag + rd)
+
+
+def test_overflowing_truncation_fails_its_seeds():
+    # at a = 1e-300 the predictions lie near 1e301i, and region_top/(2a)
+    # overflows in the truncation estimate
+    seeds, functions = plan_seeds(RunConfig(a=1e-300, y_max=22.0))
+    assert functions == [None, None]
+    for s in seeds:
+        assert s.reason.startswith(
+            "RangeUnsupported: truncation estimate not finite for a=1e-300, d=2, "
+        )
 
 
 def test_polynomial_run_is_set_by_its_coefficients():

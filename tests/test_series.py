@@ -13,10 +13,13 @@ from qzeta import (
     DegenerateDenominator,
     DerivativeNearZero,
     NonFiniteResult,
+    QZetaError,
     RangeUnsupported,
+    RunConfig,
     SharpParams,
     evaluate,
     linear_approximation,
+    plan_seeds,
     select_truncation,
     term_ratio,
 )
@@ -347,6 +350,14 @@ class TestSelectTruncation:
             select_truncation(a, d, 1.0)
         assert f"a={a:g}, d={d:g}, region_top=1" in str(info.value)
 
+    def test_overflowing_chord_raises(self):
+        # region_top/(2a) overflows, so sin(region_top/(2a)) has no value
+        with pytest.raises(RangeUnsupported) as info:
+            select_truncation(1e-300, 1e-300, 1e10)
+        assert str(info.value) == (
+            "truncation estimate not finite for a=1e-300, d=1e-300, region_top=1e+10"
+        )
+
     def test_term_cap(self):
         # b = 5 keeps 5e6 terms at a = 1e12, d = 1: nothing to try
         with pytest.raises(RangeUnsupported, match="at most 100000 series terms"):
@@ -382,9 +393,68 @@ class TestLinearApproximation:
     def test_vanishing_derivative(self, monkeypatch, eta_prime):
         # |eta'(1/2 + iy)| below 1e-10 marks y as no simple-zero ordinate
         triple = (complex(0.0, eta_prime), 1.0 + 0.5j, 2.0 - 1.0j)
-        monkeypatch.setattr(qzeta.series, "zeta_plus_triple", lambda y: triple)
+        monkeypatch.setattr(qzeta.series, "zeta_plus_triple", lambda ys: [triple for _ in ys])
         if eta_prime < 1e-10:
             with pytest.raises(DerivativeNearZero, match="14.1347"):
                 linear_approximation(14.1347, 750.0, 2.0)
         else:
             assert math.isfinite(abs(linear_approximation(14.1347, 750.0, 2.0)))
+
+
+def outcome(call):
+    """What a one-value call gives: its result, bit for bit, or the type
+    and message of the error it raises."""
+    try:
+        value = call()
+    except (ValueError, QZetaError) as exc:
+        return type(exc), str(exc)
+    return (value.real.hex(), value.imag.hex()) if isinstance(value, complex) else value
+
+
+def entry_outcome(entry):
+    """``outcome`` of one entry of a sequence form: a result or an error."""
+    if isinstance(entry, Exception):
+        return type(entry), str(entry)
+    return outcome(lambda: entry)
+
+
+class TestSequenceForms:
+    # a from the sweep's range and from 1e-4 up to 1e308, where predictions
+    # overflow, tops fall below the axis and truncations fail; below
+    # a/d ~ 1e-10 select_truncation's passes would grow without a bound
+    @given(
+        a=st.one_of(
+            st.floats(100.0, 5000.0), st.floats(-4.0, 308.0).map(lambda e: 10.0 ** e)
+        ),
+        d=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+        ys=st.lists(st.floats(0.0, 250.0, exclude_min=True), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_entries_are_the_one_value_results(self, a, d, ys):
+        zas = linear_approximation(ys, a, d)
+        assert [entry_outcome(za) for za in zas] == [
+            outcome(lambda: linear_approximation(y, a, d)) for y in ys
+        ]
+        # the ordinates serve as region tops
+        bs = select_truncation(a, d, ys)
+        assert [entry_outcome(b) for b in bs] == [
+            outcome(lambda: select_truncation(a, d, top)) for top in ys
+        ]
+        # every seed ends planned or with the reason it is not
+        seeds, functions = plan_seeds(RunConfig(a=a, d=d, y_max=None, y_list=tuple(ys)))
+        assert len(seeds) == len(functions) == len(ys)
+        for seed, f in zip(seeds, functions):
+            if seed.reason is None:
+                assert cmath.isfinite(seed.za) and seed.b >= 1 and f.params.b == seed.b
+            else:
+                assert seed.reason and seed.b is None and f is None
+
+    def test_entry_errors(self):
+        assert linear_approximation([], 750.0, 2.0) == []
+        assert select_truncation(750.0, 2.0, []) == []
+        zas = linear_approximation([14.134725141984639, 0.0, 250.0], 750.0, 2.0)
+        assert [type(za) for za in zas] == [complex, ValueError, RangeUnsupported]
+        bs = select_truncation(750.0, 2.0, [14.15, math.inf, 37.0])
+        assert [bs[0], type(bs[1]), bs[2]] == [15, ValueError, 20]
+        assert str(bs[1]) == "region_top must be positive and finite"
+        assert all(isinstance(b, ValueError) for b in select_truncation(-1.0, 2.0, [1.0, 2.0]))

@@ -333,6 +333,28 @@ def bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64)
 
 
+def eta_point_by_point(s, derivative):
+    """eta(s), or eta'(s), from the point's own phase row and
+    ``_directed_powers``, with its direct terms summed as one row: the
+    reference ``_eta_values``' shared passes match."""
+    divisor = 10.0 if derivative else 2.0 if abs(s - 1.0) < special._POLE_SPLIT else 1.0
+    n = special._choose_terms(s, special._TARGET_ABS_ERROR / divisor)
+    point = np.array([s])
+    logs, powers = special._directed_powers(point, n, special._phase_rows(point, n))
+    n_pows = powers[:, -1]
+    total = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
+    log_n = float(logs[-1])
+    deriv = [None]
+    if derivative:
+        deriv = (-(logs[:-1] * powers[:, :-1]).sum(axis=1) - 0.5 * log_n * n_pows).tolist()
+    [(regular, regular_prime, n_pow)] = special._em_corrections(
+        [s], [n], total.tolist(), deriv, n_pows.tolist(), [log_n]
+    )
+    if derivative:
+        return special._eta_prime(s, n, regular, regular_prime, n_pow)
+    return special._eta(s, n, regular, n_pow)
+
+
 class TestChooseTerms:
     # the targets of zeta and far eta, of near-pole eta, and of eta'
     @pytest.mark.parametrize("divisor", [1.0, 2.0, 10.0])
@@ -422,17 +444,45 @@ class TestDirectedPowers:
         for got, ref in zip(fast, values()):
             assert (got == ref).all()
 
-    @given(st.floats(min_value=0.0, max_value=200.0, exclude_min=True))
-    @settings(max_examples=200, deadline=None)
-    def test_triple_equals_public_calls(self, y):
-        triple = special.zeta_plus_triple(y)
-        yi = complex(0.0, y)
-        expected = (
-            zeta_plus_derivative(0.5 + yi),
-            zeta_plus(1.5 + yi),
-            zeta_plus(-0.5 + yi),
-        )
-        assert (bits(triple) == bits(expected)).all()
+    @given(st.lists(
+        st.floats(min_value=0.0, max_value=200.0, exclude_min=True),
+        min_size=1, max_size=4,
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_triple_equals_public_calls(self, ys):
+        """One ordinate or several, the triples are bitwise the public calls."""
+        for y, triple in zip(ys, special.zeta_plus_triple(ys)):
+            yi = complex(0.0, y)
+            expected = (
+                zeta_plus_derivative(0.5 + yi),
+                zeta_plus(1.5 + yi),
+                zeta_plus(-0.5 + yi),
+            )
+            assert (bits(triple) == bits(expected)).all()
+            assert (bits(special.zeta_plus_triple(y)) == bits(expected)).all()
+
+    def test_triple_entry_errors(self):
+        triples = special.zeta_plus_triple([250.0, 14.1347, math.nan])
+        assert [type(t) for t in triples] == [RangeUnsupported, tuple, RangeUnsupported]
+        with pytest.raises(RangeUnsupported) as info:
+            special.zeta_plus_triple(250.0)
+        assert str(info.value) == str(triples[0])
+        assert special.zeta_plus_triple([]) == []
+
+    def test_shared_passes_equal_points_alone(self):
+        rng = random.Random(4)
+        points = [
+            (complex(rng.uniform(-2.0, 4.0), rng.uniform(-200.0, 200.0)), rng.random() < 0.5)
+            for _ in range(40)
+        ]
+        # rows shared across both signs of Im s and across real parts, real
+        # points, and points near the pole
+        points += [
+            (0.5 + 14.1347j, True), (0.5 - 14.1347j, False), (1.5 + 14.1347j, False),
+            (1.2 + 0.1j, True), (1.0005 + 0j, False), (2.0 + 0j, True), (-1.5 + 0j, False),
+        ]
+        expected = [eta_point_by_point(s, derivative) for s, derivative in points]
+        assert (bits(special._eta_values(points)) == bits(expected)).all()
 
 
 def record_illinois(monkeypatch):
