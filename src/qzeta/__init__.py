@@ -9,15 +9,14 @@ shrinking rectangles (winding count, gap diagnostics, first-moment zero
 estimate) and optionally polished by Newton steps.  The contour machinery
 works for any analytic function supplied as a plain callable.
 
-Submodules load on first use (PEP 562): the error types are bound at import,
-every other public name imports its submodule when first looked up, so
-``import qzeta`` and the contour engine (``winding``, ``search``) never
-import numpy.
+Submodules load on first use (PEP 562): each public name is declared once,
+in its submodule's ``__all__``, and a lookup imports the submodules in turn
+until one declares it.  The error types and the contour engine (``winding``,
+``search``) come first, so ``import qzeta`` and those names never import
+numpy.
 """
 
 import importlib
-
-from . import errors
 
 __version__ = "0.1.0"
 
@@ -25,80 +24,27 @@ __version__ = "0.1.0"
 # records include it.
 BACKEND = "numpy"
 
-# Every public name, once, under the submodule that defines it.
-_API = {
-    "errors": (
-        "QZetaError",
-        "PoleAtOne",
-        "RangeUnsupported",
-        "DegenerateDenominator",
-        "NonFiniteResult",
-        "DerivativeNearZero",
-        "ZeroOnContour",
-        "UsageError",
-    ),
-    "special": (
-        "REFERENCE_ZEROS",
-        "riemann_zeta",
-        "zeta_plus",
-        "zeta_plus_derivative",
-        "zeta_plus_triple",
-        "hardy_z",
-        "classical_zeros",
-        "CLASSICAL_Y_MAX",
-    ),
-    "series": (
-        "MAX_SERIES_TERMS",
-        "SharpParams",
-        "SharpFunction",
-        "term_ratio",
-        "evaluate",
-        "select_truncation",
-        "linear_approximation",
-    ),
-    "winding": (
-        "AnalyticFunction",
-        "Rectangle",
-        "BoundaryTrace",
-        "IntegrationResult",
-        "compute_char",
-        "compute_fo",
-        "fo_from_angles",
-        "moment_zero_estimate",
-        "integrate",
-    ),
-    "search": (
-        "escalation_schedule",
-        "SearchState",
-        "Assessment",
-        "Verdict",
-        "ZeroRecord",
-        "IntegrationAttempt",
-        "initial_rectangle",
-        "assess",
-        "step_policy",
-        "newton_refine",
-        "run_variants",
-    ),
-    "pipeline": ("RunConfig", "RunResult", "Seed", "plan_seeds", "execute"),
-    "report": ("emit_text_report", "emit_json", "emit_plot_data"),
-}
-_OWNER = {name: module for module, names in _API.items() for name in names}
-globals().update((name, getattr(errors, name)) for name in _API["errors"])
+# The submodules whose ``__all__`` the package re-exports, in lookup order.
+_SUBMODULES = ("errors", "winding", "search", "special", "series", "pipeline", "report")
 
-__all__ = ["BACKEND", "__version__", *_OWNER]
+
+def _declared(module: str) -> list[str]:
+    return importlib.import_module(f"{__name__}.{module}").__all__
 
 
 def __getattr__(name: str):
-    if name in _API:
+    if name in _SUBMODULES:
         value = importlib.import_module(f"{__name__}.{name}")
-    elif name in _OWNER:
-        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    elif name == "__all__":
+        value = ["BACKEND", "__version__", *(n for m in _SUBMODULES for n in _declared(m))]
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        owner = next((m for m in _SUBMODULES if name in _declared(m)), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{owner}"), name)
     globals()[name] = value  # later lookups are plain attribute reads
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_API})
+    return sorted({*globals(), *__getattr__("__all__"), *_SUBMODULES})

@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--y", type=float, action="append", default=None,
                         help="explicit seed ordinate (repeatable; overrides --y-max)")
     parser.add_argument("--c", type=int, default=RunConfig.c,
-                        help="opening points per rectangle side, escalated by 1.5 and "
-                             "2.25 for the later variants (4 gives 4,6,9)")
+                        help="opening points per rectangle side, 3 to 64, escalated by 1.5 "
+                             "and 2.25 for the later variants (4 gives 4,6,9)")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--target", default="sharp",
                         help="'sharp' or 'poly:<comma-separated complex coefficients>'")
@@ -103,8 +103,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         report = emit_text_report(result)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(report)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
     any_failed = any(r.verdict is Verdict.FAILED for r in result.records)

@@ -1,12 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "QZetaError", "RangeUnsupported", "DegenerateDenominator", "NonFiniteResult",
+    "DerivativeNearZero", "ZeroOnContour", "UsageError",
+]
+
 
 class QZetaError(Exception):
     """Base class for all package-specific errors."""
-
-
-class PoleAtOne(QZetaError):
-    """zeta(s) requested at (or too close to) the pole s = 1."""
 
 
 class RangeUnsupported(QZetaError):

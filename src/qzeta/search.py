@@ -55,11 +55,18 @@ class Verdict(Enum):
     FAILED = "failed"
 
 
+# Most opening points per side: a zero then runs at most 64 + 96 + 72 = 232
+# integrations, where c = 10**6 would allow 3.6 million.
+C_MAX = 64
+
+
 def escalation_schedule(c: int) -> tuple[int, ...]:
     """Sampling densities of three variants opened at c points per side: c,
     then 1.5 and 2.25 times it, rounded up."""
     if c < 3:
         raise ValueError("c must be 3 or more points per side")
+    if c > C_MAX:
+        raise ValueError(f"c must be at most {C_MAX} points per side")
     return (c, math.ceil(c * 1.5), math.ceil(c * 2.25))
 
 

@@ -252,10 +252,12 @@ def select_truncation(
     factor is real arithmetic, 0.5*log1p((1+m)*4*sin^2(t/(2a))/m^2).  One
     cumulative sum of those logs gives every candidate's estimate at its B;
     when no candidate of a pass is below the threshold, the next pass
-    doubles the number of candidates.  An estimate that is not finite (e^(l/a)
-    overflows) raises ``RangeUnsupported``, and so does a pass that fails
-    with a candidate that would keep more than MAX_SERIES_TERMS terms,
-    before anything that long is allocated.
+    doubles the number of candidates.  The first candidate is the smallest
+    that keeps a term (b*sqrt(a/d) >= 1).  An estimate that is not finite
+    (e^(l/a) overflows) raises ``RangeUnsupported``, and so does a pass that
+    fails with a candidate that would keep more than MAX_SERIES_TERMS terms,
+    before anything that long is allocated, or a first candidate past 2**53
+    (a/d may underflow to 0).
 
     For a sequence of region tops, returns a list with one entry per top:
     its b, or the error that top alone raises.  The candidates' B depend on
@@ -283,11 +285,24 @@ def select_truncation(
             results[i] = exc
     log_threshold = math.log(_TRUNCATION_THRESHOLD)
     count = _B_FIRST_CANDIDATES
-    while chords:  # so a and d are positive
-        root = math.sqrt(a / d)
-        candidates = range(
-            _B_CANDIDATE_STEP, _B_CANDIDATE_STEP * count + 1, _B_CANDIDATE_STEP
-        )
+    first = _B_CANDIDATE_STEP  # the first candidate that keeps a term
+    root = math.sqrt(a / d) if chords else 1.0  # chords: a and d are positive
+    if first * root < 1:
+        # past 2**53, rounding would decide a candidate's n_terms
+        first = math.inf
+        if root * 2.0**53 >= 1:
+            first = _B_CANDIDATE_STEP * math.ceil(1.0 / (_B_CANDIDATE_STEP * root))
+            while first * root < 1:
+                first += _B_CANDIDATE_STEP
+        if not first <= 2**53:
+            for i in chords:
+                results[i] = RangeUnsupported(
+                    f"truncation b*sqrt(a/d) keeps no term for any b up to 2**53 "
+                    f"at a={a:g}, d={d:g}, region_top={tops[i]:g}"
+                )
+            chords.clear()
+    while chords:
+        candidates = range(first, first + _B_CANDIDATE_STEP * count, _B_CANDIDATE_STEP)
         # those that keep at most MAX_SERIES_TERMS terms (b*root may be inf)
         bs = [b for b in candidates if b * root < MAX_SERIES_TERMS + 1]
         n_terms = [math.floor(b * root) for b in bs]
@@ -306,8 +321,6 @@ def select_truncation(
                 np.cumsum(growth, axis=1, out=growth)
             for i, row in zip(rows, growth):
                 for b, n in zip(bs, n_terms):
-                    if n < 1:
-                        continue
                     log_estimate = -d * n * n / (4.0 * a) + row[n - 1]
                     if not math.isfinite(log_estimate):
                         results[i] = RangeUnsupported(
@@ -370,7 +383,8 @@ def linear_approximation(
             numerator = (4.0 / d) * (0.5 + yi) * eta_right - d * (-1.0 + yi) * eta_left
             denominator = 12.0 * a * eta_prime
             za = yi * (1.0 - numerator / denominator)
-            if not (math.isfinite(za.real) and math.isfinite(za.imag)):
+            # a finite za may still have a modulus that overflows
+            if not math.isfinite(math.hypot(za.real, za.imag)):
                 raise NonFiniteResult(
                     f"first-order prediction at y={y_i:g}, a={a:g}, d={d:g} is {za!r}"
                 )

@@ -25,9 +25,11 @@ each seed is the midpoint of its bracket.
 
 Caveat: the truncation bound is rigorous, but double rounding in the
 oscillatory factors exp(-i Im(s) ln n) sets a practical accuracy floor of
-roughly |zeta(s)| * |Im s| * ln(N) * 2^-52.  That floor is below 1e-12
-throughout the band the q-zeta pipeline uses (Re s >= -1/2, |Im s| <= 55)
-and grows to ~1e-9 at the extreme corner of the supported region.
+roughly |zeta(s)| * |Im s| * ln(N) * 2^-52.  That floor is near 1e-12
+throughout the band the q-zeta pipeline uses (Re s >= -1/2, |Im s| <= 55).
+Left of Re s = 0 the rounding of the N direct terms, about
+2^-52 * sum n^(-Re s), dominates instead: N reaches thousands at large
+|Im s|, and eta(-2 - 139.5i) misses by 8.9e-6 (5e-10 relative).
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import PoleAtOne, QZetaError, RangeUnsupported
+from .errors import QZetaError, RangeUnsupported
 
 __all__ = [
     "REFERENCE_ZEROS",
-    "riemann_zeta",
     "zeta_plus",
     "zeta_plus_derivative",
     "zeta_plus_triple",
@@ -257,15 +258,6 @@ def _cexpm1(w: complex) -> complex:
         # 4-term Horner tail; relative error < 1e-18 at |w| = 1e-4
         return w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w * (1.0 / 24.0))))
     return np.exp(w) - 1.0
-
-
-def riemann_zeta(s: complex) -> complex:
-    """zeta(s) on Re s >= -2, |Im s| <= 200, to an absolute error of 1e-12."""
-    s = _validate_point(s)
-    u = s - 1.0
-    if abs(u) < _POLE_RADIUS:
-        raise PoleAtOne(f"zeta pole at s=1 (got {s!r})")
-    return _zeta_values(np.array([s]), _choose_terms(s))[0]
 
 
 def _zeta_values(s: np.ndarray, n: int) -> list[complex]:

@@ -34,8 +34,6 @@ __all__ = [
     "Rectangle",
     "BoundaryTrace",
     "IntegrationResult",
-    "compute_char",
-    "compute_fo",
     "fo_from_angles",
     "moment_zero_estimate",
     "integrate",
@@ -234,14 +232,6 @@ def _traced(f, rect, c, passes, extra=()) -> tuple[BoundaryTrace, list[complex]]
     return BoundaryTrace(rect, c, offsets, points, values, angles, closing), extra_values
 
 
-def compute_char(trace: BoundaryTrace) -> float:
-    """1 minus the discrete winding count; 0 flags one enclosed simple zero.
-
-    Left unrounded: its distance from an integer is a quadrature diagnostic.
-    """
-    return 1.0 - trace.winding
-
-
 def fo_from_angles(angles: list[float]) -> int:
     """Worst-gap metric over a consecutive angle sequence:
     max{1 + floor(2(|gap| - 1))} over gaps exceeding 1, else 0."""
@@ -251,11 +241,6 @@ def fo_from_angles(angles: list[float]) -> int:
         if gap > 1.0:
             fo = max(fo, 1 + math.floor(2.0 * (gap - 1.0)))
     return fo
-
-
-def compute_fo(trace: BoundaryTrace) -> int:
-    """Gap metric of the displayed (four-side summed) angle sequence."""
-    return fo_from_angles(_row_sums(trace))
 
 
 def moment_zero_estimate(trace: BoundaryTrace) -> complex:
@@ -297,8 +282,11 @@ class IntegrationResult:
     """One contour integration: winding defect, gap metric, zero estimate,
     residual ratio against the rectangle center, and the refined trace."""
 
+    # 1 minus the discrete winding count, 0 for one enclosed simple zero;
+    # left unrounded, as its distance from an integer is a quadrature
+    # diagnostic
     char: float
-    fo: int
+    fo: int  # gap metric of the display rows' (four-side summed) angles
     z_estimate: complex
     trace: BoundaryTrace
     abs_center: float
@@ -319,19 +307,16 @@ def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult
     """sample -> refine -> winding/gap/zero-estimate/residual bundle.  The
     rectangle center is evaluated with the opening samples."""
     trace, (center_value,) = _traced(f, rect, c, _MAX_DEPTH, [rect.center])
-    char = compute_char(trace)
-    fo = compute_fo(trace)
     z_estimate = moment_zero_estimate(trace)
-    abs_center = abs(center_value)
     try:
         abs_estimate = abs(complex(f(z_estimate)))
     except Exception:
         abs_estimate = math.inf
     return IntegrationResult(
-        char=char,
-        fo=fo,
+        char=1.0 - trace.winding,
+        fo=fo_from_angles(_row_sums(trace)),
         z_estimate=z_estimate,
         trace=trace,
-        abs_center=abs_center,
+        abs_center=abs(center_value),
         abs_estimate=abs_estimate,
     )

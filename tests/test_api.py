@@ -1,6 +1,6 @@
-"""The public API: every name declared once and loaded with its submodule on
-first use, so that ``import qzeta`` and the contour engine never import
-numpy."""
+"""The public API: every name declared once, in its submodule's ``__all__``,
+and loaded with its submodule on first use, so that ``import qzeta`` and the
+contour engine never import numpy."""
 
 import importlib
 import os
@@ -72,7 +72,7 @@ import importlib
 import qzeta
 
 submodules = {SUBMODULES!r}
-assert not any(f"qzeta.{{m}}" in sys.modules for m in submodules[1:])
+assert not any(f"qzeta.{{m}}" in sys.modules for m in submodules)
 for name in qzeta.__all__[2:]:  # after BACKEND and __version__
     value = getattr(qzeta, name)
     owner = next(m for m in submodules
@@ -131,13 +131,20 @@ def test_patch_and_restore_a_public_name():
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_public_table_matches_each_submodule(module):
     submodule = importlib.import_module(f"qzeta.{module}")
-    if module == "errors":  # no __all__: its names are its exception classes
-        names = [
+    if module == "errors":  # its names are exactly its exception classes
+        assert sorted(submodule.__all__) == sorted(
             name for name, value in vars(submodule).items()
             if isinstance(value, type) and issubclass(value, Exception)
-        ]
-    else:
-        names = submodule.__all__
-    assert sorted(qzeta._API[module]) == sorted(names)
-    for name in names:
+        )
+    assert set(submodule.__all__) <= set(qzeta.__all__)
+    for name in submodule.__all__:
         assert getattr(qzeta, name) is getattr(submodule, name), name
+
+
+def test_no_name_is_declared_by_two_submodules():
+    declared = [
+        name for module in SUBMODULES
+        for name in importlib.import_module(f"qzeta.{module}").__all__
+    ]
+    assert len(set(declared)) == len(declared)
+    assert sorted(qzeta.__all__) == sorted(["BACKEND", "__version__", *declared])

@@ -41,7 +41,9 @@ def _planning_failed(argv, reason):
     assert zero["b"] is None
     assert zero["reason"].startswith(reason)
     text = run()
-    assert text.split("FINAL LIST OF Q-ZEROS:")[1].split()[:4] == ["failed", "1", "14.1347", "z:"]
+    assert text.split("FINAL LIST OF Q-ZEROS:")[1].split()[:4] == [
+        "failed", "1", f"{zero['y']:.6g}", "z:"
+    ]
     assert text.endswith(f"\n  reason: {zero['reason']}\n")
     return zero
 
@@ -130,6 +132,13 @@ class TestMain:
         doc = json.loads(path.read_text())
         assert doc["config"]["y_max"] == 15.0
 
+    def test_unwritable_out_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.txt"
+        assert main(["--y-max", "15", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not path.parent.exists()
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["--target", "spline"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -138,7 +147,7 @@ class TestMain:
         "argv",
         [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--d", "0"], ["--a", "inf"],
          ["--y-max", "0"], ["--y-max", "-3"], ["--y-max", "nan"], ["--y-max", "inf"],
-         ["--y-max", "150"], ["--target", "poly:1", "--y", "2"]],
+         ["--y-max", "150"], ["--target", "poly:1", "--y", "2"], ["--c", "65"]],
     )
     def test_config_error_exit_two(self, argv, capsys):
         assert main(argv + ["--format", "csv"]) == 2
@@ -291,6 +300,23 @@ class TestConsoleScript:
             "RangeUnsupported: truncation estimate not finite",
         )
         assert "a=0.001, d=1" in zero["reason"]
+
+    def test_overflowing_prediction_modulus_exit_one(self):
+        # the prediction is finite, but its modulus overflows
+        _planning_failed(
+            ["--a", "1.071210389082412e-213", "--d", "1.3218244786546675e-93",
+             "--y", "62.00076705331232"],
+            "NonFiniteResult: first-order prediction at y=62.0008",
+        )
+
+    def test_tiny_a_over_d_exit_one(self):
+        # b*sqrt(a/d) keeps no term below b = 2**53, where an unbounded
+        # candidate list would grow until memory runs out
+        zero = _planning_failed(
+            ["--a", "1e-30", "--d", "1e35", "--y-max", "15"],
+            "RangeUnsupported: truncation b*sqrt(a/d) keeps no term",
+        )
+        assert "a=1e-30, d=1e+35" in zero["reason"]
 
     def test_no_truncation_within_the_series_length_cap_exit_one(self):
         # b = 5 would keep 1.1e9 terms, an allocation the cap must prevent

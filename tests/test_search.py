@@ -489,3 +489,10 @@ class TestEscalationSchedule:
             RunConfig(c=2)
         with pytest.raises(ValueError, match="3 or more"):
             run_variants([lambda k: k], [(9.0, 9j)], c=2)
+        # at most 64 + 96 + 72 integrations per zero
+        assert escalation_schedule(64) == (64, 96, 144)
+        for c in (65, 10**6):
+            with pytest.raises(ValueError, match="at most 64"):
+                escalation_schedule(c)
+        with pytest.raises(ValueError, match="at most 64"):
+            RunConfig(c=65)

@@ -358,6 +358,18 @@ class TestSelectTruncation:
             "truncation estimate not finite for a=1e-300, d=1e-300, region_top=1e+10"
         )
 
+    @pytest.mark.parametrize("a,d", [(1e-30, 1e35), (1e-300, 1e300)])
+    def test_no_term_below_two_to_the_53(self, a, d):
+        # b*sqrt(a/d) < 1 for every b up to 2**53; at 1e-300/1e300, a/d is 0
+        with pytest.raises(RangeUnsupported, match="keeps no term") as info:
+            select_truncation(a, d, 15.0)
+        assert f"a={a:g}, d={d:g}, region_top=15" in str(info.value)
+
+    def test_first_candidate_keeps_a_term(self):
+        # sqrt(a/d) = 0.01, so b = 100 is the first candidate
+        assert select_truncation(1.0, 1e4, [1.0, 14.0, 48.0, 100.0]) == [100] * 4
+        assert select_truncation_by_candidate(1.0, 1e4, 14.0) == 100
+
     def test_term_cap(self):
         # b = 5 keeps 5e6 terms at a = 1e12, d = 1: nothing to try
         with pytest.raises(RangeUnsupported, match="at most 100000 series terms"):
@@ -419,14 +431,14 @@ def entry_outcome(entry):
 
 
 class TestSequenceForms:
-    # a from the sweep's range and from 1e-4 up to 1e308, where predictions
-    # overflow, tops fall below the axis and truncations fail; below
-    # a/d ~ 1e-10 select_truncation's passes would grow without a bound
+    # a from the sweep's range and from 1e-300 up to 1e308, d from 1e-300 up
+    # to 1e300, where predictions and their moduli overflow, tops fall below
+    # the axis, truncations fail and a/d keeps no series term for any b
     @given(
         a=st.one_of(
-            st.floats(100.0, 5000.0), st.floats(-4.0, 308.0).map(lambda e: 10.0 ** e)
+            st.floats(100.0, 5000.0), st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
         ),
-        d=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+        d=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
         ys=st.lists(st.floats(0.0, 250.0, exclude_min=True), min_size=1, max_size=6),
     )
     @settings(max_examples=60, deadline=None)

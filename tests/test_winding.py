@@ -12,8 +12,6 @@ from qzeta import (
     SharpFunction,
     SharpParams,
     ZeroOnContour,
-    compute_char,
-    compute_fo,
     fo_from_angles,
     integrate,
     moment_zero_estimate,
@@ -143,20 +141,17 @@ class TestGapMetric:
 
     def test_refined_trace_usually_clean(self):
         f = poly_from_roots([0.0j])
-        trace = integrate(f, Rectangle(0j, 1.0, 0.5), 6).trace
-        assert compute_fo(trace) == 0
+        assert integrate(f, Rectangle(0j, 1.0, 0.5), 6).fo == 0
 
 
 class TestChar:
     def test_single_zero(self):
         f = poly_from_roots([0.1 - 0.05j])
-        trace = integrate(f, Rectangle(0j, 1.0, 0.5), 4).trace
-        assert abs(compute_char(trace)) <= 0.01
+        assert abs(integrate(f, Rectangle(0j, 1.0, 0.5), 4).char) <= 0.01
 
     def test_double_zero(self):
         f = lambda k: (k - 0.1j) ** 2
-        trace = integrate(f, Rectangle(0j, 1.0, 0.5), 4).trace
-        assert abs(compute_char(trace) + 1.0) <= 0.01
+        assert abs(integrate(f, Rectangle(0j, 1.0, 0.5), 4).char + 1.0) <= 0.01
 
     def test_orientation_reflection_negates_count(self):
         center = 0.5 + 0.5j
@@ -168,8 +163,8 @@ class TestChar:
             return f((k - center).conjugate() + center)
 
         rect = Rectangle(center, 0.6, 0.4)
-        char_f = compute_char(integrate(f, rect, 6).trace)
-        char_g = compute_char(integrate(reflected, rect, 6).trace)
+        char_f = integrate(f, rect, 6).char
+        char_g = integrate(reflected, rect, 6).char
         assert abs((char_g - 1.0) + (char_f - 1.0)) < 0.02
 
 
@@ -260,8 +255,7 @@ class TestWindingIntegrality:
             if any(boundary_distance(r) < margin for r in roots):
                 continue
             f = poly_from_roots(roots)
-            trace = integrate(f, rect, 6).trace
-            char = compute_char(trace)
+            char = integrate(f, rect, 6).char
             assert abs(char - round(char)) < 0.02
             # count correctness needs the sampling to resolve root clusters;
             # with pairwise-separated roots c=6 suffices
@@ -308,8 +302,7 @@ class TestWindingIntegrality:
                     value /= k - p
                 return value
 
-            trace = integrate(f, rect, 8).trace
-            char = compute_char(trace)
+            char = integrate(f, rect, 8).char
             expected = 1 - sum(1 for r in roots if rect.contains(r)) + sum(
                 1 for p in poles if rect.contains(p)
             )
