@@ -62,7 +62,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class Seed:
     """One search seed: classical ordinate, predicted location, truncation,
-    and the error that stopped its planning, if one did."""
+    and the reason it is not searched, if there is one."""
 
     index: int
     y: float
@@ -92,9 +92,11 @@ class _Polynomial:
 
 
 def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
-    """Resolve the seed list and one evaluator per seed.  A series seed
-    whose prediction or truncation raised a package error keeps the error
-    as its ``reason``, an unknown prediction as nan and no evaluator.  All
+    """Resolve the seed list and one evaluator per seed.  A series seed is
+    not searched, and has a ``reason`` and no evaluator, when its
+    prediction, its search region's top or its truncation raised a package
+    error (the first of these; an unknown prediction reads nan and ``b`` is
+    unset) or when its prediction lies on or above the pole line.  All
     seeds are predicted in one ``linear_approximation`` call and truncated
     in one ``select_truncation`` call."""
     if config.y_list is not None:
@@ -123,18 +125,23 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
                     f"region at Im k = {top:g}, not above the real axis"
                 )
         tops.append(top)
-    truncations = iter(select_truncation(
-        a, d, [top for top in tops if not isinstance(top, Exception)]
-    ))
-    for i, (y, za, top) in enumerate(zip(ys, zas, tops), start=1):
-        b = top if isinstance(top, Exception) else next(truncations)
+    # a seed that already failed passes nan; its first failure outranks
+    # the error that nan gets
+    bs = select_truncation(a, d, [math.nan if isinstance(t, Exception) else t for t in tops])
+    for i, (y, za, top, b) in enumerate(zip(ys, zas, tops, bs), start=1):
+        error = top if isinstance(top, Exception) else b  # the seed's first failure
         f, reason = None, None
-        if isinstance(b, QZetaError):
-            b, reason = None, f"{type(b).__name__}: {b}"
-        elif isinstance(b, Exception):
-            raise b
+        if isinstance(error, QZetaError):
+            b, reason = None, f"{type(error).__name__}: {error}"
+        elif isinstance(error, Exception):
+            raise error
         else:
-            f = SharpFunction(SharpParams(a, d, b))
+            params = SharpParams(a, d, b)
+            if za.imag < params.pole_line:
+                f = SharpFunction(params)
+            else:
+                reason = (f"prediction {za!r} lies on or above the pole line "
+                          f"Im k = 2*eps = {params.pole_line:g}")
         if isinstance(za, Exception):
             za = complex(math.nan, math.nan)
         seeds.append(Seed(index=i, y=y, za=za, b=b, reason=reason))
@@ -143,41 +150,29 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
 
 
 def execute(config: RunConfig) -> RunResult:
-    """Search every seed to a verdict.  A seed fails, with the reason, and
-    the other seeds keep theirs, when its planning raised, when its series
-    prediction lies on or above the pole line Im k = 2*eps (both without a
-    search), or when its series zero concludes outside the search strip."""
+    """Search every seed that planning gave no reason to skip, to a
+    verdict.  A seed fails, with the reason, and the other seeds keep
+    theirs, when planning skipped it (without a search) or when its series
+    zero concludes outside the search strip."""
     seeds, functions = plan_seeds(config)
-    reasons = [seed.reason for seed in seeds]
-    if not config.poly_coefficients:
-        for i, (seed, f) in enumerate(zip(seeds, functions)):
-            if reasons[i] is None and not seed.za.imag < 2.0 * f.params.epsilon:
-                reasons[i] = (
-                    f"prediction {seed.za!r} lies on or above the pole line "
-                    f"Im k = 2*eps = {2.0 * f.params.epsilon:g}"
-                )
-    todo = [i for i, reason in enumerate(reasons) if reason is None]
-    searched = iter(
-        run_variants([functions[i] for i in todo], [(seeds[i].y, seeds[i].za) for i in todo],
-                     config.c)
-    )
+    todo = [i for i, seed in enumerate(seeds) if seed.reason is None]
+    searched = iter(run_variants([functions[i] for i in todo],
+                                 [(seeds[i].y, seeds[i].za) for i in todo], config.c))
     records = []
-    for seed, f, reason in zip(seeds, functions, reasons):
-        if reason is not None:
+    for seed, f in zip(seeds, functions):
+        if seed.reason is not None:
             # z is the seed, so |f(z)|/|f(za)| is 1, as for a search that
             # accepted no estimate
             records.append(ZeroRecord(
                 index=seed.index, y=seed.y, za=seed.za, z=seed.za, de=None, vv_final=1.0,
-                verdict=Verdict.FAILED, newton_applied=False, trace_log=[], reason=reason,
+                verdict=Verdict.FAILED, newton_applied=False, trace_log=[], reason=seed.reason,
             ))
             continue
         record = next(searched)
         record.index = seed.index
-        # the strip 0 < Im k < 2*eps, cut at |Re k| < 2*eps
-        if not config.poly_coefficients and record.verdict is Verdict.VERY_GOOD:
-            width = 2.0 * f.params.epsilon
-            if not (0.0 < record.z.imag < width and abs(record.z.real) < width):
-                record.verdict = Verdict.FAILED
-                record.reason = f"accepted zero {record.z!r} escaped the search strip"
+        if (not config.poly_coefficients and record.verdict is Verdict.VERY_GOOD
+                and not f.params.in_strip(record.z)):
+            record.verdict = Verdict.FAILED
+            record.reason = f"accepted zero {record.z!r} escaped the search strip"
         records.append(record)
     return RunResult(config=config, seeds=seeds, records=records)

@@ -23,7 +23,7 @@ from .errors import (
     QZetaError,
     RangeUnsupported,
 )
-from .special import zeta_plus_triple
+from .special import _one_or_all, zeta_plus_triple
 
 __all__ = [
     "MAX_SERIES_TERMS",
@@ -80,6 +80,15 @@ class SharpParams:
     @property
     def epsilon(self) -> float:
         return math.sqrt(math.pi * self.a / (2.0 * self.d))
+
+    @property
+    def pole_line(self) -> float:
+        """Im k = 2*epsilon, the top of the search strip."""
+        return 2.0 * self.epsilon
+
+    def in_strip(self, z: complex) -> bool:
+        """The search strip: 0 < Im z < 2*epsilon, cut at |Re z| < 2*epsilon."""
+        return 0.0 < z.imag < self.pole_line and abs(z.real) < self.pole_line
 
 
 _GAUSS_GUARD = 700.0  # below exp overflow (~709); replacement exact there
@@ -340,12 +349,7 @@ def select_truncation(
                 if results[i] is not None:
                     del chords[i]
         count *= 2
-    if np.ndim(region_top) == 0:
-        [b] = results
-        if isinstance(b, Exception):
-            raise b
-        return b
-    return results
+    return _one_or_all(region_top, results)
 
 
 def linear_approximation(
@@ -365,13 +369,11 @@ def linear_approximation(
     linear_approximation(y, a, d)``.
     """
     ys = [y] if np.ndim(y) == 0 else list(y)
-    triples = iter(zeta_plus_triple([y_i for y_i in ys if y_i > 0]))
     zas: list = []
-    for y_i in ys:
+    for y_i, triple in zip(ys, zeta_plus_triple(ys)):
         try:
             if not y_i > 0:
                 raise ValueError("y must be positive")
-            triple = next(triples)
             if isinstance(triple, Exception):
                 raise triple
             eta_prime, eta_right, eta_left = triple
@@ -391,9 +393,4 @@ def linear_approximation(
             zas.append(za)
         except (ValueError, QZetaError) as exc:
             zas.append(exc)
-    if np.ndim(y) == 0:
-        [za] = zas
-        if isinstance(za, Exception):
-            raise za
-        return za
-    return zas
+    return _one_or_all(y, zas)

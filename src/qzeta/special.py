@@ -100,6 +100,17 @@ REFERENCE_ZEROS = (
 )
 
 
+def _one_or_all(arg, entries: list):
+    """The entries of a sequence form when ``arg`` is a sequence; for one
+    value, its one entry, raised if it is an error."""
+    if np.ndim(arg):
+        return entries
+    [entry] = entries
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
 def _validate_point(s: complex) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -199,24 +210,23 @@ def _directed_powers(s: np.ndarray, n: int, rows):
     return logs, powers
 
 
-def _em_regular(s: np.ndarray, n: int, rows):
-    """Euler-Maclaurin pieces of zeta except the pole term N^(1-s)/(s-1), at
-    every point of the 1-D array s with one N, from the points' phase rows
-    (see ``_directed_powers``).
-
-    Returns one (R, None, N^(-s)) triple of complex per point, where
-    zeta(s) = R + N^(1-s)/(s-1).  The N direct terms of all points are
-    summed in one numpy pass over the tabulated logs, and
-    ``_em_corrections`` adds the Bernoulli corrections.
-    """
-    logs, powers = _directed_powers(s, n, rows)
+def _zeta_values(s: np.ndarray, n: int) -> list[complex]:
+    """zeta at every point of the 1-D array s from one N-term
+    Euler-Maclaurin evaluation (no pole or range checks).  The N direct
+    terms of all points are summed in one numpy pass over the tabulated
+    logs (see ``_directed_powers``), ``_em_corrections`` adds the Bernoulli
+    corrections, and the pole term N^(1-s)/(s-1) comes last."""
+    _, powers = _directed_powers(s, n, _phase_rows(s, n))
     n_pows = powers[:, -1]  # N^(-s)
     totals = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
-    count = len(s)
-    return _em_corrections(
-        s.tolist(), [n] * count, totals.tolist(), [None] * count,
-        n_pows.tolist(), [None] * count,
+    nones = [None] * len(s)
+    pieces = _em_corrections(
+        s.tolist(), [n] * len(s), totals.tolist(), nones, n_pows.tolist(), nones
     )
+    return [
+        regular + n_pow * n / (s_i - 1.0)  # + N^(1-s)/(s-1)
+        for s_i, (regular, _, n_pow) in zip(s.tolist(), pieces)
+    ]
 
 
 def _em_corrections(s, ns, totals, derivs, n_pows, log_ns):
@@ -258,17 +268,6 @@ def _cexpm1(w: complex) -> complex:
         # 4-term Horner tail; relative error < 1e-18 at |w| = 1e-4
         return w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w * (1.0 / 24.0))))
     return np.exp(w) - 1.0
-
-
-def _zeta_values(s: np.ndarray, n: int) -> list[complex]:
-    """zeta at every point of the 1-D array s from one N-term
-    Euler-Maclaurin evaluation (no pole or range checks)."""
-    return [
-        regular + n_pow * n / (s_i - 1.0)  # + N^(1-s)/(s-1)
-        for s_i, (regular, _, n_pow) in zip(
-            s.tolist(), _em_regular(s, n, _phase_rows(s, n))
-        )
-    ]
 
 
 # Inside this distance from s=1 the zeta pole is cancelled symbolically;
@@ -423,19 +422,14 @@ def zeta_plus_triple(
         for s, derivative in zip(entry, (True, False, False))
     ]
     values = iter(_eta_values(points) if points else [])
-    triples = [
+    return _one_or_all(y, [
         entry if isinstance(entry, Exception) else (next(values), next(values), next(values))
         for entry in entries
-    ]
-    if np.ndim(y) == 0:
-        if isinstance(triples[0], Exception):
-            raise triples[0]
-        return triples[0]
-    return triples
+    ])
 
 
 def _siegel_theta(t: float) -> float:
-    """Riemann-Siegel theta via the Stirling asymptotic (t not tiny)."""
+    """Riemann-Siegel theta via the Stirling asymptotic (t not small)."""
     t2 = t * t
     return (
         0.5 * t * math.log(t / (2.0 * math.pi))
@@ -455,15 +449,18 @@ def _rotate_to_real(t: float, zeta: complex) -> float:
 
 def hardy_z(t: float | Sequence[float]) -> float | np.ndarray:
     """Hardy Z(t) = exp(i theta(t)) zeta(1/2 + it); real on the real line.
+    Defined for 5 <= t <= 200; any other t raises ``RangeUnsupported``.
 
     For a sequence of ordinates, returns an ndarray from one Euler-Maclaurin
-    evaluation with the N of the largest |t| (the remainder bound grows with
+    evaluation with the N of the largest t (the remainder bound grows with
     |s|, so it meets the target everywhere); ``hardy_z([t])[0] == hardy_z(t)``.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not ts.size:
         return np.empty(0)
-    top = _validate_point(complex(0.5, ts[np.argmax(np.abs(ts))]))  # NaN wins
+    top = _validate_point(complex(0.5, ts.max()))  # NaN wins
+    if ts.min() < 5.0:  # theta's Stirling series misses Z by 9.6e-13 at t = 4
+        raise RangeUnsupported(f"hardy_z needs t >= 5, got {float(ts.min())!r}")
     zetas = _zeta_values(0.5 + 1j * ts, _choose_terms(top))
     values = list(map(_rotate_to_real, ts.tolist(), zetas))
     return values[0] if np.ndim(t) == 0 else np.array(values)
@@ -583,13 +580,15 @@ def classical_zeros(y_max: float) -> list[float]:
                 f"{found} zeros found up to the Gram point g_{n} = {g!r}, "
                 f"where Gram's law gives {n + 1}"
             )
-    for y in zeros:
+    # each eta value is bitwise zeta_plus(complex(0.5, y))
+    etas = _eta_values([(complex(0.5, y), False) for y in zeros]) if zeros else []
+    for y, eta in zip(zeros, etas):
         ref_hits = [r for r in REFERENCE_ZEROS if abs(r - y) < 5e-4]
         in_table_range = y < REFERENCE_ZEROS[-1] + 0.5
         if in_table_range and not ref_hits:
             raise QZetaError(
                 f"zero finder produced {y!r}, absent from the verification table"
             )
-        if abs(zeta_plus(complex(0.5, y))) >= 1e-5:
+        if abs(eta) >= 1e-5:
             raise QZetaError(f"ordinate {y!r} fails the |eta| residual check")
     return zeros

@@ -1,6 +1,7 @@
 """Seed planning: each seed's truncation is chosen for the rectangle its
 search opens."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -16,14 +17,24 @@ from qzeta import (
 )
 from qzeta.search import KAPPA
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+def _perfbench(name):
+    """The benchmark module ``perfbench/<name>.py``, loaded as it is."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_tracer_patches_resolve():
+    # the benchmark's tracer wraps each name where the package looks it up
+    # at call time; a name moved away from there would go untraced
+    for module, attribute, _ in _perfbench("tracer").PATCHES:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), (
+            f"{module}.{attribute}"
+        )
 
 
 def test_truncation_region_is_the_opening_rectangle(monkeypatch):
@@ -51,7 +62,7 @@ def test_floor_leaves_the_sweep_plans(seed):
     truncations are those of the unfloored half-width.  The plan predicts
     and truncates all seeds together; each seed's prediction is bitwise the
     one its ordinate alone gives."""
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     for a, d in workloads.sweep_inputs(seed):
         config = RunConfig(a=a, d=d, y_max=workloads.SWEEP_Y_MAX)
         for s in plan_seeds(config)[0]:

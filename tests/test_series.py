@@ -430,6 +430,16 @@ def entry_outcome(entry):
     return outcome(lambda: entry)
 
 
+def assert_above_pole_line(seed, params):
+    """The seed's prediction lies on or above the pole line of ``params``,
+    and its reason says so."""
+    assert cmath.isfinite(seed.za) and not seed.za.imag < params.pole_line
+    assert seed.reason == (
+        f"prediction {seed.za!r} lies on or above the pole line "
+        f"Im k = 2*eps = {params.pole_line:g}"
+    )
+
+
 class TestSequenceForms:
     # a from the sweep's range and from 1e-300 up to 1e308, d from 1e-300 up
     # to 1e300, where predictions and their moduli overflow, tops fall below
@@ -452,14 +462,30 @@ class TestSequenceForms:
         assert [entry_outcome(b) for b in bs] == [
             outcome(lambda: select_truncation(a, d, top)) for top in ys
         ]
-        # every seed ends planned or with the reason it is not
+        # every seed ends with exactly one of an evaluator or the reason it
+        # is not searched
         seeds, functions = plan_seeds(RunConfig(a=a, d=d, y_max=None, y_list=tuple(ys)))
         assert len(seeds) == len(functions) == len(ys)
         for seed, f in zip(seeds, functions):
-            if seed.reason is None:
+            assert (f is None) != (seed.reason is None)
+            if f is not None:
                 assert cmath.isfinite(seed.za) and seed.b >= 1 and f.params.b == seed.b
+            elif seed.b is not None:
+                assert_above_pole_line(seed, SharpParams(a, d, seed.b))
             else:
-                assert seed.reason and seed.b is None and f is None
+                assert seed.reason
+
+    def test_seeds_above_the_pole_line(self):
+        # at a=500, d=3 the pole line Im k = 2*eps is 32.36: the seeds from
+        # the fifth on keep their truncation, but get a reason, not a search
+        seeds, functions = plan_seeds(RunConfig(a=500.0, d=3.0))
+        assert len(seeds) == 9
+        for seed, f in zip(seeds[:4], functions):
+            assert seed.reason is None and f.params.b == seed.b
+        for seed, f in zip(seeds[4:], functions[4:]):
+            assert f is None and seed.b in (15, 20)
+            assert_above_pole_line(seed, SharpParams(500.0, 3.0, seed.b))
+            assert seed.reason.endswith("j) lies on or above the pole line Im k = 2*eps = 32.3604")
 
     def test_entry_errors(self):
         assert linear_approximation([], 750.0, 2.0) == []
