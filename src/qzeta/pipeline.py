@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 from .errors import QZetaError, RangeUnsupported
 from .search import Verdict, ZeroRecord, escalation_schedule, initial_rectangle, run_variants
-from .series import (
-    SharpFunction,
-    SharpParams,
-    linear_approximation,
-    select_truncation,
-)
+from .series import SharpParams, linear_approximation, select_truncation
 from .special import CLASSICAL_Y_MAX, classical_zeros
 
 __all__ = ["RunConfig", "Seed", "RunResult", "plan_seeds", "execute"]
@@ -138,7 +133,7 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
         else:
             params = SharpParams(a, d, b)
             if za.imag < params.pole_line:
-                f = SharpFunction(params)
+                f = params
             else:
                 reason = (f"prediction {za!r} lies on or above the pole line "
                           f"Im k = 2*eps = {params.pole_line:g}")
@@ -171,7 +166,7 @@ def execute(config: RunConfig) -> RunResult:
         record = next(searched)
         record.index = seed.index
         if (not config.poly_coefficients and record.verdict is Verdict.VERY_GOOD
-                and not f.params.in_strip(record.z)):
+                and not f.in_strip(record.z)):
             record.verdict = Verdict.FAILED
             record.reason = f"accepted zero {record.z!r} escaped the search strip"
         records.append(record)

@@ -331,7 +331,8 @@ def _integrate_variants(
     with schedule[v] // 2 integrations (at least one) per density.  Each
     density restarts from the last good estimate; a later variant also
     resizes the rectangle from the error estimate, never past the opening
-    rectangle.
+    rectangle.  An integration whose rectangle and density equal the last
+    one's would return the same result, so that result is logged again.
     """
     opening_rd = state.rd
     for variant, c_open in enumerate(schedule):
@@ -345,7 +346,9 @@ def _integrate_variants(
             state.zn = state.zna
             state.consecutive_good = 0
             for _ in range(max(1, c_open // 2)):
-                result = integrate(f, state.rect, c)
+                result = trace_log[-1].result if trace_log else None
+                if result is None or (result.trace.rect, result.trace.c) != (state.rect, c):
+                    result = integrate(f, state.rect, c)
                 if state.variant_opening_vv is None:
                     state.variant_opening_vv = result.vv
                 verdict = assess(result, state)

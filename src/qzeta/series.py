@@ -23,12 +23,11 @@ from .errors import (
     QZetaError,
     RangeUnsupported,
 )
-from .special import _one_or_all, zeta_plus_triple
+from .special import zeta_plus_triple
 
 __all__ = [
     "MAX_SERIES_TERMS",
     "SharpParams",
-    "SharpFunction",
     "term_ratio",
     "evaluate",
     "select_truncation",
@@ -44,10 +43,14 @@ MAX_SERIES_TERMS = 100_000
 
 @dataclass(frozen=True)
 class SharpParams:
-    """Series configuration: deformation scale a, damping d, truncation b.
+    """Series configuration: deformation scale a, damping d, truncation b;
+    also the series' evaluator for the contour machinery.
 
     The series keeps n_terms = floor(b * sqrt(a/d)) terms; b is the
-    user-facing truncation multiplier (see ``select_truncation``).
+    user-facing truncation multiplier (see ``select_truncation``).  Calling
+    it at a point gives the series value there, and ``many``, the
+    vectorised form the contour sampler uses, maps a 1-D array of points
+    to their values (both through ``evaluate``).
     """
 
     a: float
@@ -89,6 +92,12 @@ class SharpParams:
     def in_strip(self, z: complex) -> bool:
         """The search strip: 0 < Im z < 2*epsilon, cut at |Re z| < 2*epsilon."""
         return 0.0 < z.imag < self.pole_line and abs(z.real) < self.pole_line
+
+    def __call__(self, k: complex) -> complex:
+        return complex(evaluate(self, np.array([complex(k)]))[0])
+
+    def many(self, points: np.ndarray) -> np.ndarray:
+        return evaluate(self, points)
 
 
 _GAUSS_GUARD = 700.0  # below exp overflow (~709); replacement exact there
@@ -167,22 +176,20 @@ def term_ratio(params: SharpParams, k: complex, j: int) -> complex:
     return ratio
 
 
-def evaluate(params: SharpParams, k: complex | np.ndarray) -> complex | np.ndarray:
-    """Truncated series value at k (term 0 = 1, n_terms terms in total).
+def evaluate(params: SharpParams, points: np.ndarray) -> np.ndarray:
+    """Truncated series values (term 0 = 1, n_terms terms in total) at a 1-D
+    array of points, each bitwise the value the point alone gives.
 
-    k is one point, which gives a complex, or a 1-D array of points, which
-    gives an array of values, each bitwise the one the point alone gives;
-    the points go through the kernel in blocks of _POINT_BLOCK.  Term j is
+    The points go through the kernel in blocks of _POINT_BLOCK.  Term j is
     the running product of the first j term ratios, so each sum is one
     cumulative product over j = 1..n_terms-1.  Evaluation is permitted on
     Im k in [-epsilon, 3*epsilon]: slightly beyond the strip, so contour
     rectangles around zeros near the strip edges fit.  A failed check names
     the first offending point.
     """
-    scalar = np.ndim(k) == 0
-    points = np.array([complex(k)]) if scalar else np.asarray(k, dtype=complex)
+    points = np.asarray(points, dtype=complex)
     if points.ndim != 1:
-        raise ValueError("k must be a point or a 1-D array of points")
+        raise ValueError("points must be a 1-D array")
     eps = params.epsilon
     outside = ~(
         np.isfinite(points) & (-eps <= points.imag) & (points.imag <= 3.0 * eps)
@@ -207,28 +214,7 @@ def evaluate(params: SharpParams, k: complex | np.ndarray) -> complex | np.ndarr
     if overflowed.any():
         bad = complex(points[np.argmax(overflowed)])
         raise NonFiniteResult(f"series overflowed at k={bad!r}")
-    return complex(values[0]) if scalar else values
-
-
-class SharpFunction:
-    """Callable wrapper around ``evaluate`` for the contour machinery.
-
-    ``many`` is the vectorised form the contour sampler uses when an
-    evaluator provides it: a 1-D array of points in, their values out.
-    """
-
-    def __init__(self, params: SharpParams):
-        self.params = params
-
-    def __call__(self, k: complex) -> complex:
-        return evaluate(self.params, k)
-
-    def many(self, points: np.ndarray) -> np.ndarray:
-        return evaluate(self.params, points)
-
-    def __repr__(self):
-        p = self.params
-        return f"SharpFunction(a={p.a:g}, d={p.d:g}, b={p.b})"
+    return values
 
 
 # Threshold for the estimated relative size of the first dropped term.  The
@@ -247,34 +233,31 @@ _B_FIRST_CANDIDATES = 4
 _TABLE_ENTRIES = 1 << 17
 
 
-def select_truncation(
-    a: float, d: float, region_top: float | Sequence[float]
-) -> int | list:
-    """Smallest b in {5, 10, 15, ...} whose estimated dropped-term size at
-    k = i*region_top is below the calibrated threshold.
+def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
+    """For each top t of ``region_tops``, the smallest b in {5, 10, 15, ...}
+    whose estimated dropped-term size at k = i*t is below the calibrated
+    threshold: one entry per top, its b or the error that top alone raises.
 
     The estimate is the dominant Gaussian decay exp(-d*B^2/(4a)) times the
     product-growth bound prod_l |1-e^((l+k)/a)| / |1-e^(l/a)| on the
     imaginary axis at the top of the evaluation region, B = floor(b*sqrt(a/d))
-    the number of terms b keeps.  With t = region_top and m = expm1(l/a),
+    the number of terms b keeps.  With m = expm1(l/a),
     |1-e^((l+it)/a)|^2 = m^2 + (1+m)*4*sin^2(t/(2a)), so the log of each
     factor is real arithmetic, 0.5*log1p((1+m)*4*sin^2(t/(2a))/m^2).  One
     cumulative sum of those logs gives every candidate's estimate at its B;
     when no candidate of a pass is below the threshold, the next pass
     doubles the number of candidates.  The first candidate is the smallest
     that keeps a term (b*sqrt(a/d) >= 1).  An estimate that is not finite
-    (e^(l/a) overflows) raises ``RangeUnsupported``, and so does a pass that
+    (e^(l/a) overflows) gives ``RangeUnsupported``, and so does a pass that
     fails with a candidate that would keep more than MAX_SERIES_TERMS terms,
     before anything that long is allocated, or a first candidate past 2**53
     (a/d may underflow to 0).
 
-    For a sequence of region tops, returns a list with one entry per top:
-    its b, or the error that top alone raises.  The candidates' B depend on
-    a and d alone, so each pass computes m once and one table of log terms,
-    a row per top still without a b, with one sequential cumulative sum per
-    row; ``select_truncation(a, d, [t])[0] == select_truncation(a, d, t)``.
+    The candidates' B depend on a and d alone, so each pass computes m once
+    and one table of log terms, a row per top still without a b, with one
+    sequential cumulative sum per row.
     """
-    tops = [region_top] if np.ndim(region_top) == 0 else list(region_top)
+    tops = list(region_tops)
     results: list = [None] * len(tops)  # b or error per top
     chords = {}  # 4*sin^2(t/(2a)) of each top still without a b
     for i, top in enumerate(tops):
@@ -349,26 +332,19 @@ def select_truncation(
                 if results[i] is not None:
                     del chords[i]
         count *= 2
-    return _one_or_all(region_top, results)
+    return results
 
 
-def linear_approximation(
-    y: float | Sequence[float], a: float, d: float
-) -> complex | list:
+def linear_approximation(ys: Sequence[float], a: float, d: float) -> list:
     """First-order prediction of the deformed zero for the classical
-    critical-line zero at k = y*i.
+    critical-line zero at k = y*i, for each ordinate y of ``ys``: one entry
+    per ordinate, its prediction or the error that ordinate alone raises.
 
     Combines eta at 3/2+yi and -1/2+yi with eta' at 1/2+yi, all three from
     ``zeta_plus_triple``; the correction is proportional to 1/(12a), so the
-    prediction tends to y*i as a grows.
-
-    For a sequence of ordinates, returns a list with one entry per
-    ordinate: its prediction, or the error that ordinate alone raises.  The
-    eta values of all ordinates come from one ``zeta_plus_triple`` call, so
-    they share its passes; ``linear_approximation([y], a, d)[0] ==
-    linear_approximation(y, a, d)``.
+    prediction tends to y*i as a grows.  The eta values of all ordinates
+    come from one ``zeta_plus_triple`` call, so they share its passes.
     """
-    ys = [y] if np.ndim(y) == 0 else list(y)
     zas: list = []
     for y_i, triple in zip(ys, zeta_plus_triple(ys)):
         try:
@@ -393,4 +369,4 @@ def linear_approximation(
             zas.append(za)
         except (ValueError, QZetaError) as exc:
             zas.append(exc)
-    return _one_or_all(y, zas)
+    return zas

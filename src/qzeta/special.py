@@ -100,17 +100,6 @@ REFERENCE_ZEROS = (
 )
 
 
-def _one_or_all(arg, entries: list):
-    """The entries of a sequence form when ``arg`` is a sequence; for one
-    value, its one entry, raised if it is an error."""
-    if np.ndim(arg):
-        return entries
-    [entry] = entries
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
-
-
 def _validate_point(s: complex) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -393,26 +382,21 @@ def zeta_plus_derivative(s: complex) -> complex:
     return _eta_values([(s, True)])[0]
 
 
-def zeta_plus_triple(
-    y: float | Sequence[float],
-) -> tuple[complex, complex, complex] | list:
+def zeta_plus_triple(ys: Sequence[float]) -> list:
     """(eta'(1/2 + iy), eta(3/2 + iy), eta(-1/2 + iy)), the values the
-    first-order zero prediction combines; bitwise equal to
+    first-order zero prediction combines, for each ordinate y of ``ys``:
+    one entry per ordinate, its triple or the ``RangeUnsupported`` error
+    that ordinate alone raises.  Each triple is bitwise equal to
     ``zeta_plus_derivative(complex(0.5, y))``, ``zeta_plus(complex(1.5, y))``
-    and ``zeta_plus(complex(-0.5, y))``.
-
-    For a sequence of ordinates, returns a list with one entry per
-    ordinate: its triple, or the ``RangeUnsupported`` error the ordinate
-    alone raises.  All triples come from one ``_eta_values`` pass, so the
-    three points of an ordinate reduce their common phases |y|*ln(v) once
-    and all points sharing a real part share one magnitude row;
-    ``zeta_plus_triple([y])[0] == zeta_plus_triple(y)``.
+    and ``zeta_plus(complex(-0.5, y))``.  All triples come from one
+    ``_eta_values`` pass, so the three points of an ordinate reduce their
+    common phases |y|*ln(v) once and all points sharing a real part share
+    one magnitude row.
     """
-    ys = [y] if np.ndim(y) == 0 else list(y)
     entries = []
-    for y_i in ys:
+    for y in ys:
         try:
-            entries.append([_validate_point(complex(x, y_i)) for x in (0.5, 1.5, -0.5)])
+            entries.append([_validate_point(complex(x, y)) for x in (0.5, 1.5, -0.5)])
         except RangeUnsupported as exc:
             entries.append(exc)
     # no point lies within _POLE_RADIUS of s = 1
@@ -422,10 +406,10 @@ def zeta_plus_triple(
         for s, derivative in zip(entry, (True, False, False))
     ]
     values = iter(_eta_values(points) if points else [])
-    return _one_or_all(y, [
+    return [
         entry if isinstance(entry, Exception) else (next(values), next(values), next(values))
         for entry in entries
-    ])
+    ]
 
 
 def _siegel_theta(t: float) -> float:
@@ -447,23 +431,21 @@ def _rotate_to_real(t: float, zeta: complex) -> float:
     return (complex(math.cos(theta), math.sin(theta)) * zeta).real
 
 
-def hardy_z(t: float | Sequence[float]) -> float | np.ndarray:
-    """Hardy Z(t) = exp(i theta(t)) zeta(1/2 + it); real on the real line.
-    Defined for 5 <= t <= 200; any other t raises ``RangeUnsupported``.
-
-    For a sequence of ordinates, returns an ndarray from one Euler-Maclaurin
-    evaluation with the N of the largest t (the remainder bound grows with
-    |s|, so it meets the target everywhere); ``hardy_z([t])[0] == hardy_z(t)``.
+def hardy_z(ts: Sequence[float]) -> np.ndarray:
+    """Hardy Z(t) = exp(i theta(t)) zeta(1/2 + it) at each t of ``ts``;
+    real on the real line.  Defined for 5 <= t <= 200; any other t raises
+    ``RangeUnsupported``.  One Euler-Maclaurin evaluation with the N of the
+    largest t serves every t (the remainder bound grows with |s|, so it
+    meets the target everywhere).
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    ts = np.asarray(ts, dtype=np.float64)
     if not ts.size:
         return np.empty(0)
     top = _validate_point(complex(0.5, ts.max()))  # NaN wins
     if ts.min() < 5.0:  # theta's Stirling series misses Z by 9.6e-13 at t = 4
         raise RangeUnsupported(f"hardy_z needs t >= 5, got {float(ts.min())!r}")
     zetas = _zeta_values(0.5 + 1j * ts, _choose_terms(top))
-    values = list(map(_rotate_to_real, ts.tolist(), zetas))
-    return values[0] if np.ndim(t) == 0 else np.array(values)
+    return np.array(list(map(_rotate_to_real, ts.tolist(), zetas)))
 
 
 # classical_zeros relies on Gram's law, which holds for every Gram interval

@@ -20,7 +20,6 @@ import pytest
 from qzeta import (
     Rectangle,
     RunConfig,
-    SharpFunction,
     SharpParams,
     Verdict,
     emit_json,
@@ -82,8 +81,9 @@ class TestCriterion1LinearApproximations:
     def test_nine_predictions_match_table(self):
         start = time.perf_counter()
         worst = 0.0
-        for index, (y, za_ref, _, _, _, _) in PAPER_TABLE.items():
-            za = linear_approximation(y, 750.0, 2.0)
+        rows = list(PAPER_TABLE.values())
+        zas = linear_approximation([y for y, *_ in rows], 750.0, 2.0)
+        for (_, za_ref, _, _, _, _), za in zip(rows, zas):
             worst = max(worst, abs(za.real - za_ref.real), abs(za.imag - za_ref.imag))
         elapsed = time.perf_counter() - start
         ok = worst < 5e-4 and elapsed < 5.0
@@ -134,13 +134,12 @@ class TestCriterion3Truncation:
         assert _line(3, ok, f"b = {[s.b for s in paper_run.seeds]}")
 
     def test_select_truncation_directly(self):
-        for region_top, expected in [(14.15, 15), (33.1, 15), (48.1, 20)]:
-            assert select_truncation(750.0, 2.0, region_top) == expected
+        assert select_truncation(750.0, 2.0, [14.15, 33.1, 48.1]) == [15, 15, 20]
 
 
 class TestCriterion4MissDetection:
     def test_seed_rectangle_of_zero9_misses(self, paper_run):
-        f = SharpFunction(SharpParams(750.0, 2.0, 20))
+        f = SharpParams(750.0, 2.0, 20)
         rect = Rectangle(3.11028 + 47.5578j, 0.5, 0.25)
         result = integrate(f, rect, 4)
         char_ok = abs(result.char - 1.0) <= 0.05
@@ -308,7 +307,7 @@ class TestCriterion7PropertySuite:
         truncation.
         """
         y, _, b, _, de, _ = PAPER_TABLE[index]
-        za = linear_approximation(y, 750.0, 2.0)
+        [za] = linear_approximation([y], 750.0, 2.0)
         rd = min(0.5, 0.365 * abs(za - 1j * y))
         rect = Rectangle(za, rd, rd / 2)
 

@@ -64,7 +64,7 @@ def test_contour_engine_loads_no_numpy(script, block_numpy):
 
 
 def test_series_still_loads_numpy():
-    assert _numpy_after("import qzeta\nqzeta.SharpFunction\n", False).startswith("<module")
+    assert _numpy_after("import qzeta\nqzeta.SharpParams\n", False).startswith("<module")
 
 
 RESOLVES_LIKE_ITS_SUBMODULE = f"""\

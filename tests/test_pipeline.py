@@ -3,13 +3,18 @@ search opens."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qzeta.pipeline
 from qzeta import (
     RunConfig,
+    emit_json,
+    execute,
     initial_rectangle,
     linear_approximation,
     plan_seeds,
@@ -53,7 +58,7 @@ def test_truncation_region_is_the_opening_rectangle(monkeypatch):
     assert KAPPA * abs(seed.za - 1j * seed.y) < 4e-4
     assert rect.rd == 1e-3
     assert tops == [rect.center.imag + rect.rd]
-    assert seed.b == select_truncation(1e5, 2.0, tops[0])
+    assert [seed.b] == select_truncation(1e5, 2.0, tops)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -61,16 +66,16 @@ def test_floor_leaves_the_sweep_plans(seed):
     """The benchmark sweep's seeds all lie above the floor, so their
     truncations are those of the unfloored half-width.  The plan predicts
     and truncates all seeds together; each seed's prediction is bitwise the
-    one its ordinate alone gives."""
+    one a batch of its ordinate alone gives."""
     workloads = _perfbench("workloads")
     for a, d in workloads.sweep_inputs(seed):
         config = RunConfig(a=a, d=d, y_max=workloads.SWEEP_Y_MAX)
         for s in plan_seeds(config)[0]:
-            za = linear_approximation(s.y, a, d)
+            [za] = linear_approximation([s.y], a, d)
             assert (s.za.real.hex(), s.za.imag.hex()) == (za.real.hex(), za.imag.hex())
             rd = min(0.5, KAPPA * abs(s.za - 1j * s.y))
             assert rd > 1e-3
-            assert s.b == select_truncation(a, d, s.za.imag + rd)
+            assert [s.b] == select_truncation(a, d, [s.za.imag + rd])
 
 
 def test_overflowing_truncation_fails_its_seeds():
@@ -90,3 +95,19 @@ def test_polynomial_run_is_set_by_its_coefficients():
     assert RunConfig().target == "sharp"
     with pytest.raises(ValueError, match="two coefficients"):
         RunConfig(y_max=None, y_list=(2.0,), poly_coefficients=(1,))
+
+
+@given(
+    a=st.floats(10.0, 1e4),
+    d=st.floats(0.1, 10.0),
+    y=st.floats(5.0, 100.0),
+    c=st.integers(3, 5),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_searched_seed_ends_in_a_report(a, d, y, c):
+    # one seed from planning through the search to the JSON report, which
+    # parses whatever the verdict
+    result = execute(RunConfig(a=a, d=d, y_max=None, y_list=(y,), c=c))
+    assert len(result.records) == 1
+    (zero,) = json.loads(emit_json(result))["zeros"]
+    assert zero["verdict"] == result.records[0].verdict.value

@@ -18,6 +18,7 @@ from qzeta import (
     initial_rectangle,
     integrate,
     newton_refine,
+    plan_seeds,
     run_variants,
     step_policy,
 )
@@ -308,6 +309,31 @@ class TestRunVariants:
         backward = run_variants(functions[::-1], seeds[::-1])[::-1]
         assert [_bits(r) for r in forward] == [_bits(r) for r in backward]
 
+    def test_exact_repeat_reuses_the_last_result(self, monkeypatch):
+        # at a = 2000 the fourth seed recentres on an unmoved estimate at an
+        # unchanged size and density five times; each of those attempts
+        # logs the result before it again instead of integrating
+        seeds, functions = plan_seeds(RunConfig(a=2000.0))
+        seed, f = seeds[3], functions[3]
+        assert round(seed.y, 4) == 30.4249
+        calls = []
+        monkeypatch.setattr(
+            qzeta.search, "integrate", lambda *args: calls.append(args) or integrate(*args)
+        )
+        (record,) = run_variants([f], [(seed.y, seed.za)])
+        assert (len(record.trace_log), len(calls)) == (14, 9)
+        repeats = 0
+        for before, attempt in zip(record.trace_log, record.trace_log[1:]):
+            trace = attempt.result.trace
+            if (trace.rect, trace.c) != (before.result.trace.rect, before.result.trace.c):
+                continue
+            repeats += 1
+            assert attempt.result is before.result
+            # an integration would have given the same result
+            fresh = integrate(f, trace.rect, trace.c)
+            assert _bits_of(fresh) == _bits_of(attempt.result)
+        assert repeats == 5
+
 
 def _bits(record):
     """Everything a record reports, floats as exact reprs: z, de, vv_final,
@@ -324,6 +350,12 @@ def _bits(record):
         for a in record.trace_log
     ]
     return (repr(record.z), repr(record.de), repr(record.vv_final), record.verdict, attempts)
+
+
+def _bits_of(result):
+    """What an integration reports, floats as exact reprs."""
+    return tuple(map(repr, (result.char, result.fo, result.z_estimate, result.abs_center,
+                            result.abs_estimate, result.trace.angles)))
 
 
 class TestBudget:

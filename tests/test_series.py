@@ -13,7 +13,6 @@ from qzeta import (
     DegenerateDenominator,
     DerivativeNearZero,
     NonFiniteResult,
-    QZetaError,
     RangeUnsupported,
     RunConfig,
     SharpParams,
@@ -175,7 +174,7 @@ class TestTermRatio:
         with pytest.raises(DegenerateDenominator, match=f"at j={j},"):
             term_ratio(p, k, j)
         with pytest.raises(DegenerateDenominator, match=f"at j={j},"):
-            evaluate(p, k)
+            p(k)
         # neither the neighbouring indices' factors at k nor index j's just
         # off k vanish
         for near, index in [(k, j + 1), (k, j - 1), (k + 1e-9, j), (k + 1e-12j, j)]:
@@ -193,7 +192,7 @@ class TestTermRatio:
         with pytest.raises(NonFiniteResult):
             term_ratio(p, 0.5, 1)
         with pytest.raises(NonFiniteResult):
-            evaluate(p, 0.5)
+            p(0.5)
 
 
 # The reference run's two truncations and a guard-active one (see
@@ -220,21 +219,21 @@ class TestEvaluate:
         p = SharpParams(3.0, 1.0, 1)
         assert p.n_terms == 1
         for k in (0j, 0.3 + 0.2j, -0.1 + 1.5j):
-            assert evaluate(p, k) == 1.0 + 0j
+            assert p(k) == 1.0 + 0j
 
     def test_matches_scratch_oracle_on_random_points(self):
         p = SharpParams(750.0, 2.0, 15)
         rng = random.Random(5)
         for _ in range(20):
             k = complex(rng.uniform(0, 2), rng.uniform(0, 5))
-            ours = evaluate(p, k)
+            ours = p(k)
             oracle = scratch_sum(p, k)
             assert abs(ours - oracle) / abs(oracle) < 1e-12
 
     def test_truncation_insensitivity(self):
         k = 0.5 + 20j
-        v15 = evaluate(SharpParams(750.0, 2.0, 15), k)
-        v25 = evaluate(SharpParams(750.0, 2.0, 25), k)
+        v15 = SharpParams(750.0, 2.0, 15)(k)
+        v25 = SharpParams(750.0, 2.0, 25)(k)
         assert abs(v15 - v25) / abs(v25) < 1e-9
 
     @pytest.mark.parametrize("offset", [0.3, 0.3j])
@@ -244,17 +243,17 @@ class TestEvaluate:
         p = SharpParams(750.0, 2.0, 15)
         k = TRUE_ZERO_1 + offset
         oracle = mpmath_sum(p, k)
-        assert abs(evaluate(p, k) - oracle) / abs(oracle) < 3e-10
+        assert abs(p(k) - oracle) / abs(oracle) < 3e-10
 
     def test_converged_zero_residual(self):
         p = SharpParams(750.0, 2.0, 15)
-        ratio = abs(evaluate(p, TRUE_ZERO_1)) / abs(evaluate(p, 0.1303 + 14.1465j))
+        ratio = abs(p(TRUE_ZERO_1)) / abs(p(0.1303 + 14.1465j))
         assert ratio <= 1e-5
 
     def test_domain_check(self):
         p = SharpParams(750.0, 2.0, 15)
         with pytest.raises(RangeUnsupported):
-            evaluate(p, complex(0.0, -2.0 * p.epsilon))
+            p(complex(0.0, -2.0 * p.epsilon))
 
     def test_overflow_guard_keeps_results_finite(self):
         # 30 terms at a=1, d=50: the Gaussian exponents pass the overflow
@@ -263,7 +262,7 @@ class TestEvaluate:
         k = 0.05 + 0.1j
         assert p.n_terms == 30
         assert (p.d * (k + p.n_terms - 1) ** 2 / (4 * p.a)).real > 700
-        value = evaluate(p, k)
+        value = p(k)
         assert math.isfinite(value.real) and math.isfinite(value.imag)
         oracle = mpmath_sum(p, k)
         assert abs(value - oracle) / abs(oracle) < 1e-12
@@ -271,7 +270,7 @@ class TestEvaluate:
     def test_degenerate_denominator(self):
         # j + k - 1 == 0 at j=1: the first term's denominator vanishes
         with pytest.raises(DegenerateDenominator):
-            evaluate(SharpParams(750.0, 2.0, 15), 0j)
+            SharpParams(750.0, 2.0, 15)(0j)
 
     @given(batches())
     @settings(max_examples=60, deadline=None)
@@ -279,12 +278,20 @@ class TestEvaluate:
         params, ks = batch
         values = evaluate(params, np.array(ks))
         assert isinstance(values, np.ndarray) and values.shape == (len(ks),)
-        assert values.tolist() == [evaluate(params, k) for k in ks]
+        assert (params.many(np.array(ks)) == values).all()
+        assert values.tolist() == [params(k) for k in ks]
 
     def test_scalar_argument_returns_python_complex(self):
         p = SharpParams(750.0, 2.0, 15)
-        assert type(evaluate(p, 0.13 + 14.15j)) is complex
-        assert type(evaluate(p, np.complex128(0.13 + 14.15j))) is complex
+        assert type(p(0.13 + 14.15j)) is complex
+        assert type(p(np.complex128(0.13 + 14.15j))) is complex
+
+    def test_points_must_be_a_1d_array(self):
+        p = SharpParams(750.0, 2.0, 15)
+        for points in (np.complex128(0.13 + 14.15j), np.array([[0.13 + 14.15j]])):
+            with pytest.raises(ValueError, match="1-D array"):
+                evaluate(p, points)
+        assert evaluate(p, np.array([], dtype=complex)).shape == (0,)
 
     def test_out_of_band_point_is_named(self):
         p = SharpParams(750.0, 2.0, 15)
@@ -293,7 +300,7 @@ class TestEvaluate:
         with pytest.raises(RangeUnsupported) as batch_error:
             evaluate(p, ks)
         with pytest.raises(RangeUnsupported) as point_error:
-            evaluate(p, outside)
+            p(outside)
         assert str(batch_error.value) == str(point_error.value)
 
     def test_degenerate_point_in_batch(self):
@@ -301,7 +308,7 @@ class TestEvaluate:
         with pytest.raises(DegenerateDenominator) as batch_error:
             evaluate(p, np.array([0.5 + 14j, 0j, 0.5 + 20j]))
         with pytest.raises(DegenerateDenominator) as point_error:
-            evaluate(p, 0j)
+            p(0j)
         assert str(batch_error.value) == str(point_error.value)
 
 
@@ -326,7 +333,7 @@ class TestSelectTruncation:
         [(14.15, 15), (33.1, 15), (34.0, 15), (37.0, 20), (48.1, 20), (49.0, 20)],
     )
     def test_calibration(self, region_top, expected):
-        assert select_truncation(750.0, 2.0, region_top) == expected
+        assert select_truncation(750.0, 2.0, [region_top]) == [expected]
         assert select_truncation_by_candidate(750.0, 2.0, region_top) == expected
 
     @given(
@@ -334,36 +341,36 @@ class TestSelectTruncation:
     )
     @settings(max_examples=200, deadline=None)
     def test_same_b_as_candidate_loop(self, a, d, region_top):
-        assert select_truncation(a, d, region_top) == (
+        assert select_truncation(a, d, [region_top]) == [
             select_truncation_by_candidate(a, d, region_top)
-        )
+        ]
 
     def test_later_passes_extend_the_candidates(self):
         # b = 30 lies beyond the first pass's candidates
-        assert select_truncation(3000.0, 1.0, 100.0) == 30
+        assert select_truncation(3000.0, 1.0, [100.0]) == [30]
         assert select_truncation_by_candidate(3000.0, 1.0, 100.0) == 30
 
     @pytest.mark.parametrize("a,d", [(1e-3, 1e-3), (1e-3, 1.0)])
     def test_overflowing_estimate_raises(self, a, d):
         # e^(l/a) overflows at the first term, so no estimate is finite
-        with pytest.raises(RangeUnsupported) as info:
-            select_truncation(a, d, 1.0)
-        assert f"a={a:g}, d={d:g}, region_top=1" in str(info.value)
+        [error] = select_truncation(a, d, [1.0])
+        assert isinstance(error, RangeUnsupported)
+        assert f"a={a:g}, d={d:g}, region_top=1" in str(error)
 
     def test_overflowing_chord_raises(self):
         # region_top/(2a) overflows, so sin(region_top/(2a)) has no value
-        with pytest.raises(RangeUnsupported) as info:
-            select_truncation(1e-300, 1e-300, 1e10)
-        assert str(info.value) == (
+        [error] = select_truncation(1e-300, 1e-300, [1e10])
+        assert isinstance(error, RangeUnsupported)
+        assert str(error) == (
             "truncation estimate not finite for a=1e-300, d=1e-300, region_top=1e+10"
         )
 
     @pytest.mark.parametrize("a,d", [(1e-30, 1e35), (1e-300, 1e300)])
     def test_no_term_below_two_to_the_53(self, a, d):
         # b*sqrt(a/d) < 1 for every b up to 2**53; at 1e-300/1e300, a/d is 0
-        with pytest.raises(RangeUnsupported, match="keeps no term") as info:
-            select_truncation(a, d, 15.0)
-        assert f"a={a:g}, d={d:g}, region_top=15" in str(info.value)
+        [error] = select_truncation(a, d, [15.0])
+        assert isinstance(error, RangeUnsupported) and "keeps no term" in str(error)
+        assert f"a={a:g}, d={d:g}, region_top=15" in str(error)
 
     def test_first_candidate_keeps_a_term(self):
         # sqrt(a/d) = 0.01, so b = 100 is the first candidate
@@ -372,32 +379,33 @@ class TestSelectTruncation:
 
     def test_term_cap(self):
         # b = 5 keeps 5e6 terms at a = 1e12, d = 1: nothing to try
-        with pytest.raises(RangeUnsupported, match="at most 100000 series terms"):
-            select_truncation(1e12, 1.0, 14.0)
+        [error] = select_truncation(1e12, 1.0, [14.0])
+        assert isinstance(error, RangeUnsupported)
+        assert "at most 100000 series terms" in str(error)
         # at a = 1e8, d = 1, b = 5 and 10 keep 5e4 and 1e5 terms and b = 15
         # too many: 10 passes at region_top 1, and at 14 neither does
-        assert select_truncation(1e8, 1.0, 1.0) == 10
+        assert select_truncation(1e8, 1.0, [1.0, 14.0])[0] == 10
         assert select_truncation_by_candidate(1e8, 1.0, 1.0) == 10
-        with pytest.raises(RangeUnsupported) as info:
-            select_truncation(1e8, 1.0, 14.0)
-        assert "a=1e+08, d=1, region_top=14" in str(info.value)
+        error = select_truncation(1e8, 1.0, [1.0, 14.0])[1]
+        assert isinstance(error, RangeUnsupported)
+        assert "a=1e+08, d=1, region_top=14" in str(error)
 
 
 class TestLinearApproximation:
     def test_paper_table(self):
-        for y, za_ref in PAPER_ZA:
-            za = linear_approximation(y, 750.0, 2.0)
+        zas = linear_approximation([y for y, _ in PAPER_ZA], 750.0, 2.0)
+        for (y, za_ref), za in zip(PAPER_ZA, zas):
             assert abs(za.real - za_ref.real) < 5e-4
             assert abs(za.imag - za_ref.imag) < 5e-4
 
     def test_correction_scales_inversely_with_a(self):
         y = 14.1347
-        offset_a = abs(linear_approximation(y, 750.0, 2.0) - 1j * y)
-        offset_10a = abs(linear_approximation(y, 7500.0, 2.0) - 1j * y)
+        offset_a = abs(linear_approximation([y], 750.0, 2.0)[0] - 1j * y)
+        offset_10a = abs(linear_approximation([y], 7500.0, 2.0)[0] - 1j * y)
         assert abs(offset_a / offset_10a - 10.0) < 1e-3 * 10.0
 
     def test_limit_toward_classical_zero(self):
-        za = linear_approximation(14.1347, 1e6, 2.0)
+        [za] = linear_approximation([14.1347], 1e6, 2.0)
         assert abs(za.real) < 2e-4
         assert abs(za.imag - 14.1347) < 2e-4
 
@@ -406,28 +414,19 @@ class TestLinearApproximation:
         # |eta'(1/2 + iy)| below 1e-10 marks y as no simple-zero ordinate
         triple = (complex(0.0, eta_prime), 1.0 + 0.5j, 2.0 - 1.0j)
         monkeypatch.setattr(qzeta.series, "zeta_plus_triple", lambda ys: [triple for _ in ys])
+        [za] = linear_approximation([14.1347], 750.0, 2.0)
         if eta_prime < 1e-10:
-            with pytest.raises(DerivativeNearZero, match="14.1347"):
-                linear_approximation(14.1347, 750.0, 2.0)
+            assert isinstance(za, DerivativeNearZero) and "14.1347" in str(za)
         else:
-            assert math.isfinite(abs(linear_approximation(14.1347, 750.0, 2.0)))
-
-
-def outcome(call):
-    """What a one-value call gives: its result, bit for bit, or the type
-    and message of the error it raises."""
-    try:
-        value = call()
-    except (ValueError, QZetaError) as exc:
-        return type(exc), str(exc)
-    return (value.real.hex(), value.imag.hex()) if isinstance(value, complex) else value
+            assert math.isfinite(abs(za))
 
 
 def entry_outcome(entry):
-    """``outcome`` of one entry of a sequence form: a result or an error."""
+    """One entry of a sequence form, bit for bit: a prediction's parts as
+    hex, a b, or an error's type and message."""
     if isinstance(entry, Exception):
         return type(entry), str(entry)
-    return outcome(lambda: entry)
+    return (entry.real.hex(), entry.imag.hex()) if isinstance(entry, complex) else entry
 
 
 def assert_above_pole_line(seed, params):
@@ -453,14 +452,15 @@ class TestSequenceForms:
     )
     @settings(max_examples=60, deadline=None)
     def test_entries_are_the_one_value_results(self, a, d, ys):
+        # each entry is bitwise the entry of its one-element batch
         zas = linear_approximation(ys, a, d)
         assert [entry_outcome(za) for za in zas] == [
-            outcome(lambda: linear_approximation(y, a, d)) for y in ys
+            entry_outcome(linear_approximation([y], a, d)[0]) for y in ys
         ]
         # the ordinates serve as region tops
         bs = select_truncation(a, d, ys)
         assert [entry_outcome(b) for b in bs] == [
-            outcome(lambda: select_truncation(a, d, top)) for top in ys
+            entry_outcome(select_truncation(a, d, [top])[0]) for top in ys
         ]
         # every seed ends with exactly one of an evaluator or the reason it
         # is not searched
@@ -469,7 +469,7 @@ class TestSequenceForms:
         for seed, f in zip(seeds, functions):
             assert (f is None) != (seed.reason is None)
             if f is not None:
-                assert cmath.isfinite(seed.za) and seed.b >= 1 and f.params.b == seed.b
+                assert cmath.isfinite(seed.za) and seed.b >= 1 and f.b == seed.b
             elif seed.b is not None:
                 assert_above_pole_line(seed, SharpParams(a, d, seed.b))
             else:
@@ -481,7 +481,7 @@ class TestSequenceForms:
         seeds, functions = plan_seeds(RunConfig(a=500.0, d=3.0))
         assert len(seeds) == 9
         for seed, f in zip(seeds[:4], functions):
-            assert seed.reason is None and f.params.b == seed.b
+            assert seed.reason is None and f.b == seed.b
         for seed, f in zip(seeds[4:], functions[4:]):
             assert f is None and seed.b in (15, 20)
             assert_above_pole_line(seed, SharpParams(500.0, 3.0, seed.b))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qzeta import (
     Rectangle,
-    SharpFunction,
     SharpParams,
     ZeroOnContour,
     fo_from_angles,
@@ -98,7 +97,7 @@ class TestRefinement:
         assert abs(trace.winding - 3.0) <= 0.01
 
     def test_max_gap_never_increases(self):
-        f = SharpFunction(SharpParams(750.0, 2.0, 15))
+        f = SharpParams(750.0, 2.0, 15)
         rect = Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789)
         raw = _traced(f, rect, 4, 0)[0]
         refined = integrate(f, rect, 4).trace
@@ -107,7 +106,7 @@ class TestRefinement:
     def test_refined_offsets_and_points_on_the_grid(self):
         rect = Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789)
         # c = 3 is no power of two, so t = pos / (3 * grid) rounds
-        trace = integrate(SharpFunction(PAPER_B15), rect, 3).trace
+        trace = integrate(PAPER_B15, rect, 3).trace
         grid = 2**_MAX_DEPTH
         assert trace.per_side() > trace.c
         assert all(
@@ -314,18 +313,22 @@ PAPER_B15 = SharpParams(750.0, 2.0, 15)
 PAPER_B20 = SharpParams(750.0, 2.0, 20)
 
 
-class CountingSharpFunction(SharpFunction):
-    """SharpFunction that counts its vectorised calls and their points."""
+class CountingSeries:
+    """The series of ``params``, counting its vectorised calls and their
+    points."""
 
     def __init__(self, params):
-        super().__init__(params)
+        self.params = params
         self.batches = 0
         self.points = 0
+
+    def __call__(self, k):
+        return self.params(k)
 
     def many(self, points):
         self.batches += 1
         self.points += len(points)
-        return super().many(points)
+        return self.params.many(points)
 
 
 class TestBatchedSampling:
@@ -340,13 +343,12 @@ class TestBatchedSampling:
     def test_batched_and_pointwise_integrations_agree(self, params, rect):
         # the first integrations of zeros 1 and 9 both refine, so the
         # batched path runs for the opening pass and for refinement passes
-        batched = CountingSharpFunction(params)
-        pointwise = SharpFunction(params)
+        batched = CountingSeries(params)
         calls = []
 
         def plain(k):
             calls.append(k)
-            return pointwise(k)
+            return params(k)
 
         a = integrate(batched, rect, 4)
         b = integrate(plain, rect, 4)
@@ -371,7 +373,7 @@ class TestBatchedSampling:
 
 class TestPaperRectangles:
     def test_zero1_first_integration(self):
-        f = SharpFunction(PAPER_B15)
+        f = PAPER_B15
         rect = Rectangle(0.130263 + 14.1465j, 0.0477578, 0.0238789)
         result = integrate(f, rect, 4)
         assert abs(result.char) <= 0.01
@@ -380,13 +382,13 @@ class TestPaperRectangles:
         assert result.inside
 
     def test_zero9_first_integration_misses(self):
-        f = SharpFunction(PAPER_B20)
+        f = PAPER_B20
         rect = Rectangle(3.11028 + 47.5578j, 0.5, 0.25)
         result = integrate(f, rect, 4)
         assert abs(result.char - 1.0) <= 0.01
 
     def test_zero2_second_integration(self):
-        f = SharpFunction(PAPER_B15)
+        f = PAPER_B15
         rect = Rectangle(0.351984 + 21.0721j, 0.064767, 0.0323835)
         result = integrate(f, rect, 4)
         assert abs(result.char) <= 0.01
@@ -396,7 +398,7 @@ class TestPaperRectangles:
         assert 0.1 <= result.vv <= 0.45
 
     def test_zero6_first_integration_keeps_a_gap(self):
-        f = SharpFunction(PAPER_B20)
+        f = PAPER_B20
         rect = Rectangle(1.76753 + 38.1895j, 0.5, 0.25)
         result = integrate(f, rect, 4)
         assert abs(result.char) <= 0.01
