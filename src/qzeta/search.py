@@ -63,6 +63,9 @@ C_MAX = 64
 def escalation_schedule(c: int) -> tuple[int, ...]:
     """Sampling densities of three variants opened at c points per side: c,
     then 1.5 and 2.25 times it, rounded up."""
+    # a float c would fail inside the search, a numpy integer in the JSON report
+    if not isinstance(c, int):
+        raise ValueError(f"c must be an int number of points per side, got {c!r}")
     if c < 3:
         raise ValueError("c must be 3 or more points per side")
     if c > C_MAX:

@@ -28,7 +28,6 @@ from .special import zeta_plus_triple
 __all__ = [
     "MAX_SERIES_TERMS",
     "SharpParams",
-    "term_ratio",
     "evaluate",
     "select_truncation",
     "linear_approximation",
@@ -71,10 +70,6 @@ class SharpParams:
             raise ValueError(
                 f"truncation b*sqrt(a/d) keeps more than {MAX_SERIES_TERMS} terms"
             )
-
-    @property
-    def q(self) -> float:
-        return math.exp(-1.0 / self.a)
 
     @property
     def n_terms(self) -> int:
@@ -159,21 +154,6 @@ def _term_ratios(a: float, d: float, k: np.ndarray, j: np.ndarray) -> np.ndarray
         above = np.where(guard, np.exp(x[:, :-1] - x[:, 1:]), above)
         below = np.where(guard, 1.0, below)
     return (e1 * e2 * above) / (e3 * alpha2 * below)
-
-
-def term_ratio(params: SharpParams, k: complex, j: int) -> complex:
-    """Multiplicative update from series term j-1 to term j (see
-    ``_term_ratios``); a ratio that is not finite raises ``NonFiniteResult``."""
-    if j < 1:
-        raise ValueError("term index j must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = _term_ratios(
-            params.a, params.d, np.array([complex(k)]), np.array([j])
-        )
-    ratio = complex(ratios[0, 0])
-    if not (math.isfinite(ratio.real) and math.isfinite(ratio.imag)):
-        raise NonFiniteResult(f"term ratio not finite at j={j}, k={complex(k)!r}")
-    return ratio
 
 
 def evaluate(params: SharpParams, points: np.ndarray) -> np.ndarray:

@@ -1,35 +1,30 @@
-"""Complex-argument zeta and eta evaluation, plus critical-line zero seeds.
+"""Zeta and eta evaluation, plus critical-line zero seeds.
 
 Everything here is double precision.  The Riemann zeta is summed by
 Euler-Maclaurin: N direct terms, the trapezoidal edge term, the isolated pole
 term N^(1-s)/(s-1), and Bernoulli corrections.  N is grown until a rigorous
-first-omitted-term bound meets a fixed absolute error of 1e-12, which then
-holds over the whole supported region (Re s >= -2, |Im s| <= 200).  The
-direct terms n^(-s) read ln n from tables built once per process (float64
-and long double, grown by doubling), and their phases |Im s| ln n are
-reduced mod 2 pi in long double.  Points evaluated together share that
-work: eta and eta' values come from one long-double pass over one phase
-row per distinct |Im s| and one magnitude row n^(-Re s) per distinct Re s,
-so ``zeta_plus_triple`` over the ordinates of a whole run gives every
+first-omitted-term bound meets a fixed absolute error of 1e-12 (1e-13 for
+eta').  The direct terms n^(-s) read ln n from tables built once per process
+(float64 and long double, grown by doubling), and their phases |Im s| ln n
+are reduced mod 2 pi in long double.  Points evaluated together share that
+work: eta and eta' values come from one long-double pass over one phase row
+per distinct |Im s| and one magnitude row n^(-Re s) per distinct Re s, so
+``zeta_plus_triple`` over the ordinates of a whole run gives every
 first-order prediction's three eta values from one pass.
 
-The alternating-sum variant eta(s) = (1 - 2^(1-s)) zeta(s) is assembled so
-that the zeta pole cancels analytically rather than numerically: near s = 1
-the pole term is kept symbolic and recombined through expm1-style helpers,
-which keeps eta and eta' smooth through s = 1.
+Eta is only evaluated on Re s = -1/2, 1/2 and 3/2, at least 1/2 from the
+zeta pole at s = 1, as the plain product eta(s) = (1 - 2^(1-s)) zeta(s).
 
 The zero seeds (``classical_zeros``) are sign changes of Hardy Z, probed at
 the Gram points, with the zero count checked by Gram's law.  Illinois steps
 bracket every root to 1e-9 in lockstep, one ``hardy_z`` block per step, and
 each seed is the midpoint of its bracket.
 
-Caveat: the truncation bound is rigorous, but double rounding in the
-oscillatory factors exp(-i Im(s) ln n) sets a practical accuracy floor of
-roughly |zeta(s)| * |Im s| * ln(N) * 2^-52.  That floor is near 1e-12
-throughout the band the q-zeta pipeline uses (Re s >= -1/2, |Im s| <= 55).
-Left of Re s = 0 the rounding of the N direct terms, about
-2^-52 * sum n^(-Re s), dominates instead: N reaches thousands at large
-|Im s|, and eta(-2 - 139.5i) misses by 8.9e-6 (5e-10 relative).
+Accuracy: the truncation bound is rigorous, but double rounding in the
+factors exp(-i Im(s) ln n), roughly |value| * |Im s| * ln(N) * 2^-52, sets
+the floor.  Against mpmath on the 29 zero ordinates below 100, every eta and
+eta' value is within 6.6e-14 relative; eta(-1/2 + iy), which grows like |y|,
+misses by up to 2.6e-12 absolute (6.2e-12 up to y = 200).
 """
 
 from __future__ import annotations
@@ -45,8 +40,6 @@ from .errors import QZetaError, RangeUnsupported
 
 __all__ = [
     "REFERENCE_ZEROS",
-    "zeta_plus",
-    "zeta_plus_derivative",
     "zeta_plus_triple",
     "hardy_z",
     "classical_zeros",
@@ -54,16 +47,12 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_EULER_GAMMA = 0.5772156649015328606
-# eta'(1) = gamma*ln2 - (ln2)^2/2
-_ETA_PRIME_AT_1 = _EULER_GAMMA * _LN2 - 0.5 * _LN2 * _LN2
 
 _SIGMA_MIN = -2.0
 _IMAG_MAX = 200.0
-_POLE_RADIUS = 1e-12
 
-# Absolute error of zeta and eta values (the derivative contract is 100x
-# looser), the most direct terms N may grow to, and the order of the highest
+# Truncation target for zeta and eta values (eta' is summed to a 10x tighter
+# one), the most direct terms N may grow to, and the order of the highest
 # Bernoulli correction (even, at most 16).
 _TARGET_ABS_ERROR = 1e-12
 _MAX_TERMS = 10000
@@ -251,27 +240,10 @@ def _em_corrections(s, ns, totals, derivs, n_pows, log_ns):
     return pieces
 
 
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1 without cancellation for small |w|."""
-    if abs(w) < 1e-4:
-        # 4-term Horner tail; relative error < 1e-18 at |w| = 1e-4
-        return w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w * (1.0 / 24.0))))
-    return np.exp(w) - 1.0
-
-
-# Inside this distance from s=1 the zeta pole is cancelled symbolically;
-# outside, eta is the plain product (1 - 2^(1-s)) zeta(s).
-_POLE_SPLIT = 0.5
-
-
 def _eta(s: complex, n: int, regular: complex, n_pow: complex) -> complex:
-    """eta(s) from the Euler-Maclaurin pieces of zeta at s with N = n."""
-    u = s - 1.0
-    if abs(u) < _POLE_SPLIT:
-        # eta = phi*R + (phi/u) * N^(1-s); phi/u -> ln2 as u -> 0
-        phi = -_cexpm1(-u * _LN2)  # 1 - 2^(1-s), stable near s=1
-        return complex(phi * regular + (phi / u) * (n_pow * n))
-    return complex((1.0 - 2.0 ** (1.0 - s)) * (regular + n_pow * n / u))
+    """eta(s) = (1 - 2^(1-s)) zeta(s) from the Euler-Maclaurin pieces of
+    zeta at s with N = n."""
+    return complex((1.0 - 2.0 ** (1.0 - s)) * (regular + n_pow * n / (s - 1.0)))
 
 
 def _eta_prime(
@@ -282,31 +254,20 @@ def _eta_prime(
     u = s - 1.0
     log_n = math.log(n)
     n_1s = n_pow * n  # N^(1-s)
-    phi = -_cexpm1(-u * _LN2)  # 1 - 2^(1-s), stable near s=1
-    phi_prime = _LN2 * np.exp(-u * _LN2)  # ln2 * 2^(1-s)
-    if abs(u) >= _POLE_SPLIT:
-        zeta = regular + n_1s / u
-        zeta_prime = regular_prime - n_1s * (log_n * u + 1.0) / (u * u)
-        return complex(phi_prime * zeta + phi * zeta_prime)
-    if abs(u) < 1e-3:
-        # series of (u*phi' - phi)/u^2 = sum_{p>=2} L(-L)^(p-1)(p-1)/p! u^(p-2)
-        g = 0.0 + 0.0j
-        u_pow = 1.0 + 0.0j
-        for p in range(2, 10):
-            c = _LN2 * ((-_LN2) ** (p - 1)) * (p - 1) / math.factorial(p)
-            g += c * u_pow
-            u_pow *= u
-    else:
-        g = (u * phi_prime - phi) / (u * u)
-    return complex(
-        phi_prime * regular + phi * regular_prime + n_1s * (g - log_n * (phi / u))
-    )
+    power = np.exp(-u * _LN2)  # 2^(1-s)
+    phi = -(power - 1.0)  # 1 - 2^(1-s)
+    phi_prime = _LN2 * power
+    zeta = regular + n_1s / u
+    zeta_prime = regular_prime - n_1s * (log_n * u + 1.0) / (u * u)
+    return complex(phi_prime * zeta + phi * zeta_prime)
 
 
 def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
     """eta(s), or eta'(s) where the flag is set, at each (s, flag) of
-    ``points``: validated points off the pole.  Each point is summed with
-    its own N, and its value is bitwise the one the point alone gives.
+    ``points``: validated points with |s - 1| >= 1/2 (Re s is -1/2, 1/2 or
+    3/2 in every call), so the zeta pole needs no cancelling.  Each point is
+    summed with its own N, and its value is bitwise the one the point alone
+    gives.
 
     The points share the work their direct terms have in common.  The
     phases |Im s|*ln(v) are reduced mod 2*pi in one long-double pass over
@@ -317,11 +278,11 @@ def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
     ``_directed_powers`` does, and its sums run over that contiguous slice.
     """
     ss = [s for s, _ in points]
-    ns = []
-    for s, derivative in points:
-        # eta' to a 10x tighter target, near-pole eta to a 2x tighter one
-        divisor = 10.0 if derivative else 2.0 if abs(s - 1.0) < _POLE_SPLIT else 1.0
-        ns.append(_choose_terms(s, _TARGET_ABS_ERROR / divisor))
+    # eta' to a 10x tighter target
+    ns = [
+        _choose_terms(s, _TARGET_ABS_ERROR / (10.0 if derivative else 1.0))
+        for s, derivative in points
+    ]
     heights: dict[float, int] = {}  # |Im s| -> its phase row
     sigmas: dict[float, int] = {}  # Re s -> its magnitude row
     rows = [heights.setdefault(abs(s.imag), len(heights)) for s in ss]
@@ -366,32 +327,14 @@ def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
     ]
 
 
-def zeta_plus(s: complex) -> complex:
-    """Dirichlet eta: (1 - 2^(1-s)) zeta(s), entire; eta(1) = ln 2."""
-    s = _validate_point(s)
-    if abs(s - 1.0) < _POLE_RADIUS:
-        return complex(_LN2)
-    return _eta_values([(s, False)])[0]
-
-
-def zeta_plus_derivative(s: complex) -> complex:
-    """d/ds of zeta_plus, from differentiated Euler-Maclaurin terms."""
-    s = _validate_point(s)
-    if abs(s - 1.0) < _POLE_RADIUS:
-        return complex(_ETA_PRIME_AT_1)
-    return _eta_values([(s, True)])[0]
-
-
 def zeta_plus_triple(ys: Sequence[float]) -> list:
     """(eta'(1/2 + iy), eta(3/2 + iy), eta(-1/2 + iy)), the values the
     first-order zero prediction combines, for each ordinate y of ``ys``:
     one entry per ordinate, its triple or the ``RangeUnsupported`` error
-    that ordinate alone raises.  Each triple is bitwise equal to
-    ``zeta_plus_derivative(complex(0.5, y))``, ``zeta_plus(complex(1.5, y))``
-    and ``zeta_plus(complex(-0.5, y))``.  All triples come from one
-    ``_eta_values`` pass, so the three points of an ordinate reduce their
-    common phases |y|*ln(v) once and all points sharing a real part share
-    one magnitude row.
+    that ordinate alone raises.  Each triple is bitwise the triple of that
+    ordinate alone.  All triples come from one ``_eta_values`` pass, so the
+    three points of an ordinate reduce their common phases |y|*ln(v) once
+    and all points sharing a real part share one magnitude row.
     """
     entries = []
     for y in ys:
@@ -399,7 +342,6 @@ def zeta_plus_triple(ys: Sequence[float]) -> list:
             entries.append([_validate_point(complex(x, y)) for x in (0.5, 1.5, -0.5)])
         except RangeUnsupported as exc:
             entries.append(exc)
-    # no point lies within _POLE_RADIUS of s = 1
     points = [
         (s, derivative)
         for entry in entries if not isinstance(entry, Exception)
@@ -562,7 +504,6 @@ def classical_zeros(y_max: float) -> list[float]:
                 f"{found} zeros found up to the Gram point g_{n} = {g!r}, "
                 f"where Gram's law gives {n + 1}"
             )
-    # each eta value is bitwise zeta_plus(complex(0.5, y))
     etas = _eta_values([(complex(0.5, y), False) for y in zeros]) if zeros else []
     for y, eta in zip(zeros, etas):
         ref_hits = [r for r in REFERENCE_ZEROS if abs(r - y) < 5e-4]

@@ -118,12 +118,6 @@ class BoundaryTrace:
     def per_side(self) -> int:
         return sum(len(group) for group in self.offsets)
 
-    def max_gap(self) -> float:
-        angles = self.angles + [self.closing_angle]
-        return max(
-            abs(b - a) for a, b in zip(angles, angles[1:])
-        )
-
     def display_rows(self) -> list[tuple[str, float]]:
         """Four-side angle sums, one row per shared sample position.
 

@@ -528,3 +528,9 @@ class TestEscalationSchedule:
                 escalation_schedule(c)
         with pytest.raises(ValueError, match="at most 64"):
             RunConfig(c=65)
+        # a density that is not an int fails at construction, not in the search
+        for c in (4.5, 4.0, math.nan):
+            with pytest.raises(ValueError, match=r"c must be an int .*, got"):
+                escalation_schedule(c)
+            with pytest.raises(ValueError, match="c must be an int"):
+                RunConfig(y_max=15.0, c=c)
