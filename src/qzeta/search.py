@@ -278,21 +278,25 @@ def step_policy(
 
 
 def newton_refine(
-    f: AnalyticFunction, z0: complex, allowance: float
+    f: AnalyticFunction, z0: complex, f_z0: complex | None, allowance: float
 ) -> tuple[complex, bool, complex | None]:
     """Polish a concluded estimate with Newton steps (central-difference
     derivative); returns the point, whether the polish was accepted, and f
-    at the polished point (None when rejected).
+    at the polished point (None when rejected).  ``f_z0`` is f at z0 as the
+    search evaluated it, None when that evaluation raised; the polish is
+    then rejected.
 
     Accepted only if |f| decreased at every step, the step sizes contracted
     like a genuinely converging Newton iteration, and the total movement
     stayed within ``allowance``.  Rejection is a normal outcome near the
     evaluation noise floor, where the steps stall and |f| stops improving.
     """
+    if f_z0 is None:
+        return z0, False, None
     z = complex(z0)
     steps_taken = 0
     try:
-        f_here = complex(f(z))
+        f_here = complex(f_z0)
         f_abs = abs(f_here)
         if f_abs == 0.0:
             return z, True, f_here
@@ -349,9 +353,10 @@ def _integrate_variants(
             state.zn = state.zna
             state.consecutive_good = 0
             for _ in range(max(1, c_open // 2)):
+                rect = state.rect
                 result = trace_log[-1].result if trace_log else None
-                if result is None or (result.trace.rect, result.trace.c) != (state.rect, c):
-                    result = integrate(f, state.rect, c)
+                if result is None or (result.trace.rect, result.trace.c) != (rect, c):
+                    result = integrate(f, rect, c)
                 if state.variant_opening_vv is None:
                     state.variant_opening_vv = result.vv
                 verdict = assess(result, state)
@@ -396,7 +401,9 @@ def _search_zero(
         # allow movement up to the concluding rectangle's quadrature
         # resolution (~2% of its half-width; state.rd was already halved)
         allowance = max(10.0 * de, 0.04 * state.rd)
-        z_new, accepted, f_new = newton_refine(f, z, allowance)
+        # z is the concluding integration's estimate, where it evaluated f
+        f_z = trace_log[-1].result.value_estimate
+        z_new, accepted, f_new = newton_refine(f, z, f_z, allowance)
         if accepted:
             de = _error_scale(z_new, z)
             z = z_new

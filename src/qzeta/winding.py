@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub, truediv
 from typing import Callable
 
 from .errors import ZeroOnContour
@@ -138,39 +139,43 @@ def _row_sums(trace: BoundaryTrace) -> list[float]:
     """The values of ``display_rows``: the four sides' angles summed per
     shared position, then the closing row."""
     a, m = trace.angles, trace.per_side()
-    rows = [sum(a[n::m]) for n in range(m)]
-    rows.append(sum(a[side * m] for side in (1, 2, 3)) + trace.closing_angle)
+    rows = list(map(sum, zip(a, a[m:], a[2 * m :], a[3 * m :])))
+    rows.append(sum((a[m], a[2 * m], a[3 * m])) + trace.closing_angle)
     return rows
 
 
-def _sample(f: AnalyticFunction, rect: Rectangle, c: int, positions, extra=()):
+def _sample(f: AnalyticFunction, sides, c: int, positions, extra=()):
     """Points at the shared grid positions, side by side counterclockwise,
     and f there, then at the extra points: in one ``many`` call when f
-    provides it, otherwise one call each.  Names the first boundary point
-    where |f| is below the floor."""
-    corners = rect.corners()
-    points = []
-    for side in range(4):
-        start = corners[side]
-        edge = corners[(side + 1) % 4] - start
-        points += [start + pos / (c * _GRID) * edge for pos in positions]
+    provides it, otherwise one call each.  ``sides`` holds each side's start
+    corner and its edge vector.  Names the first boundary point where |f| is
+    below the floor."""
+    ts = [pos / (c * _GRID) for pos in positions]
+    points = [start + t * edge for start, edge in sides for t in ts]
     many = getattr(f, "many", None)
     wanted = [*points, *extra]
     if many:
         import numpy as np  # an evaluator with ``many`` takes a numpy array
 
-        values = many(np.array(wanted))
+        values = list(map(complex, many(np.array(wanted))))
+        if len(values) != len(wanted):
+            raise ValueError(f"{len(values)} values for {len(wanted)} points")
     else:
-        values = [f(k) for k in wanted]
-    values = [complex(value) for value in values]
-    if len(values) != len(wanted):
-        raise ValueError(f"{len(values)} values for {len(wanted)} points")
-    for value, point in zip(values, points):
-        if abs(value) < _CONTOUR_FLOOR:
-            raise ZeroOnContour(
-                f"|f| < {_CONTOUR_FLOOR:g} at boundary point {point!r}; "
-                "perturb the rectangle"
-            )
+        values = list(map(complex, map(f, wanted)))
+    # one min() over |f| decides whether to look for the offender; a nan
+    # ahead of a sub-floor value makes min() return the nan, which fails
+    # ">=" as well
+    try:
+        clear = min(map(abs, values[: len(points)])) >= _CONTOUR_FLOOR
+    except OverflowError:  # |f| past the float range; the loop meets it in order
+        clear = False
+    if not clear:
+        for value, point in zip(values, points):
+            if abs(value) < _CONTOUR_FLOOR:
+                raise ZeroOnContour(
+                    f"|f| < {_CONTOUR_FLOOR:g} at boundary point {point!r}; "
+                    "perturb the rectangle"
+                )
     return points, values
 
 
@@ -188,27 +193,36 @@ def _traced(f, rect, c, passes, extra=()) -> tuple[BoundaryTrace, list[complex]]
     """
     if c < 3:
         raise ValueError("need at least 3 points per side")
+    corners = rect.corners()
+    sides = [(start, end - start) for start, end in zip(corners, corners[1:] + corners[:1])]
     positions = list(range(0, c * _GRID, _GRID))
-    points, values = _sample(f, rect, c, positions, extra)
+    points, values = _sample(f, sides, c, positions, extra)
     values, extra_values = values[: 4 * c], values[4 * c :]
-    steps = [cmath.phase(here / prev) for prev, here in zip(values, values[1:] + values[:1])]
+    steps = list(map(cmath.phase, map(truediv, values[1:] + values[:1], values)))
     angles = list(accumulate(steps, initial=cmath.phase(values[0])))
     for _ in range(passes):
         m, ends = len(positions), positions[1:] + [c * _GRID]
         # the split test reads angle differences, not the stored increments:
         # the two differ in the last bit
-        gaps = [b - a for a, b in zip(angles, angles[1:])]
+        gaps = list(map(sub, angles[1:], angles))
         split = [
-            n for n, (g0, g1, g2, g3) in enumerate(gaps[n::m] for n in range(m))
-            if ends[n] - positions[n] > 1 and (
-                abs(g0 + g1 + g2 + g3) > _GAP_THRESHOLD
-                or max(0.0, abs(g0), abs(g1), abs(g2), abs(g3)) > _SIDE_GAP_LIMIT
+            n
+            for n, (g0, g1, g2, g3) in enumerate(
+                zip(gaps, gaps[m:], gaps[2 * m :], gaps[3 * m :])
             )
+            if (
+                abs(g0 + g1 + g2 + g3) > _GAP_THRESHOLD
+                or abs(g0) > _SIDE_GAP_LIMIT
+                or abs(g1) > _SIDE_GAP_LIMIT
+                or abs(g2) > _SIDE_GAP_LIMIT
+                or abs(g3) > _SIDE_GAP_LIMIT
+            )
+            and ends[n] - positions[n] > 1
         ]
         if not split:
             break
         mids = [(positions[n] + ends[n]) // 2 for n in split]
-        new_points, new_values = _sample(f, rect, c, mids)
+        new_points, new_values = _sample(f, sides, c, mids)
         # insert from the back, so the indices still to visit hold; the last
         # sample of side 3 is followed by sample 0 (the closing segment)
         ks = [side * m + n for side in range(4) for n in split]
@@ -229,12 +243,10 @@ def _traced(f, rect, c, passes, extra=()) -> tuple[BoundaryTrace, list[complex]]
 def fo_from_angles(angles: list[float]) -> int:
     """Worst-gap metric over a consecutive angle sequence:
     max{1 + floor(2(|gap| - 1))} over gaps exceeding 1, else 0."""
-    fo = 0
-    for a, b in zip(angles, angles[1:]):
-        gap = abs(b - a)
-        if gap > 1.0:
-            fo = max(fo, 1 + math.floor(2.0 * (gap - 1.0)))
-    return fo
+    # 1 + floor(2(gap - 1)) never decreases as the gap grows, so the worst
+    # gap gives the maximum; max() starts from 0.0, which no nan gap replaces
+    worst = max([0.0, *map(abs, map(sub, angles[1:], angles))])
+    return 1 + math.floor(2.0 * (worst - 1.0)) if worst > 1.0 else 0
 
 
 def moment_zero_estimate(trace: BoundaryTrace) -> complex:
@@ -251,23 +263,28 @@ def moment_zero_estimate(trace: BoundaryTrace) -> complex:
     m = trace.per_side()
     mains = list(accumulate((len(group) for group in trace.offsets[:-1]), initial=0))
     order = [side * m + n for side in range(4) for n in mains]
-    points = [trace.points[idx] for idx in order] + [trace.points[0]]
-    values = [trace.samples[idx] for idx in order] + [trace.samples[0]]
-    angles = [trace.angles[idx] for idx in order] + [trace.closing_angle]
-    logs = [math.log(abs(value)) for value in values]
-
+    points, samples, angles = trace.points, trace.samples, trace.angles
+    # one pass over the main samples, each segment carrying the previous
+    # sample's point, value, |value|, log and angle; the last segment closes
+    # on sample 0 at the closing angle
+    later = order[1:]
+    p0, v0, a0 = points[0], samples[0], angles[0]
+    abs0 = abs(v0)
+    log0 = math.log(abs0)
     total = 0.0 + 0.0j
-    for p0, p1, v0, v1, log0, log1, a0, a1 in zip(
-        points, points[1:], values, values[1:], logs, logs[1:], angles, angles[1:]
-    ):
+    for idx, a1 in zip(later + [0], [*map(angles.__getitem__, later), trace.closing_angle]):
+        p1, v1 = points[idx], samples[idx]
+        abs1 = abs(v1)
+        log1 = math.log(abs1)
         delta = complex(log1 - log0, a1 - a0)
         contribution = (0.5 * (p0 + p1) - zn) * delta
         dv = v1 - v0
-        if abs(dv) > 1e-14 * (abs(v0) + abs(v1)):
+        if abs(dv) > 1e-14 * (abs0 + abs1):
             # subtract the midpoint-log rule's error under the local linear
             # model f ~ (k - root)/slope, slope = (p1 - p0)/dv; exact for linear f
             contribution -= (p1 - p0) / dv * (0.5 * (v0 + v1) * delta - dv)
         total += contribution
+        p0, v0, abs0, log0, a0 = p1, v1, abs1, log1, a1
     return zn + total / (2j * math.pi)
 
 
@@ -285,6 +302,7 @@ class IntegrationResult:
     trace: BoundaryTrace
     abs_center: float
     abs_estimate: float
+    value_estimate: complex | None  # f(z_estimate); None when that raised
 
     @property
     def vv(self) -> float:
@@ -303,9 +321,10 @@ def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult
     trace, (center_value,) = _traced(f, rect, c, _MAX_DEPTH, [rect.center])
     z_estimate = moment_zero_estimate(trace)
     try:
-        abs_estimate = abs(complex(f(z_estimate)))
+        value_estimate = complex(f(z_estimate))
+        abs_estimate = abs(value_estimate)
     except Exception:
-        abs_estimate = math.inf
+        value_estimate, abs_estimate = None, math.inf
     return IntegrationResult(
         char=1.0 - trace.winding,
         fo=fo_from_angles(_row_sums(trace)),
@@ -313,4 +332,5 @@ def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult
         trace=trace,
         abs_center=abs(center_value),
         abs_estimate=abs_estimate,
+        value_estimate=value_estimate,
     )

@@ -184,7 +184,7 @@ class TestNewtonRefine:
     def test_linear_exact_in_one_step(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=0.5)
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, f(0.8 - 1.1j), allowance=0.5)
         assert accepted
         # exact up to the central-difference rounding (~1e-10 relative)
         assert abs(z - root) < 1e-9
@@ -193,7 +193,7 @@ class TestNewtonRefine:
     def test_movement_allowance_rejects_distant_jumps(self):
         root = 0.7 - 1.2j
         f = lambda k: k - root
-        z, accepted, value = newton_refine(f, 0.8 - 1.1j, allowance=1e-6)
+        z, accepted, value = newton_refine(f, 0.8 - 1.1j, f(0.8 - 1.1j), allowance=1e-6)
         assert not accepted
         assert z == 0.8 - 1.1j
         assert value is None
@@ -201,9 +201,15 @@ class TestNewtonRefine:
     def test_smooth_quadratic_convergence(self):
         root = 1.5 + 3j
         f = lambda k: (k - root) * (k + 10)
-        z, accepted, _ = newton_refine(f, 1.52 + 3.01j, allowance=0.1)
+        z, accepted, _ = newton_refine(f, 1.52 + 3.01j, f(1.52 + 3.01j), allowance=0.1)
         assert accepted
         assert abs(z - root) < 1e-9
+
+    def test_no_value_at_the_start_rejects(self):
+        # the search passes None when its evaluation at z0 raised
+        calls = []
+        z, accepted, value = newton_refine(calls.append, 0.8 - 1.1j, None, allowance=0.5)
+        assert (z, accepted, value, calls) == (0.8 - 1.1j, False, None, [])
 
 
 def _one_seed(f, y, za):
@@ -427,8 +433,36 @@ class TestFinish:
         record, calls = self._searched(monkeypatch, f, 20.0, 0.29 + 20.01j)
         assert record.verdict is Verdict.VERY_GOOD
         assert not record.newton_applied
-        assert calls == [record.z]  # Newton's opening |f|, nothing after it
+        # Newton opens on the concluding integration's value of f at z
+        assert calls == []
         assert record.vv_final == abs(f(record.z)) / abs(f(0.29 + 20.01j))
+
+    @staticmethod
+    def _counted_run(functions, seeds):
+        calls = []
+
+        def counted(f):
+            return lambda k: calls.append(k) or f(k)
+
+        return run_variants([counted(f) for f in functions], seeds), len(calls)
+
+    def test_polish_saves_one_call_per_concluded_zero(self, monkeypatch):
+        f = product_of_roots([0.3 + 20j, 3 + 22j])
+        functions = [f, f, lambda k: k - (0.3 + 20j), lambda k: 2.0 + 0j]
+        seeds = [(20.0, 0.29 + 20.01j), (22.0, 2.99 + 22.01j), (20.0, 0.29 + 20.01j),
+                 (2.0, 0.1 + 2j)]
+        records, calls = self._counted_run(functions, seeds)
+        # the polish as it was: open on its own evaluation of f at z
+        monkeypatch.setattr(
+            qzeta.search, "newton_refine",
+            lambda f, z0, f_z0, allowance: newton_refine(f, z0, complex(f(z0)), allowance),
+        )
+        fresh, fresh_calls = self._counted_run(functions, seeds)
+        concluded = sum(r.verdict is Verdict.VERY_GOOD for r in records)
+        assert concluded == 3
+        assert fresh_calls - calls == concluded
+        assert [_bits(r) for r in records] == [_bits(r) for r in fresh]
+        assert [r.newton_applied for r in records] == [r.newton_applied for r in fresh]
 
 
 class TestReportedEstimate:

@@ -41,6 +41,19 @@ class BatchLinear:
         return points - self.root
 
 
+class SpecialValues:
+    """1 everywhere but at the given points, with a ``many`` method."""
+
+    def __init__(self, special):
+        self.special = special
+
+    def __call__(self, k):
+        return self.special.get(k, 1.0 + 0j)
+
+    def many(self, points):
+        return [self(k) for k in points]
+
+
 class TestRectangle:
     def test_corners_and_containment(self):
         r = Rectangle(1 + 2j, 0.5, 0.25)
@@ -72,6 +85,24 @@ class TestSampling:
         corner = 1.0 + 0.5j
         with pytest.raises(ZeroOnContour, match=re.escape(repr(corner))):
             _traced(BatchLinear(corner), Rectangle(0j, 1.0, 0.5), 4, 0)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "many"])
+    @pytest.mark.parametrize(
+        "special, named",
+        [
+            ({-1 - 0.5j: math.nan, 1 - 0.5j: 0.0}, 1 - 0.5j),
+            # the first below the floor is named, not the smallest
+            ({-1 - 0.5j: math.nan, 1 + 0.5j: 1e-300, -1 + 0.5j: 0.0}, 1 + 0.5j),
+            # abs() of the later value overflows
+            ({-1 - 0.5j: 0.0, 1 - 0.5j: complex(1.7e308, 1.7e308)}, -1 - 0.5j),
+        ],
+        ids=["nan-then-zero", "nan-then-two-below-the-floor", "zero-then-overflow"],
+    )
+    def test_first_point_below_the_floor_is_named(self, special, named, batch):
+        # the corners are samples 0, c, 2c and 3c, in sampling order
+        f = SpecialValues(special) if batch else lambda k: special.get(k, 1.0 + 0j)
+        with pytest.raises(ZeroOnContour, match=re.escape(f"boundary point {named!r};")):
+            _traced(f, Rectangle(0j, 1.0, 0.5), 4, 0)
 
     def test_angles_are_unwrapped_principal_args(self):
         f = poly_from_roots([0.2 + 0.1j])
@@ -497,9 +528,10 @@ def reference_integrate(f, rect, c):
     z_estimate = zn + total / (2j * math.pi)
     abs_center = abs(complex(f(rect.center)))
     try:
-        abs_estimate = abs(complex(f(z_estimate)))
+        value_estimate = complex(f(z_estimate))
+        abs_estimate = abs(value_estimate)
     except ZeroDivisionError:
-        abs_estimate = math.inf
+        value_estimate, abs_estimate = None, math.inf
     return {
         "offsets": offsets,
         "points": points,
@@ -514,6 +546,7 @@ def reference_integrate(f, rect, c):
         "inside": rect.contains(z_estimate),
         "abs_center": abs_center,
         "abs_estimate": abs_estimate,
+        "value_estimate": value_estimate,
     }
 
 
@@ -533,7 +566,8 @@ def assert_matches_reference(f, rect, c):
     }
     for key, value in got.items():
         assert repr(value) == repr(ref[key]), key
-    for key in ("char", "fo", "z_estimate", "vv", "inside", "abs_center", "abs_estimate"):
+    for key in ("char", "fo", "z_estimate", "vv", "inside", "abs_center", "abs_estimate",
+                "value_estimate"):
         assert repr(getattr(result, key)) == repr(ref[key]), key
     return result.trace
 
@@ -550,14 +584,25 @@ def rational(roots, poles):
     return f
 
 
+def drifting(r, s, w):
+    """(k - r)(1 + (k - r)/s) exp(i w (k - r)), the shape of the benchmark's
+    generic targets: a root at r, a second one at r - s and a phase drift w."""
+
+    def f(k):
+        u = k - r
+        return u * (1.0 + u / s) * cmath.exp(1j * w * u)
+
+    return f
+
+
 unit = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 @st.composite
 def targets(draw):
-    """A rectangle and a polynomial or rational target whose roots and poles
-    fall inside, near or outside it; roots near the boundary force deep
-    refinement."""
+    """A rectangle and a polynomial, rational or drifting target whose roots
+    and poles fall inside, near or outside it; roots near the boundary, and
+    the drift along every side, force deep refinement."""
     rect = Rectangle(
         complex(draw(unit), draw(unit)),
         draw(st.floats(0.2, 1.2)),
@@ -571,6 +616,9 @@ def targets(draw):
         # keep roots and poles off the boundary itself
         assume(min(abs(abs(z.real - rect.center.real) - rect.rd),
                    abs(abs(z.imag - rect.center.imag) - rect.rad)) > 1e-6)
+    if draw(st.booleans()):
+        s = cmath.rect(draw(st.floats(6.0, 10.0)), draw(st.floats(0.0, 2.0 * math.pi)))
+        return rect, drifting(spots[0], s, draw(st.floats(0.5, 3.0)))
     n_poles = draw(st.integers(0, len(spots) - 1))
     # f is also evaluated at the center, so no pole sits there
     assume(all(abs(p - rect.center) > 1e-6 for p in spots[:n_poles]))
@@ -581,7 +629,7 @@ class TestIncrementalRefinement:
     """Incremental passes agree bit for bit with full re-sampling."""
 
     @given(targets(), st.sampled_from([3, 4, 5, 6, 9]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_dict_cache_reference(self, target, c):
         rect, f = target
         assert_matches_reference(f, rect, c)
