@@ -70,11 +70,10 @@ def emit_text_report(result: RunResult) -> str:
     out.append("")
 
     variants = sorted({a.variant for r in result.records for a in r.trace_log})
+    schedule = escalation_schedule(config.c)
     for variant in variants:
-        opening_c = min(a.result.trace.c for r in result.records
-                        for a in r.trace_log if a.variant == variant)
         out.append("")
-        out.append(f"VARIANT= {variant}  c= {opening_c}")
+        out.append(f"VARIANT= {variant}  c= {schedule[variant - 1]}")
         for seed, record in zip(result.seeds, result.records):
             attempts = [a for a in record.trace_log if a.variant == variant]
             previous_c: int | None = None

@@ -372,16 +372,17 @@ def _search_zero(
 ) -> ZeroRecord:
     """One zero from its seed to its record: the variants, then the Newton
     polish of a concluded zero.  |f(za)| comes from the opening integration,
-    whose rectangle is centred on za.  A package error raised by an
-    integration fails this zero only; its record keeps the integrations
-    done so far and the error as ``reason``."""
+    whose rectangle is centred on za.  A package error or an arithmetic
+    fault (overflow, division by zero) raised by an integration fails this
+    zero only; its record keeps the integrations done so far and the error
+    as ``reason``."""
     opening = initial_rectangle(za, y)
     state = SearchState(zna=za, zn=opening.center, rd=opening.rd)
     trace_log: list[IntegrationAttempt] = []
     reason = None
     try:
         concluded = _integrate_variants(f, state, schedule, trace_log)
-    except QZetaError as exc:
+    except (QZetaError, ArithmeticError) as exc:
         concluded, reason = False, f"{type(exc).__name__}: {exc}"
     # unknown when no integration finished: nan, whose seed ratio below is 1
     abs_za = trace_log[0].result.abs_center if trace_log else math.nan

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import sub, truediv
 from typing import Callable
 
@@ -81,24 +81,18 @@ class Rectangle:
             and abs(z.imag - self.center.imag) < self.rad
         )
 
-    def point_at(self, side: int, t: float) -> complex:
-        """Point at parameter t in [0, 1) along side 0..3, counterclockwise
-        from the bottom-left corner."""
-        cs = self.corners()
-        start, end = cs[side], cs[(side + 1) % 4]
-        return start + t * (end - start)
-
 
 @dataclass
 class BoundaryTrace:
     """Counterclockwise boundary samples with unwrapped angles.
 
-    ``offsets`` is shared by all four sides: entry i lists the sample
-    positions inside the i-th of the c per-side intervals, as integers on a
-    grid of _GRID steps per interval (always starting at 0; refinement
-    inserts midpoints).  ``points``, ``samples`` (the function values) and
-    ``angles`` hold one entry per boundary sample, side by side, so the n-th
-    shared position of side s sits at index s*m + n with m = per_side().
+    ``positions`` is shared by all four sides: the ascending sample
+    positions along a side, as integers on a grid of _GRID steps for each of
+    its c parameter intervals (the main points are the multiples of _GRID;
+    refinement inserts midpoints).  ``points``, ``samples`` (the function
+    values) and ``angles`` hold one entry per boundary sample, side by side,
+    so the n-th position of side s sits at index s*m + n with
+    m = len(positions).
     ``closing_angle`` continues the unwrapped sequence back to the first
     sample, so (closing_angle - angles[0]) / 2*pi is the discrete winding
     estimate.
@@ -106,7 +100,7 @@ class BoundaryTrace:
 
     rect: Rectangle
     c: int
-    offsets: list[list[int]]
+    positions: list[int]
     points: list[complex]
     samples: list[complex]
     angles: list[float]
@@ -115,9 +109,6 @@ class BoundaryTrace:
     @property
     def winding(self) -> float:
         return (self.closing_angle - self.angles[0]) / _TWO_PI
-
-    def per_side(self) -> int:
-        return sum(len(group) for group in self.offsets)
 
     def display_rows(self) -> list[tuple[str, float]]:
         """Four-side angle sums, one row per shared sample position.
@@ -129,8 +120,8 @@ class BoundaryTrace:
         """
         labels = [
             str(i + 1) if j == 0 else f"{i + 1} {j}"
-            for i, group in enumerate(self.offsets)
-            for j in range(len(group))
+            for i, group in groupby(self.positions, lambda pos: pos // _GRID)
+            for j in range(len(list(group)))
         ]
         return list(zip(labels + [str(self.c + 1)], _row_sums(self)))
 
@@ -138,7 +129,7 @@ class BoundaryTrace:
 def _row_sums(trace: BoundaryTrace) -> list[float]:
     """The values of ``display_rows``: the four sides' angles summed per
     shared position, then the closing row."""
-    a, m = trace.angles, trace.per_side()
+    a, m = trace.angles, len(trace.positions)
     rows = list(map(sum, zip(a, a[m:], a[2 * m :], a[3 * m :])))
     rows.append(sum((a[m], a[2 * m], a[3 * m])) + trace.closing_angle)
     return rows
@@ -233,11 +224,8 @@ def _traced(f, rect, c, passes, extra=()) -> tuple[BoundaryTrace, list[complex]]
             points.insert(k + 1, point)
         positions = sorted(positions + mids)
         angles = list(accumulate(steps, initial=cmath.phase(values[0])))
-    offsets = [[] for _ in range(c)]
-    for pos in positions:
-        offsets[pos // _GRID].append(pos % _GRID)
     closing = angles.pop()
-    return BoundaryTrace(rect, c, offsets, points, values, angles, closing), extra_values
+    return BoundaryTrace(rect, c, positions, points, values, angles, closing), extra_values
 
 
 def fo_from_angles(angles: list[float]) -> int:
@@ -260,8 +248,8 @@ def moment_zero_estimate(trace: BoundaryTrace) -> complex:
     shift removes the large-coordinate cancellation.
     """
     zn = trace.rect.center
-    m = trace.per_side()
-    mains = list(accumulate((len(group) for group in trace.offsets[:-1]), initial=0))
+    m = len(trace.positions)
+    mains = [n for n, pos in enumerate(trace.positions) if pos % _GRID == 0]
     order = [side * m + n for side in range(4) for n in mains]
     points, samples, angles = trace.points, trace.samples, trace.angles
     # one pass over the main samples, each segment carrying the previous
@@ -301,8 +289,13 @@ class IntegrationResult:
     z_estimate: complex
     trace: BoundaryTrace
     abs_center: float
-    abs_estimate: float
-    value_estimate: complex | None  # f(z_estimate); None when that raised
+    # f(z_estimate); None when that raised or |f| is past the float range
+    value_estimate: complex | None
+
+    @property
+    def abs_estimate(self) -> float:
+        """|f(z_estimate)|; inf when value_estimate is None."""
+        return math.inf if self.value_estimate is None else abs(self.value_estimate)
 
     @property
     def vv(self) -> float:
@@ -322,15 +315,14 @@ def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult
     z_estimate = moment_zero_estimate(trace)
     try:
         value_estimate = complex(f(z_estimate))
-        abs_estimate = abs(value_estimate)
+        abs(value_estimate)  # raises OverflowError past the float range
     except Exception:
-        value_estimate, abs_estimate = None, math.inf
+        value_estimate = None
     return IntegrationResult(
         char=1.0 - trace.winding,
         fo=fo_from_angles(_row_sums(trace)),
         z_estimate=z_estimate,
         trace=trace,
         abs_center=abs(center_value),
-        abs_estimate=abs_estimate,
         value_estimate=value_estimate,
     )

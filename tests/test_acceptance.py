@@ -63,7 +63,12 @@ def _truncation_shift_bound(rect, b):
     on the boundary of ``rect`` (B = n_terms at truncation b), and the zero
     shift it allows, (L/2 pi) times that tail for the perimeter L."""
     n = SharpParams(750.0, 2.0, b).n_terms
-    points = np.array([rect.point_at(side, t) for side in range(4) for t in (0.0, 0.5)])
+    corners = rect.corners()
+    points = np.array([
+        start + t * (end - start)
+        for start, end in zip(corners, corners[1:] + corners[:1])
+        for t in (0.0, 0.5)
+    ])
     # term j is the running product of the ratios 1..j; S_B sums terms 0..B-1
     terms = np.cumprod(_term_ratios(750.0, 2.0, points, np.arange(1, n + 50)), axis=1)
     sums = 1.0 + np.cumsum(terms, axis=1)

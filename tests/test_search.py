@@ -92,10 +92,37 @@ class TestAssess:
         f = product_of_roots([0.31 + 20.002j])
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
         result = _result_for(f, rect)
-        result.abs_estimate = 0.9 * result.abs_center  # residual ratio 0.9
+        result.value_estimate = complex(0.9 * result.abs_center)  # residual ratio 0.9
         # force the estimate away from the incumbent so no waiver applies
         state = _state(zna=0.25 + 20.01j)
         assert assess(result, state) is Assessment.NOT_GOOD
+
+    @pytest.mark.parametrize(
+        "at_estimate",
+        [RangeUnsupported("Im k = 9 too high"), complex(1.7e308, 1.7e308)],
+        ids=["raises", "past-the-float-range"],
+    )
+    def test_failed_evaluation_at_the_estimate_is_not_good(self, at_estimate):
+        # the same integration as a good one, except that f fails only at the
+        # moment estimate: it raises there, or returns a value abs() rejects
+        f = product_of_roots([0.31 + 20.002j])
+        rect = Rectangle(0.3 + 20j, 0.1, 0.05)
+        clean = _result_for(f, rect)
+        assert assess(clean, _state()) is Assessment.GOOD
+
+        def g(k):
+            if k == clean.z_estimate:
+                if isinstance(at_estimate, Exception):
+                    raise at_estimate
+                return at_estimate
+            return f(k)
+
+        result = _result_for(g, rect)
+        assert result.z_estimate == clean.z_estimate
+        assert result.value_estimate is None
+        assert result.abs_estimate == math.inf
+        assert result.vv == math.inf
+        assert assess(result, _state()) is Assessment.NOT_GOOD
 
     def test_first_good_is_only_good(self):
         f = product_of_roots([0.31 + 20.002j])
@@ -519,11 +546,13 @@ class TestStoppedSearch:
         calls = []
         integrate(lambda k: calls.append(k) or f(k), full.trace_log[0].result.trace.rect,
                   full.trace_log[0].result.trace.c)
-        stopped = self._failing_after(f, len(calls))
-        (record,) = run_variants([stopped], [(20.0, 0.29 + 20.01j)])
-        assert record.verdict is Verdict.FAILED
-        assert record.reason.startswith("RangeUnsupported: ")
-        assert _bits(record)[4] == _bits(full)[4][:1]
+        # a package error, then an arithmetic fault, in the second integration
+        for error in (RangeUnsupported("Im k = 9 too high"), OverflowError("math range error")):
+            stopped = self._failing_after(f, len(calls), error)
+            (record,) = run_variants([stopped], [(20.0, 0.29 + 20.01j)])
+            assert record.verdict is Verdict.FAILED
+            assert record.reason == f"{type(error).__name__}: {error}"
+            assert _bits(record)[4] == _bits(full)[4][:1]
 
     def test_other_seeds_keep_their_records(self):
         f = product_of_roots([0.3 + 20j, 3 + 22j])
@@ -533,9 +562,29 @@ class TestStoppedSearch:
         assert records[1].reason is None
         assert _bits(records[1]) == _bits(run_variants([f], seeds[1:])[0])
 
+    @pytest.mark.parametrize(
+        "faulty,reason",
+        [
+            # abs() overflows on the boundary
+            (lambda k: complex(1.7e308, 1.7e308), "OverflowError: absolute value too large"),
+            # divides by zero at the opening centre
+            (lambda k: 1 / (k - (0.1 + 2j)), "ZeroDivisionError: complex division by zero"),
+        ],
+        ids=["overflow", "zero-division"],
+    )
+    def test_arithmetic_fault_fails_only_its_seed(self, faulty, reason):
+        f = product_of_roots([0.3 + 20j])
+        seeds = [(2.0, 0.1 + 2j), (20.0, 0.29 + 20.01j)]
+        records = run_variants([faulty, f], seeds)
+        assert [r.verdict for r in records] == [Verdict.FAILED, Verdict.VERY_GOOD]
+        assert records[0].trace_log == []
+        assert records[0].reason == reason
+        assert records[1].reason is None
+        assert _bits(records[1]) == _bits(run_variants([f], seeds[1:])[0])
+
     def test_programming_errors_still_raise(self):
-        f = self._failing_after(product_of_roots([0.3 + 20j]), 5, ZeroDivisionError())
-        with pytest.raises(ZeroDivisionError):
+        f = self._failing_after(product_of_roots([0.3 + 20j]), 5, TypeError())
+        with pytest.raises(TypeError):
             run_variants([f], [(20.0, 0.29 + 20.01j)])
 
     def test_search_without_error_has_no_reason(self):

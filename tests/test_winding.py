@@ -119,7 +119,7 @@ class TestRefinement:
     def test_no_op_when_gaps_small(self):
         trace = _traced(lambda k: k + 10, Rectangle(0j, 1.0, 0.5), 6, 0)[0]
         refined = integrate(lambda k: k + 10, Rectangle(0j, 1.0, 0.5), 6).trace
-        assert refined.per_side() == trace.per_side()
+        assert len(refined.positions) == len(trace.positions)
 
     def test_cubic_winding_after_refinement(self):
         center = 0.2 + 0.3j
@@ -143,21 +143,20 @@ class TestRefinement:
         # c = 3 is no power of two, so t = pos / (3 * grid) rounds
         trace = integrate(PAPER_B15, rect, 3).trace
         grid = 2**_MAX_DEPTH
-        assert trace.per_side() > trace.c
+        assert len(trace.positions) > trace.c
         assert all(
-            type(off) is int and 0 <= off < grid
-            for group in trace.offsets
-            for off in group
+            type(pos) is int and 0 <= pos < trace.c * grid for pos in trace.positions
         )
-        m = trace.per_side()
+        assert trace.positions == sorted(set(trace.positions))
+        assert set(range(0, trace.c * grid, grid)) <= set(trace.positions)
+        m = len(trace.positions)
         assert len(trace.points) == len(trace.samples) == len(trace.angles) == 4 * m
+        corners = rect.corners()
         for side in range(4):
-            n = 0
-            for i, group in enumerate(trace.offsets):
-                for off in group:
-                    t = (i + off / grid) / trace.c
-                    assert trace.points[side * m + n] == rect.point_at(side, t)
-                    n += 1
+            start, end = corners[side], corners[(side + 1) % 4]
+            for n, pos in enumerate(trace.positions):
+                t = (pos // grid + pos % grid / grid) / trace.c
+                assert trace.points[side * m + n] == start + t * (end - start)
 
     def test_display_rows_close_the_boundary(self):
         f = poly_from_roots([0.1 + 0.2j, 3 + 3j])
@@ -388,9 +387,9 @@ class TestBatchedSampling:
         a = integrate(batched, rect, 4)
         b = integrate(plain, rect, 4)
         assert batched.batches >= 2
-        assert any(len(group) > 1 for group in a.trace.offsets)
+        assert len(a.trace.positions) > a.trace.c
         assert (a.char, a.fo, a.z_estimate, a.vv) == (b.char, b.fo, b.z_estimate, b.vv)
-        assert a.trace.offsets == b.trace.offsets
+        assert a.trace.positions == b.trace.positions
         assert a.trace.points == b.trace.points
         assert a.trace.samples == b.trace.samples
         assert a.trace.angles == b.trace.angles
@@ -533,7 +532,7 @@ def reference_integrate(f, rect, c):
     except ZeroDivisionError:
         value_estimate, abs_estimate = None, math.inf
     return {
-        "offsets": offsets,
+        "positions": [i * grid + off for i, group in enumerate(offsets) for off in group],
         "points": points,
         "samples": values,
         "angles": angles,
@@ -557,7 +556,7 @@ def assert_matches_reference(f, rect, c):
     result = integrate(f, rect, c)
     trace = result.trace
     got = {
-        "offsets": trace.offsets,
+        "positions": trace.positions,
         "points": trace.points,
         "samples": trace.samples,
         "angles": trace.angles,
@@ -640,4 +639,5 @@ class TestIncrementalRefinement:
         # interval of side 3, which closes on sample 0, is split three times
         rect = Rectangle(0j, 1.0, 0.5)
         trace = assert_matches_reference(rational([-1.001 - 0.49j], []), rect, c)
-        assert any(off % 2 for off in trace.offsets[-1])
+        last = (c - 1) * 2**_MAX_DEPTH
+        assert any(pos % 2 for pos in trace.positions if pos > last)
