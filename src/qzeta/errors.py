@@ -33,3 +33,9 @@ class ZeroOnContour(QZetaError):
 
 class UsageError(QZetaError):
     """Bad command-line arguments (exit status 2)."""
+
+
+# What a function under search may raise that the search records: a point
+# outside the series band, a non-finite sum, an overflow, a division by zero.
+# Anything else is a fault in the program and propagates.
+EVALUATION_FAULTS = (QZetaError, ArithmeticError)

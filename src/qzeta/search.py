@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import QZetaError
+from .errors import EVALUATION_FAULTS
 from .winding import AnalyticFunction, IntegrationResult, Rectangle, integrate
 
 __all__ = [
@@ -283,8 +283,8 @@ def newton_refine(
     """Polish a concluded estimate with Newton steps (central-difference
     derivative); returns the point, whether the polish was accepted, and f
     at the polished point (None when rejected).  ``f_z0`` is f at z0 as the
-    search evaluated it, None when that evaluation raised; the polish is
-    then rejected.
+    search evaluated it, None when that evaluation failed; the polish is
+    then rejected, as it is when f raises one of ``EVALUATION_FAULTS``.
 
     Accepted only if |f| decreased at every step, the step sizes contracted
     like a genuinely converging Newton iteration, and the total movement
@@ -318,7 +318,7 @@ def newton_refine(
             z, f_here, f_abs = z_next, f_next, abs(f_next)
             last_step = abs(step)
             steps_taken += 1
-    except Exception:
+    except EVALUATION_FAULTS:
         return z0, False, None
     if steps_taken == 0 or abs(z - z0) > allowance:
         return z0, False, None
@@ -372,17 +372,17 @@ def _search_zero(
 ) -> ZeroRecord:
     """One zero from its seed to its record: the variants, then the Newton
     polish of a concluded zero.  |f(za)| comes from the opening integration,
-    whose rectangle is centred on za.  A package error or an arithmetic
-    fault (overflow, division by zero) raised by an integration fails this
-    zero only; its record keeps the integrations done so far and the error
-    as ``reason``."""
+    whose rectangle is centred on za.  One of ``EVALUATION_FAULTS`` raised
+    by an integration fails this zero only; its record keeps the
+    integrations done so far and the error as ``reason``.  Any other
+    exception propagates."""
     opening = initial_rectangle(za, y)
     state = SearchState(zna=za, zn=opening.center, rd=opening.rd)
     trace_log: list[IntegrationAttempt] = []
     reason = None
     try:
         concluded = _integrate_variants(f, state, schedule, trace_log)
-    except (QZetaError, ArithmeticError) as exc:
+    except EVALUATION_FAULTS as exc:
         concluded, reason = False, f"{type(exc).__name__}: {exc}"
     # unknown when no integration finished: nan, whose seed ratio below is 1
     abs_za = trace_log[0].result.abs_center if trace_log else math.nan

@@ -28,7 +28,7 @@ from itertools import accumulate, groupby
 from operator import sub, truediv
 from typing import Callable
 
-from .errors import ZeroOnContour
+from .errors import EVALUATION_FAULTS, ZeroOnContour
 
 __all__ = [
     "AnalyticFunction",
@@ -289,7 +289,7 @@ class IntegrationResult:
     z_estimate: complex
     trace: BoundaryTrace
     abs_center: float
-    # f(z_estimate); None when that raised or |f| is past the float range
+    # f(z_estimate); None on an evaluation fault or |f| past the float range
     value_estimate: complex | None
 
     @property
@@ -316,7 +316,7 @@ def integrate(f: AnalyticFunction, rect: Rectangle, c: int) -> IntegrationResult
     try:
         value_estimate = complex(f(z_estimate))
         abs(value_estimate)  # raises OverflowError past the float range
-    except Exception:
+    except EVALUATION_FAULTS:
         value_estimate = None
     return IntegrationResult(
         char=1.0 - trace.winding,

@@ -124,6 +124,21 @@ class TestAssess:
         assert result.vv == math.inf
         assert assess(result, _state()) is Assessment.NOT_GOOD
 
+    def test_programming_error_at_the_estimate_propagates(self):
+        # only EVALUATION_FAULTS make an estimate not good; a TypeError there
+        # is a fault in f, as it is at a boundary sample
+        f = product_of_roots([0.31 + 20.002j])
+        rect = Rectangle(0.3 + 20j, 0.1, 0.05)
+        clean = _result_for(f, rect)
+
+        def g(k):
+            if k == clean.z_estimate:
+                raise TypeError("bad operand")
+            return f(k)
+
+        with pytest.raises(TypeError, match="bad operand"):
+            _result_for(g, rect)
+
     def test_first_good_is_only_good(self):
         f = product_of_roots([0.31 + 20.002j])
         rect = Rectangle(0.3 + 20j, 0.1, 0.05)
@@ -515,8 +530,10 @@ class TestReportedEstimate:
 
 
 class TestStoppedSearch:
-    """A package error raised while integrating one seed fails that seed
-    only: its record keeps the finished integrations and names the error."""
+    """An evaluation fault (a package error or an arithmetic one) raised
+    while integrating one seed fails that seed only: its record keeps the
+    finished integrations and names the error.  One raised by the polish
+    rejects the polish.  Any other error propagates."""
 
     @staticmethod
     def _failing_after(f, calls_allowed, error=RangeUnsupported("Im k = 9 too high")):
@@ -586,6 +603,35 @@ class TestStoppedSearch:
         f = self._failing_after(product_of_roots([0.3 + 20j]), 5, TypeError())
         with pytest.raises(TypeError):
             run_variants([f], [(20.0, 0.29 + 20.01j)])
+
+    @staticmethod
+    def _concluded(monkeypatch):
+        """A target whose polish evaluates f, its seed, its record without
+        the polish, and the calls its search makes up to the conclusion."""
+        root = 0.31 + 20.002j
+        f = lambda k: (k - root) * (1 + (k - root) / 5) * (1 + 0.3j)
+        seed = (20.0, 0.29 + 20.01j)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(qzeta.search, "NEWTON_MAX_ITERS", 0)  # the polish calls nothing
+            (unpolished,) = run_variants([lambda k: calls.append(k) or f(k)], [seed])
+        assert run_variants([f], [seed])[0].newton_applied
+        return f, seed, unpolished, len(calls)
+
+    def test_programming_error_in_the_polish_raises(self, monkeypatch):
+        f, seed, _, searched = self._concluded(monkeypatch)
+        with pytest.raises(TypeError):
+            run_variants([self._failing_after(f, searched, TypeError())], [seed])
+
+    def test_arithmetic_fault_in_the_polish_rejects_it(self, monkeypatch):
+        f, seed, unpolished, searched = self._concluded(monkeypatch)
+        error = ZeroDivisionError("complex division by zero")
+        (record,) = run_variants([self._failing_after(f, searched, error)], [seed])
+        assert record.verdict is Verdict.VERY_GOOD
+        assert not record.newton_applied
+        assert record.reason is None
+        assert record.z == record.trace_log[-1].result.z_estimate
+        assert _bits(record) == _bits(unpolished)
 
     def test_search_without_error_has_no_reason(self):
         (record,) = run_variants([lambda k: 2.0 + 0j], [(2.0, 0.1 + 2j)])
