@@ -159,12 +159,11 @@ def execute(config: RunConfig) -> RunResult:
             # z is the seed, so |f(z)|/|f(za)| is 1, as for a search that
             # accepted no estimate
             records.append(ZeroRecord(
-                index=seed.index, y=seed.y, za=seed.za, z=seed.za, de=None, vv_final=1.0,
-                verdict=Verdict.FAILED, newton_applied=False, trace_log=[], reason=seed.reason,
+                z=seed.za, de=None, vv_final=1.0, verdict=Verdict.FAILED,
+                newton_applied=False, trace_log=[], reason=seed.reason,
             ))
             continue
         record = next(searched)
-        record.index = seed.index
         if (not config.poly_coefficients and record.verdict is Verdict.VERY_GOOD
                 and not f.in_strip(record.z)):
             record.verdict = Verdict.FAILED

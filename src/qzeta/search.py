@@ -128,7 +128,7 @@ class SearchState:
     phase: int = 0  # 0 = a variant's opening density, 1 = its "second try"
     consecutive_good: int = 0
     accepted: list[tuple[complex, float]] = field(default_factory=list)
-    variant_opening_vv: float | None = None
+    opening_vv: float | None = None  # residual ratio of the search's first integration
 
     @property
     def rect(self) -> Rectangle:
@@ -162,12 +162,10 @@ class IntegrationAttempt:
 
 @dataclass
 class ZeroRecord:
-    """Per-zero outcome: final estimate, error bound, residual, verdict.
-    ``reason`` names the error that ended a failed search, if one did."""
+    """What one search found: final estimate, error bound, residual,
+    verdict.  ``reason`` names the error that ended a failed search, if one
+    did.  The seed's index, ordinate and prediction stay with the caller."""
 
-    index: int
-    y: float
-    za: complex
     z: complex
     de: float | None
     vv_final: float
@@ -202,26 +200,26 @@ def assess(result: IntegrationResult, state: SearchState) -> Assessment:
     location: once the search rides the evaluation noise floor, residual
     ratios carry no information, while an integration that reproduces the
     known location still confirms it.  Very good: the second consecutive
-    good whose gap metric, error estimate, and residual stay admissible;
-    variant 1 additionally requires a trustworthy opening integration (a
-    sloppy seed forces re-confirmation in the next variant).
+    good whose gap metric and error estimate stay admissible; variant 1
+    additionally requires a trustworthy opening integration (a sloppy seed
+    forces re-confirmation in the next variant).
     """
     rect = result.trace.rect
     confirms_location = (
         abs(result.z_estimate - state.zna)
         <= _CONFIRM_FRACTION * (rect.rd + rect.rad)
     )
-    vv_ok = result.vv < VV_MAX or confirms_location
-    residual_ok = (
-        result.abs_estimate <= state.best_abs_value * _RESIDUAL_SLACK
-        or confirms_location
-    )
     good = (
         abs(result.char) <= CHAR_TOL
         and result.fo <= FO_GOOD_MAX
-        and vv_ok
         and result.inside
-        and residual_ok
+        and (
+            confirms_location
+            or (
+                result.vv < VV_MAX
+                and result.abs_estimate <= state.best_abs_value * _RESIDUAL_SLACK
+            )
+        )
     )
     if not good:
         return Assessment.NOT_GOOD
@@ -229,8 +227,7 @@ def assess(result: IntegrationResult, state: SearchState) -> Assessment:
         return Assessment.GOOD
     de_now = _error_scale(result.z_estimate, state.accepted[-1][0])
     opening_ok = state.variant > 0 or (
-        state.variant_opening_vv is not None
-        and state.variant_opening_vv < SEED_VV_LIMIT
+        state.opening_vv is not None and state.opening_vv < SEED_VV_LIMIT
     )
     # a variant's opening density may conclude only when the estimate has
     # stopped moving at the reporting floor; anything else needs the
@@ -239,7 +236,6 @@ def assess(result: IntegrationResult, state: SearchState) -> Assessment:
     if (
         result.fo <= FO_VERYGOOD_MAX
         and de_now <= DE_ADMISSIBLE
-        and vv_ok
         and opening_ok
         and confirmed
     ):
@@ -344,7 +340,6 @@ def _integrate_variants(
     opening_rd = state.rd
     for variant, c_open in enumerate(schedule):
         state.variant = variant
-        state.variant_opening_vv = None
         if variant > 0 and state.de is not None:
             restart = max(_RESTART_DE_FACTOR * state.de, _MIN_RD)
             state.rd = min(restart, opening_rd)
@@ -357,8 +352,8 @@ def _integrate_variants(
                 result = trace_log[-1].result if trace_log else None
                 if result is None or (result.trace.rect, result.trace.c) != (rect, c):
                     result = integrate(f, rect, c)
-                if state.variant_opening_vv is None:
-                    state.variant_opening_vv = result.vv
+                if state.opening_vv is None:
+                    state.opening_vv = result.vv
                 verdict = assess(result, state)
                 trace_log.append(IntegrationAttempt(variant + 1, state.zna, result, verdict))
                 step_policy(state, verdict, result)
@@ -368,7 +363,7 @@ def _integrate_variants(
 
 
 def _search_zero(
-    index: int, f: AnalyticFunction, y: float, za: complex, schedule: tuple[int, ...]
+    f: AnalyticFunction, y: float, za: complex, schedule: tuple[int, ...]
 ) -> ZeroRecord:
     """One zero from its seed to its record: the variants, then the Newton
     polish of a concluded zero.  |f(za)| comes from the opening integration,
@@ -398,7 +393,7 @@ def _search_zero(
         if i > 0:
             de = _error_scale(z, estimates[i - 1][0])
     newton_applied = False
-    if concluded and de is not None:
+    if concluded:  # at least two accepted estimates, so de is set
         # allow movement up to the concluding rectangle's quadrature
         # resolution (~2% of its half-width; state.rd was already halved)
         allowance = max(10.0 * de, 0.04 * state.rd)
@@ -410,19 +405,17 @@ def _search_zero(
             z = z_new
             abs_z = abs(f_new)
             newton_applied = True
-    vv_final = abs_z / abs_za if abs_za > 0 else math.inf
+    if state.accepted:
+        vv_final = abs_z / abs_za if abs_za > 0 else math.inf
+    else:  # z is the seed: ratio 1, even where |f(za)| is not finite
+        vv_final = 1.0 if abs_za else math.inf
     if concluded:
         verdict = Verdict.VERY_GOOD
     elif state.accepted and reason is None:
         verdict = Verdict.GOOD_ONLY
     else:
         verdict = Verdict.FAILED
-    if not state.accepted:  # z is the seed: ratio 1, even where |f(za)| is not finite
-        vv_final = 1.0 if abs_za else math.inf
     return ZeroRecord(
-        index=index,
-        y=y,
-        za=za,
         z=z,
         de=de,
         vv_final=vv_final,
@@ -442,15 +435,12 @@ def run_variants(
     densities ``escalation_schedule(c)`` (c = 4 in the reference run).  Each
     zero runs its variants to completion before the next seed starts; the
     seeds share no state, so the order changes no record.  Records come
-    back in seed order, indexed from 1.  A search that fails is a record
-    with verdict FAILED, not an exception, so one seed is searched as
+    back in seed order.  A search that fails is a record with verdict
+    FAILED, not an exception, so one seed is searched as
     ``run_variants([f], [(y, za)])``.
     """
     functions = list(functions)
     if len(functions) != len(seeds):
         raise ValueError("need one evaluator per seed")
     schedule = escalation_schedule(c)
-    return [
-        _search_zero(index, f, y, za, schedule)
-        for index, (f, (y, za)) in enumerate(zip(functions, seeds), start=1)
-    ]
+    return [_search_zero(f, y, za, schedule) for f, (y, za) in zip(functions, seeds)]

@@ -96,8 +96,8 @@ class TestCriterion2FinalZeros:
         records = paper_run.records
         ok = len(records) == 9 and paper_run.elapsed < 300.0
         worst = 0.0
-        for record in records:
-            _, _, _, z_ref, _, _ = PAPER_TABLE[record.index]
+        for index, record in enumerate(records, start=1):
+            _, _, _, z_ref, _, _ = PAPER_TABLE[index]
             worst = max(worst, abs(record.z - z_ref))
             ok = ok and record.verdict is Verdict.VERY_GOOD and abs(record.z - z_ref) < 2e-3
         assert _line(
@@ -118,8 +118,8 @@ class TestCriterion2FinalZeros:
             for seed, record in zip(paper_run.seeds, paper_run.records)
         }
         ok = len(errors) == 9 and max(errors.values()) < 1e-3
-        for record in paper_run.records[:5]:
-            ok = ok and errors[record.index] <= record.de
+        for index, record in enumerate(paper_run.records[:5], start=1):
+            ok = ok and errors[index] <= record.de
         assert _line(
             2, ok, "|z - oracle| = "
             + ", ".join(f"{errors[i]:.1e}" for i in sorted(errors))
@@ -155,18 +155,19 @@ class TestCriterion4MissDetection:
 
 class TestCriterion5VariantScheduling:
     def test_zeros_4_and_9_deferred_and_completed(self, paper_run):
+        numbered = list(enumerate(paper_run.records, start=1))
         deferred = sorted(
-            r.index for r in paper_run.records if 2 in r.variants_visited
+            index for index, r in numbered if 2 in r.variants_visited
         )
         completed_in_v2 = all(
             max(r.variants_visited) == 2
-            for r in paper_run.records
-            if r.index in (4, 9)
+            for index, r in numbered
+            if index in (4, 9)
         )
         others_direct = all(
             r.variants_visited == (1,)
-            for r in paper_run.records
-            if r.index not in (4, 9)
+            for index, r in numbered
+            if index not in (4, 9)
         )
         ok = deferred == [4, 9] and completed_in_v2 and others_direct
         assert _line(5, ok, f"variant-2 zeros = {deferred}")
@@ -176,8 +177,8 @@ class TestCriterion6ResidualRatios:
     def test_vv_and_de_bands(self, paper_run):
         ok = True
         details = []
-        for record in paper_run.records:
-            _, _, _, _, de_ref, vv_ref = PAPER_TABLE[record.index]
+        for index, record in enumerate(paper_run.records, start=1):
+            _, _, _, _, de_ref, vv_ref = PAPER_TABLE[index]
             # "within a factor of 10" of the reference values; being more
             # accurate than the reference cannot fail the vv comparison
             # (the criterion's own gloss for zero 1 is one-sided)

@@ -96,6 +96,29 @@ class TestAssess:
         # force the estimate away from the incumbent so no waiver applies
         state = _state(zna=0.25 + 20.01j)
         assert assess(result, state) is Assessment.NOT_GOOD
+        # an estimate on the incumbent confirms the location: the ratio is waived
+        assert assess(result, _state(zna=result.z_estimate)) is Assessment.GOOD
+
+    def test_estimate_outside_the_rectangle_is_not_good(self):
+        f = product_of_roots([0.31 + 20.002j])
+        rect = Rectangle(0.3 + 20j, 0.1, 0.05)
+        result = _result_for(f, rect)
+        assert assess(result, _state()) is Assessment.GOOD
+        result.z_estimate = 0.401 + 20.002j  # just past the right side
+        assert not result.inside
+        assert assess(result, _state()) is Assessment.NOT_GOOD
+
+    def test_residual_above_the_slack_needs_the_incumbent(self):
+        # |f| at the estimate may exceed the best accepted value by 25% only
+        f = product_of_roots([0.31 + 20.002j])
+        rect = Rectangle(0.3 + 20j, 0.1, 0.05)
+        result = _result_for(f, rect)
+        result.value_estimate = 1e-4 + 0j
+        far = 0.25 + 20.01j  # an incumbent the estimate does not confirm
+        assert assess(result, _state(zna=far, accepted=[(far, 1e-4 / 1.2)])) is Assessment.GOOD
+        assert assess(result, _state(zna=far, accepted=[(far, 1e-4 / 1.3)])) is Assessment.NOT_GOOD
+        on = _state(zna=result.z_estimate, accepted=[(far, 1e-4 / 1.3)])
+        assert assess(result, on) is Assessment.GOOD
 
     @pytest.mark.parametrize(
         "at_estimate",
@@ -153,10 +176,27 @@ class TestAssess:
         state = _state(
             phase=1,
             consecutive_good=1,
-            variant_opening_vv=0.1,
+            opening_vv=0.1,
             accepted=[(0.3100001 + 20.002j, 1.0)],
         )
         assert assess(result, state) is Assessment.VERY_GOOD
+        # a step of 1e-4 into the estimate (de 1e-5, above the 1e-6 floor)
+        # concludes only in the confirmation pass at the escalated density
+        state.accepted = [(result.z_estimate + 1e-4, 1.0)]
+        assert assess(result, state) is Assessment.VERY_GOOD
+        state.phase = 0
+        assert assess(result, state) is Assessment.GOOD
+        # with de at the floor the opening density concludes too
+        state.accepted = [(result.z_estimate + 1e-6, 1.0)]
+        assert assess(result, state) is Assessment.VERY_GOOD
+        # a step of 3e-3 puts de at 3e-4, past DE_ADMISSIBLE
+        state.phase = 1
+        state.accepted = [(result.z_estimate + 3e-3, 1.0)]
+        assert assess(result, state) is Assessment.GOOD
+        # a gap metric of 2 is good, but too coarse to conclude
+        state.accepted = [(0.3100001 + 20.002j, 1.0)]
+        result.fo = 2
+        assert assess(result, state) is Assessment.GOOD
 
     def test_sloppy_opening_blocks_variant_one(self):
         f = product_of_roots([0.31 + 20.002j])
@@ -165,7 +205,7 @@ class TestAssess:
         state = _state(
             phase=1,
             consecutive_good=1,
-            variant_opening_vv=0.7,  # above SEED_VV_LIMIT
+            opening_vv=0.7,  # above SEED_VV_LIMIT
             accepted=[(0.3100001 + 20.002j, 1.0)],
         )
         assert assess(result, state) is Assessment.GOOD
@@ -313,7 +353,7 @@ class TestRunVariants:
         f = product_of_roots(roots)
         seeds = [(10.0, 0.21 + 10.02j), (14.0, 0.49 + 13.98j), (18.0, -0.28 + 18.01j)]
         records = run_variants([f] * 3, seeds)
-        assert [r.index for r in records] == [1, 2, 3]
+        assert len(records) == 3  # in seed order: record i holds root i
         for record, root in zip(records, roots):
             assert record.verdict is Verdict.VERY_GOOD
             assert abs(record.z - root) < 1e-6
@@ -359,8 +399,10 @@ class TestRunVariants:
 
     def test_exact_repeat_reuses_the_last_result(self, monkeypatch):
         # at a = 2000 the fourth seed recentres on an unmoved estimate at an
-        # unchanged size and density five times; each of those attempts
-        # logs the result before it again instead of integrating
+        # unchanged size and density; each of those attempts logs the result
+        # before it again instead of integrating.  How often this happens
+        # follows the rounding of numpy's SIMD loops (5 of 14 attempts on a
+        # host with AVX-512), so the counts are checked against each other
         seeds, functions = plan_seeds(RunConfig(a=2000.0))
         seed, f = seeds[3], functions[3]
         assert round(seed.y, 4) == 30.4249
@@ -369,7 +411,6 @@ class TestRunVariants:
             qzeta.search, "integrate", lambda *args: calls.append(args) or integrate(*args)
         )
         (record,) = run_variants([f], [(seed.y, seed.za)])
-        assert (len(record.trace_log), len(calls)) == (14, 9)
         repeats = 0
         for before, attempt in zip(record.trace_log, record.trace_log[1:]):
             trace = attempt.result.trace
@@ -380,7 +421,8 @@ class TestRunVariants:
             # an integration would have given the same result
             fresh = integrate(f, trace.rect, trace.c)
             assert _bits_of(fresh) == _bits_of(attempt.result)
-        assert repeats == 5
+        assert repeats >= 1
+        assert len(calls) == len(record.trace_log) - repeats
 
 
 def _bits(record):
