@@ -203,13 +203,10 @@ def evaluate(params: SharpParams, points: np.ndarray) -> np.ndarray:
 # choices: 15 up to region_top = 34, 20 for 37..49 (at a=750, d=2).
 _TRUNCATION_THRESHOLD = 1e-3
 _B_CANDIDATE_STEP = 5
-# Candidates b tried by the first pass (b <= 20 covers the reference run);
-# each later pass doubles the count.
-_B_FIRST_CANDIDATES = 4
-# Most entries in one table of select_truncation's growth terms (at least
-# one row): region tops share a table in blocks of rows, so many tops at the
-# term cap hold one row of MAX_SERIES_TERMS entries at a time, while a
-# sweep plan's 29 rows of at most ~1100 terms fit in one block.
+# Most entries in one table of the growth terms a candidate adds (at least
+# one row): region tops share a table in blocks of rows, so many tops near
+# the term cap hold one block at a time, while a sweep plan's 29 rows fit
+# in one block at every candidate.
 _TABLE_ENTRIES = 1 << 17
 
 
@@ -224,18 +221,14 @@ def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
     the number of terms b keeps.  With m = expm1(l/a),
     |1-e^((l+it)/a)|^2 = m^2 + (1+m)*4*sin^2(t/(2a)), so the log of each
     factor is real arithmetic, 0.5*log1p((1+m)*4*sin^2(t/(2a))/m^2).  One
-    cumulative sum of those logs gives every candidate's estimate at its B;
-    when no candidate of a pass is below the threshold, the next pass
-    doubles the number of candidates.  The first candidate is the smallest
-    that keeps a term (b*sqrt(a/d) >= 1).  An estimate that is not finite
-    (e^(l/a) overflows) gives ``RangeUnsupported``, and so does a pass that
-    fails with a candidate that would keep more than MAX_SERIES_TERMS terms,
-    before anything that long is allocated, or a first candidate past 2**53
-    (a/d may underflow to 0).
-
-    The candidates' B depend on a and d alone, so each pass computes m once
-    and one table of log terms, a row per top still without a b, with one
-    sequential cumulative sum per row.
+    forward scan tries the candidates in order: each extends the running
+    log sum of every top still without a b by the terms it adds, one
+    sequential cumulative sum, so each term is summed once.  The first
+    candidate is the smallest that keeps a term (b*sqrt(a/d) >= 1).  An
+    estimate that is not finite (e^(l/a) overflows) gives
+    ``RangeUnsupported``, and so does reaching a candidate that would keep
+    more than MAX_SERIES_TERMS terms, before anything that long is
+    allocated, or a first candidate past 2**53 (a/d may underflow to 0).
     """
     tops = list(region_tops)
     results: list = [None] * len(tops)  # b or error per top
@@ -256,62 +249,66 @@ def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
         except (ValueError, RangeUnsupported) as exc:
             results[i] = exc
     log_threshold = math.log(_TRUNCATION_THRESHOLD)
-    count = _B_FIRST_CANDIDATES
-    first = _B_CANDIDATE_STEP  # the first candidate that keeps a term
+    b = _B_CANDIDATE_STEP  # the first candidate that keeps a term
     root = math.sqrt(a / d) if chords else 1.0  # chords: a and d are positive
-    if first * root < 1:
+    if b * root < 1:
         # past 2**53, rounding would decide a candidate's n_terms
-        first = math.inf
+        b = math.inf
         if root * 2.0**53 >= 1:
-            first = _B_CANDIDATE_STEP * math.ceil(1.0 / (_B_CANDIDATE_STEP * root))
-            while first * root < 1:
-                first += _B_CANDIDATE_STEP
-        if not first <= 2**53:
+            b = _B_CANDIDATE_STEP * math.ceil(1.0 / (_B_CANDIDATE_STEP * root))
+            while b * root < 1:
+                b += _B_CANDIDATE_STEP
+        if not b <= 2**53:
             for i in chords:
                 results[i] = RangeUnsupported(
                     f"truncation b*sqrt(a/d) keeps no term for any b up to 2**53 "
                     f"at a={a:g}, d={d:g}, region_top={tops[i]:g}"
                 )
             chords.clear()
+    sums = dict.fromkeys(chords, 0.0)  # log growth over the terms summed
+    summed = 0  # terms in each running sum
     while chords:
-        candidates = range(first, first + _B_CANDIDATE_STEP * count, _B_CANDIDATE_STEP)
-        # those that keep at most MAX_SERIES_TERMS terms (b*root may be inf)
-        bs = [b for b in candidates if b * root < MAX_SERIES_TERMS + 1]
-        n_terms = [math.floor(b * root) for b in bs]
-        width = max(n_terms, default=0)
+        if not b * root < MAX_SERIES_TERMS + 1:  # b*root may be inf
+            for i in chords:
+                results[i] = RangeUnsupported(
+                    f"no truncation b keeping at most {MAX_SERIES_TERMS} "
+                    f"series terms meets the threshold at a={a:g}, "
+                    f"d={d:g}, region_top={tops[i]:g}"
+                )
+            break
+        n = math.floor(b * root)
         with np.errstate(over="ignore"):
-            m = np.expm1(np.arange(1, width + 1) / a)
+            m = np.expm1(np.arange(summed + 1, n + 1) / a)
         pending = list(chords)
-        step = max(1, _TABLE_ENTRIES // max(width, 1))
+        step = max(1, _TABLE_ENTRIES // (n - summed + 1))
         for block in range(0, len(pending), step):
             rows = pending[block:block + step]
+            # column 0 holds each running sum, so the cumulative sum makes
+            # the additions a sum over all n terms would
+            table = np.empty((len(rows), n - summed + 1))
+            table[:, 0] = [sums[i] for i in rows]
+            growth = table[:, 1:]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                growth = np.multiply.outer([chords[i] for i in rows], 1.0 + m)
+                np.multiply.outer([chords[i] for i in rows], 1.0 + m, out=growth)
                 growth /= m * m
                 np.log1p(growth, out=growth)
                 growth *= 0.5
-                np.cumsum(growth, axis=1, out=growth)
-            for i, row in zip(rows, growth):
-                for b, n in zip(bs, n_terms):
-                    log_estimate = -d * n * n / (4.0 * a) + row[n - 1]
-                    if not math.isfinite(log_estimate):
-                        results[i] = RangeUnsupported(
-                            f"truncation estimate not finite at b={b} for "
-                            f"a={a:g}, d={d:g}, region_top={tops[i]:g}"
-                        )
-                        break
-                    if log_estimate < log_threshold:
-                        results[i] = b
-                        break
-                if results[i] is None and len(bs) < len(candidates):
+                np.cumsum(table, axis=1, out=table)
+            for i, total in zip(rows, table[:, -1].tolist()):
+                log_estimate = -d * n * n / (4.0 * a) + total
+                if not math.isfinite(log_estimate):
                     results[i] = RangeUnsupported(
-                        f"no truncation b keeping at most {MAX_SERIES_TERMS} "
-                        f"series terms meets the threshold at a={a:g}, "
-                        f"d={d:g}, region_top={tops[i]:g}"
+                        f"truncation estimate not finite at b={b} for "
+                        f"a={a:g}, d={d:g}, region_top={tops[i]:g}"
                     )
-                if results[i] is not None:
-                    del chords[i]
-        count *= 2
+                elif log_estimate < log_threshold:
+                    results[i] = b
+                else:
+                    sums[i] = total
+                    continue
+                del chords[i]
+        summed = n
+        b += _B_CANDIDATE_STEP
     return results
 
 

@@ -21,7 +21,7 @@ from qzeta import (
     plan_seeds,
     select_truncation,
 )
-from qzeta.series import MAX_SERIES_TERMS, _term_ratios
+from qzeta.series import _TABLE_ENTRIES, MAX_SERIES_TERMS, _term_ratios
 
 PAPER_ZA = [
     (14.134725141734693, 0.1303 + 14.1465j),
@@ -349,9 +349,37 @@ class TestSelectTruncation:
         ]
 
     def test_later_passes_extend_the_candidates(self):
-        # b = 30 lies beyond the first pass's candidates
+        # the scan reaches b = 30, its sixth candidate, by extending the
+        # running sums of b = 5..25
         assert select_truncation(3000.0, 1.0, [100.0]) == [30]
         assert select_truncation_by_candidate(3000.0, 1.0, 100.0) == 30
+
+    def test_each_growth_term_is_taken_once(self, monkeypatch):
+        # b = 30 keeps floor(30*sqrt(3000)) = 1643 terms, and the scan takes
+        # the log of each once on its way there
+        logged = []
+        log1p = np.log1p
+
+        def counting_log1p(x, *args, **kwargs):
+            logged.append(np.size(x))
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", counting_log1p)
+        assert select_truncation(3000.0, 1.0, [100.0]) == [30]
+        assert sum(logged) == math.floor(30 * math.sqrt(3000.0)) == 1643
+
+    def test_row_blocks_match_one_top_batches(self):
+        # b = 5 adds 5e4 terms at a = 1e8, d = 1, so a table block holds two
+        # rows and these five tops span three blocks
+        tops = [1.0, 2.0, 3.0, 14.0, 50.0]
+        assert _TABLE_ENTRIES // (5 * 10**4 + 1) == 2
+        bs = select_truncation(1e8, 1.0, tops)
+        assert [entry_outcome(b) for b in bs] == [
+            entry_outcome(select_truncation(1e8, 1.0, [top])[0]) for top in tops
+        ]
+        assert bs[:3] == [10, 10, 10] and all(
+            isinstance(b, RangeUnsupported) for b in bs[3:]
+        )
 
     @pytest.mark.parametrize("a,d", [(1e-3, 1e-3), (1e-3, 1.0)])
     def test_overflowing_estimate_raises(self, a, d):
