@@ -7,8 +7,9 @@ first-omitted-term bound meets a fixed absolute error of 1e-12 (1e-13 for
 eta').  The direct terms n^(-s) read ln n from tables built once per process
 (float64 and long double, grown by doubling), and their phases |Im s| ln n
 are reduced mod 2 pi in long double.  Points evaluated together share that
-work: eta and eta' values come from one long-double pass over one phase row
-per distinct |Im s| and one magnitude row n^(-Re s) per distinct Re s, so
+work: Hardy Z shares one magnitude row n^(-1/2) across its block, and eta
+and eta' values come from one long-double pass over one phase row per
+distinct |Im s| and one magnitude row n^(-Re s) per distinct Re s, so
 ``zeta_plus_triple`` over the ordinates of a whole run gives every
 first-order prediction's three eta values from one pass.
 
@@ -53,7 +54,8 @@ _IMAG_MAX = 200.0
 
 # Truncation target for zeta and eta values (eta' is summed to a 10x tighter
 # one), the most direct terms N may grow to, and the order of the highest
-# Bernoulli correction (even, at most 16).
+# Bernoulli correction (even; the remainder bound reads B_(order+2), the last
+# entry of the table below).
 _TARGET_ABS_ERROR = 1e-12
 _MAX_TERMS = 10000
 _EM_ORDER = 8
@@ -66,10 +68,6 @@ _BERNOULLI = {
     6: (1, 42),
     8: (-1, 30),
     10: (5, 66),
-    12: (-691, 2730),
-    14: (7, 6),
-    16: (-3617, 510),
-    18: (43867, 798),
 }
 _B_OVER_FACT = {
     k: num / (den * math.factorial(k)) for k, (num, den) in _BERNOULLI.items()
@@ -154,56 +152,33 @@ def _logs(n: int):
     return logs[:n], logs_ld[:n]
 
 
-def _phase_rows(s: np.ndarray, n: int):
-    """cos and sin of |Im s|*ln(v) for v = 1..n, one row per point of the
-    1-D array s, with the phase reduced mod 2*pi in extended precision;
-    keeps the accuracy floor near 1 ulp of the magnitude even when the raw
-    phase is thousands of radians.  Element v depends on |Im s| and v alone,
-    so points with the same |Im s| share the rows of their largest N."""
-    phases = np.mod(
-        np.abs(s.imag).astype(np.longdouble)[:, None] * _logs(n)[1], _TWO_PI_LD
-    ).astype(np.float64)
-    return np.cos(phases), np.sin(phases, out=phases)
-
-
-def _directed_powers(s: np.ndarray, n: int, rows):
-    """ln v and v**(-s) for v = 1..n at every point of the 1-D array s, one
-    row per point, from ``rows``, the ``_phase_rows`` of these points at n
-    or more terms (the first n columns are read).  The phase runs on |Im s|
-    with the sign applied afterwards, so conjugate arguments produce exactly
-    conjugate results.
-
-    The real and imaginary parts are two real products, mags*cos and
-    mags*sin, written into one complex array; rows with Im s >= 0 take
-    0 - mags*sin, so a zero phase (v = 1, or real s) gives +0.0 there.
-    Every element is bitwise mags * (cos - 1j*sign*sin) with sign = +-1,
-    away from underflowed magnitudes (where a zero's sign may differ)."""
-    logs = _logs(n)[0]
-    mags = np.exp(-s.real[:, None] * logs)
-    cos, sin = (row[:, :n] for row in rows)
-    powers = np.empty(mags.shape, dtype=complex)
-    np.multiply(mags, cos, out=powers.real)
-    np.multiply(mags, sin, out=powers.imag)
-    np.subtract(0.0, powers.imag, out=powers.imag, where=(s.imag >= 0)[:, None])
-    return logs, powers
-
-
-def _zeta_values(s: np.ndarray, n: int) -> list[complex]:
-    """zeta at every point of the 1-D array s from one N-term
-    Euler-Maclaurin evaluation (no pole or range checks).  The N direct
-    terms of all points are summed in one numpy pass over the tabulated
-    logs (see ``_directed_powers``), ``_em_corrections`` adds the Bernoulli
-    corrections, and the pole term N^(1-s)/(s-1) comes last."""
-    _, powers = _directed_powers(s, n, _phase_rows(s, n))
+def _zeta_values(ts: np.ndarray, n: int) -> list[complex]:
+    """zeta(1/2 + it) at every t of the 1-D array ts from one N-term
+    Euler-Maclaurin evaluation (no range checks).  The direct terms
+    v^(-1/2 - it) = v^(-1/2) (cos(t ln v) - i sin(t ln v)) of all points come
+    from one block of phases t*ln(v), reduced mod 2*pi in long double so the
+    accuracy floor stays near 1 ulp of the magnitude even when the raw phase
+    is thousands of radians, and one magnitude row v^(-1/2) shared by every
+    point.  Real and imaginary parts are two real products written into one
+    complex array, the imaginary one as 0 - v^(-1/2) sin (+0.0 at v = 1).
+    ``_em_corrections`` adds the Bernoulli corrections, and the pole term
+    N^(1-s)/(s-1) comes last."""
+    logs, logs_ld = _logs(n)
+    phases = ts.astype(np.longdouble)[:, None] * logs_ld
+    phases = np.mod(phases, _TWO_PI_LD, out=phases).astype(np.float64)
+    mags = np.exp(-0.5 * logs)
+    powers = np.empty(phases.shape, dtype=complex)
+    np.multiply(mags, np.cos(phases), out=powers.real)
+    np.multiply(mags, np.sin(phases, out=phases), out=powers.imag)
+    np.subtract(0.0, powers.imag, out=powers.imag)
     n_pows = powers[:, -1]  # N^(-s)
     totals = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
+    s = [complex(0.5, t) for t in ts.tolist()]
     nones = [None] * len(s)
-    pieces = _em_corrections(
-        s.tolist(), [n] * len(s), totals.tolist(), nones, n_pows.tolist(), nones
-    )
+    pieces = _em_corrections(s, [n] * len(s), totals.tolist(), nones, n_pows.tolist(), nones)
     return [
         regular + n_pow * n / (s_i - 1.0)  # + N^(1-s)/(s-1)
-        for s_i, (regular, _, n_pow) in zip(s.tolist(), pieces)
+        for s_i, (regular, _, n_pow) in zip(s, pieces)
     ]
 
 
@@ -271,11 +246,11 @@ def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
 
     The points share the work their direct terms have in common.  The
     phases |Im s|*ln(v) are reduced mod 2*pi in one long-double pass over
-    ragged rows laid end to end (see ``_phase_rows``), one row per
+    ragged rows laid end to end (as in ``_zeta_values``), one row per
     distinct |Im s| and as long as the largest N among its points, and the
     magnitudes exp(-Re s * ln v) come from one row per distinct Re s.
-    Each point multiplies the first N entries of its two rows as
-    ``_directed_powers`` does, and its sums run over that contiguous slice.
+    Each point multiplies the first N entries of its two rows, negates the
+    imaginary part where Im s >= 0, and sums over that contiguous slice.
     """
     ss = [s for s, _ in points]
     # eta' to a 10x tighter target
@@ -386,7 +361,7 @@ def hardy_z(ts: Sequence[float]) -> np.ndarray:
     top = _validate_point(complex(0.5, ts.max()))  # NaN wins
     if ts.min() < 5.0:  # theta's Stirling series misses Z by 9.6e-13 at t = 4
         raise RangeUnsupported(f"hardy_z needs t >= 5, got {float(ts.min())!r}")
-    zetas = _zeta_values(0.5 + 1j * ts, _choose_terms(top))
+    zetas = _zeta_values(ts, _choose_terms(top))
     return np.array(list(map(_rotate_to_real, ts.tolist(), zetas)))
 
 

@@ -48,9 +48,11 @@ def bernoulli_numbers(n_max):
 
 class TestBernoulliTable:
     def test_pairs_are_bernoulli_numbers(self):
-        exact = bernoulli_numbers(18)
+        # B2..B10: the corrections of order _EM_ORDER = 8, then the
+        # remainder bound's B10
+        exact = bernoulli_numbers(10)
         assert {k: Fraction(*pair) for k, pair in _BERNOULLI.items()} == {
-            k: exact[k] for k in range(2, 19, 2)
+            k: exact[k] for k in range(2, 11, 2)
         }
 
     def test_ratios_match_fraction_rounding(self):
@@ -310,11 +312,12 @@ class TestGramPoints:
             classical_zeros(100.0)
 
 
-def complex_directed_powers(s, n, rows):
-    """``special._directed_powers`` from fresh logs of v = 1..n (``rows``
-    ignored), assembled as one complex expression mags * (cos - 1j*sign*sin):
-    the reference its tabulated logs, shared phase rows and two real
-    products match."""
+def complex_directed_powers(s, n):
+    """ln v and v**(-s) for v = 1..n at every point of the 1-D array s, one
+    row per point, from fresh logs and one complex expression
+    mags * (cos - 1j*sign*sin), with the phase |Im s|*ln(v) reduced mod 2*pi
+    in long double: the reference that the package's tabulated logs, shared
+    phase and magnitude rows and two real products match."""
     values = np.arange(1, n + 1)
     logs = np.log(values)
     mags = np.exp(-s.real[:, None] * logs)
@@ -356,13 +359,29 @@ def bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64)
 
 
+def zeta_values_reference(ts, n):
+    """``special._zeta_values`` with the direct terms of each point from
+    ``complex_directed_powers``: zeta(1/2 + it) from N = n terms."""
+    s = 0.5 + 1j * np.asarray(ts, dtype=np.float64)
+    _, powers = complex_directed_powers(s, n)
+    n_pows = powers[:, -1]
+    totals = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
+    nones = [None] * len(s)
+    pieces = special._em_corrections(
+        s.tolist(), [n] * len(s), totals.tolist(), nones, n_pows.tolist(), nones
+    )
+    return [
+        regular + n_pow * n / (s_i - 1.0)
+        for s_i, (regular, _, n_pow) in zip(s.tolist(), pieces)
+    ]
+
+
 def eta_point_by_point(s, derivative):
-    """eta(s), or eta'(s), from the point's own phase row and
-    ``_directed_powers``, with its direct terms summed as one row: the
-    reference ``_eta_values``' shared passes match."""
+    """eta(s), or eta'(s), from the point's own ``complex_directed_powers``
+    row, with its direct terms summed as one row: the reference
+    ``_eta_values``' shared passes match."""
     n = special._choose_terms(s, special._TARGET_ABS_ERROR / (10.0 if derivative else 1.0))
-    point = np.array([s])
-    logs, powers = special._directed_powers(point, n, special._phase_rows(point, n))
+    logs, powers = complex_directed_powers(np.array([s]), n)
     n_pows = powers[:, -1]
     total = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
     log_n = float(logs[-1])
@@ -423,24 +442,39 @@ class TestLogTables:
 
 
 class TestDirectedPowers:
+    """The direct terms v**(-s): Hardy Z's critical-line sum and the eta
+    evaluator's shared passes against ``complex_directed_powers``."""
+
     @pytest.mark.parametrize("count", range(1, 41))
-    def test_equals_complex_assembly(self, count):
+    def test_equals_complex_assembly(self, monkeypatch, count):
         rng = np.random.default_rng(count)
-        s = rng.uniform(-2.0, 4.0, count) + 1j * rng.uniform(-200.0, 200.0, count)
-        s[1::2] = s[0::2][: count // 2].conj()  # conjugate pairs
-        if count % 2 and count > 1:
-            s[-1] = s[-1].real  # the unpaired point is real
+        ts = rng.uniform(5.0, 200.0, count)
         n = int(rng.integers(2, 400))
-        ref_logs, ref_powers = complex_directed_powers(s, n, None)
-        # rows of exactly n terms, and the first n columns of longer rows
-        for rows_n in (n, 2 * n + 7):
-            rows = special._phase_rows(s, rows_n)
-            logs, powers = special._directed_powers(s, n, rows)
-            assert (powers == ref_powers).all()
-            assert (bits(powers) == bits(ref_powers)).all()
-            assert (logs == ref_logs).all()
-            # conjugate arguments give exactly conjugate rows
-            assert (powers[1::2] == powers[0::2][: count // 2].conj()).all()
+        expected = bits(zeta_values_reference(ts, n))
+        # log tables as first built for n, then slices of the full tables
+        monkeypatch.setattr(special, "_log_tables", (np.empty(0), np.empty(0)))
+        for table_n in (n, special._MAX_TERMS):
+            special._logs(table_n)
+            assert (bits(special._zeta_values(ts, n)) == expected).all()
+            # each point of the block is bitwise the point alone
+            alone = [special._zeta_values(ts[i:i + 1], n)[0] for i in range(count)]
+            assert (bits(alone) == expected).all()
+
+    def test_one_magnitude_row_per_block(self, monkeypatch):
+        # P ordinates at N terms take N magnitudes v^(-1/2), not P*N
+        ts = np.linspace(5.0, 200.0, 40).tolist()
+        n = special._choose_terms(complex(0.5, max(ts)))
+        sizes = []
+        exp = np.exp
+
+        def counting(x, *args, **kwargs):
+            out = exp(x, *args, **kwargs)
+            sizes.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(np, "exp", counting)
+        hardy_z(ts)
+        assert sizes == [n]
 
     def test_public_values_bitwise(self, monkeypatch):
         rng = random.Random(3)
@@ -455,7 +489,7 @@ class TestDirectedPowers:
             )
 
         fast = values()
-        monkeypatch.setattr(special, "_directed_powers", complex_directed_powers)
+        monkeypatch.setattr(special, "_zeta_values", zeta_values_reference)
         for got, ref in zip(fast, values()):
             assert (got == ref).all()
 
