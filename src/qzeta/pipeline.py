@@ -9,6 +9,7 @@ verdict.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ class RunConfig:
             raise ValueError("exactly one of y_max / y_list must be set")
         if len(self.poly_coefficients) == 1:
             raise ValueError("polynomial target needs at least two coefficients")
+        if not all(map(cmath.isfinite, self.poly_coefficients)):
+            raise ValueError("polynomial coefficients must be finite")
         if not (0 < self.a < math.inf and 0 < self.d < math.inf):
             raise ValueError("a and d must be positive and finite")
         if self.y_max is not None and not 0 < self.y_max <= CLASSICAL_Y_MAX:

@@ -33,8 +33,9 @@ def _g(value: float) -> str:
 
 def _char_str(value: float) -> str:
     # winding defects within rounding of an integer print like the classic
-    # listing ("0." / "1."); genuine defects keep their digits
-    if abs(value - round(value)) < 1e-9:
+    # listing ("0." / "1."); genuine defects, and values that are not finite
+    # (f overflowed on the contour), keep their digits
+    if math.isfinite(value) and abs(value - round(value)) < 1e-9:
         return f"{round(value):.0f}."
     return _g(value)
 

@@ -8,10 +8,10 @@ eta').  The direct terms n^(-s) read ln n from tables built once per process
 (float64 and long double, grown by doubling), and their phases |Im s| ln n
 are reduced mod 2 pi in long double.  Points evaluated together share that
 work: Hardy Z shares one magnitude row n^(-1/2) across its block, and eta
-and eta' values come from one long-double pass over one phase row per
-distinct |Im s| and one magnitude row n^(-Re s) per distinct Re s, so
-``zeta_plus_triple`` over the ordinates of a whole run gives every
-first-order prediction's three eta values from one pass.
+and eta' come from a grid of ordinates y by lines (sigma, derivative flag):
+one long-double pass over one phase row per y and one magnitude row
+n^(-sigma) per line, so ``zeta_plus_triple`` over a whole run's ordinates
+gives every first-order prediction's three eta values from one pass.
 
 Eta is only evaluated on Re s = -1/2, 1/2 and 3/2, at least 1/2 from the
 zeta pole at s = 1, as the plain product eta(s) = (1 - 2^(1-s)) zeta(s).
@@ -174,109 +174,76 @@ def _zeta_values(ts: np.ndarray, n: int) -> list[complex]:
     n_pows = powers[:, -1]  # N^(-s)
     totals = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
     s = [complex(0.5, t) for t in ts.tolist()]
-    nones = [None] * len(s)
-    pieces = _em_corrections(s, [n] * len(s), totals.tolist(), nones, n_pows.tolist(), nones)
-    return [
-        regular + n_pow * n / (s_i - 1.0)  # + N^(1-s)/(s-1)
-        for s_i, (regular, _, n_pow) in zip(s, pieces)
+    return [  # R + N^(1-s)/(s-1)
+        _em_corrections(s_i, n, total, None, n_pow, None)[0] + n_pow * n / (s_i - 1.0)
+        for s_i, total, n_pow in zip(s, totals.tolist(), n_pows.tolist())
     ]
 
 
-def _em_corrections(s, ns, totals, derivs, n_pows, log_ns):
-    """Add the Bernoulli corrections of zeta's Euler-Maclaurin sum to each
-    point's direct sums: ``totals`` (the N direct terms, the last one
-    halved) and ``derivs`` (the same for zeta', or None where it is not
-    wanted), given s, N, N^(-s) and ln N per point as Python numbers.
+def _em_corrections(s, n, total, deriv, n_pow, log_n):
+    """Add the Bernoulli corrections of zeta's Euler-Maclaurin sum at one
+    point to its direct sums: ``total`` (the N direct terms, the last one
+    halved) and ``deriv`` (the same for zeta', or None where it is not
+    wanted), given s, N, N^(-s) and ln N as Python numbers.
 
-    Returns one (R, R', N^(-s)) triple per point.  The corrections run per
-    point in Python complex arithmetic, which rounds differently from
-    numpy's fused complex multiply.
+    Returns (R, R'), R' None where ``deriv`` is.  The corrections run in
+    Python complex arithmetic, which rounds differently from numpy's fused
+    complex multiply.
     """
-    pieces = []
-    for s_i, n, total, deriv, n_pow, log_n in zip(s, ns, totals, derivs, n_pows, log_ns):
-        # Corrections: T_k = B_2k/(2k)! * N^(1-s-2k) * prod_{j=0}^{2k-2} (s+j).
-        # The rising product and its s-derivative advance together (product
-        # rule), which stays exact when some factor s+j vanishes.
-        n_sq = float(n) * float(n)
-        rising = s_i
-        rising_d = 1.0 + 0.0j
-        scale = n_pow * n  # N^(1-s)
-        for k in range(1, _EM_ORDER // 2 + 1):
-            scale = scale / n_sq  # N^(1-s-2k)
-            coeff = _B_OVER_FACT[2 * k]
-            total += coeff * rising * scale
-            if deriv is not None:
-                deriv += coeff * scale * (rising_d - rising * log_n)
-            if k < _EM_ORDER // 2:
-                f1, f2 = s_i + (2 * k - 1), s_i + 2 * k
-                rising_d = rising_d * f1 * f2 + rising * (f1 + f2)
-                rising = rising * f1 * f2
-        pieces.append((total, deriv, n_pow))
-    return pieces
+    # Corrections: T_k = B_2k/(2k)! * N^(1-s-2k) * prod_{j=0}^{2k-2} (s+j).
+    # The rising product and its s-derivative advance together (product
+    # rule), which stays exact when some factor s+j vanishes.
+    n_sq = float(n) * float(n)
+    rising = s
+    rising_d = 1.0 + 0.0j
+    scale = n_pow * n  # N^(1-s)
+    for k in range(1, _EM_ORDER // 2 + 1):
+        scale = scale / n_sq  # N^(1-s-2k)
+        coeff = _B_OVER_FACT[2 * k]
+        total += coeff * rising * scale
+        if deriv is not None:
+            deriv += coeff * scale * (rising_d - rising * log_n)
+        if k < _EM_ORDER // 2:
+            f1, f2 = s + (2 * k - 1), s + 2 * k
+            rising_d = rising_d * f1 * f2 + rising * (f1 + f2)
+            rising = rising * f1 * f2
+    return total, deriv
 
 
-def _eta(s: complex, n: int, regular: complex, n_pow: complex) -> complex:
-    """eta(s) = (1 - 2^(1-s)) zeta(s) from the Euler-Maclaurin pieces of
-    zeta at s with N = n."""
-    return complex((1.0 - 2.0 ** (1.0 - s)) * (regular + n_pow * n / (s - 1.0)))
-
-
-def _eta_prime(
-    s: complex, n: int, regular: complex, regular_prime: complex, n_pow: complex
-) -> complex:
-    """eta'(s) from the Euler-Maclaurin pieces of zeta and zeta' at s with
-    N = n."""
-    u = s - 1.0
-    log_n = math.log(n)
-    n_1s = n_pow * n  # N^(1-s)
-    power = np.exp(-u * _LN2)  # 2^(1-s)
-    phi = -(power - 1.0)  # 1 - 2^(1-s)
-    phi_prime = _LN2 * power
-    zeta = regular + n_1s / u
-    zeta_prime = regular_prime - n_1s * (log_n * u + 1.0) / (u * u)
-    return complex(phi_prime * zeta + phi * zeta_prime)
-
-
-def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
-    """eta(s), or eta'(s) where the flag is set, at each (s, flag) of
-    ``points``: validated points with |s - 1| >= 1/2 (Re s is -1/2, 1/2 or
-    3/2 in every call), so the zeta pole needs no cancelling.  Each point is
-    summed with its own N, and its value is bitwise the one the point alone
-    gives.
+def _eta_values(ys: Sequence[float], lines: Sequence[tuple[float, bool]]) -> list[list[complex]]:
+    """eta(s), or eta'(s) where a line's flag is set, on the grid
+    s = sigma + iy: one row per ordinate y of ``ys``, one entry per
+    (sigma, flag) of ``lines``.  Every point must be valid and at least 1/2
+    from s = 1 (sigma is -1/2, 1/2 or 3/2 in every call), so the zeta pole
+    needs no cancelling.  Each point is summed with its own N, and its value
+    is bitwise the one the point alone gives.
 
     The points share the work their direct terms have in common.  The
-    phases |Im s|*ln(v) are reduced mod 2*pi in one long-double pass over
+    phases |y|*ln(v) are reduced mod 2*pi in one long-double pass over
     ragged rows laid end to end (as in ``_zeta_values``), one row per
-    distinct |Im s| and as long as the largest N among its points, and the
-    magnitudes exp(-Re s * ln v) come from one row per distinct Re s.
-    Each point multiplies the first N entries of its two rows, negates the
-    imaginary part where Im s >= 0, and sums over that contiguous slice.
+    ordinate and as long as the largest N among its points, and the
+    magnitudes exp(-sigma * ln v) come from one row per line.  Each point
+    multiplies the first N entries of its two rows, negates the imaginary
+    part where y >= 0, and sums over that contiguous slice.  Then
+    ``_em_corrections`` adds its Bernoulli corrections, and eta or eta' is
+    assembled from zeta, zeta' and the factor 1 - 2^(1-s).
     """
-    ss = [s for s, _ in points]
+    if not ys:
+        return []
+    points = [(complex(sigma, y), derivative) for y in ys for sigma, derivative in lines]
     # eta' to a 10x tighter target
-    ns = [
-        _choose_terms(s, _TARGET_ABS_ERROR / (10.0 if derivative else 1.0))
-        for s, derivative in points
-    ]
-    heights: dict[float, int] = {}  # |Im s| -> its phase row
-    sigmas: dict[float, int] = {}  # Re s -> its magnitude row
-    rows = [heights.setdefault(abs(s.imag), len(heights)) for s in ss]
-    mag_rows = [sigmas.setdefault(s.real, len(sigmas)) for s in ss]
-    row_n = [0] * len(heights)
-    for r, n in zip(rows, ns):
-        row_n[r] = max(row_n[r], n)
+    ns = [_choose_terms(s, _TARGET_ABS_ERROR / (10.0 if flag else 1.0)) for s, flag in points]
+    row_n = [max(ns[i:i + len(lines)]) for i in range(0, len(ns), len(lines))]
     row_start = list(itertools.accumulate(row_n, initial=0))
-    logs, logs_ld = _logs(max(ns))
-    phases = np.concatenate(
-        [np.longdouble(h) * logs_ld[:n] for h, n in zip(heights, row_n)]
-    )
+    logs, logs_ld = _logs(max(row_n))
+    phases = np.concatenate([np.longdouble(abs(y)) * logs_ld[:n] for y, n in zip(ys, row_n)])
     phases = np.mod(phases, _TWO_PI_LD, out=phases).astype(np.float64)
     cos, sin = np.cos(phases), np.sin(phases, out=phases)
-    mags = np.exp(np.multiply.outer(-np.array(list(sigmas)), logs))
+    mags = np.exp(np.multiply.outer(-np.array([sigma for sigma, _ in lines]), logs))
 
     sums, slopes, n_pows = [], [], []
-    for s, (_, derivative), n, r, k in zip(ss, points, ns, rows, mag_rows):
-        start, row_mags = row_start[r], mags[k, :n]
+    for i, ((s, derivative), n) in enumerate(zip(points, ns)):
+        start, row_mags = row_start[i // len(lines)], mags[i % len(lines), :n]
         powers = np.empty(n, dtype=complex)
         np.multiply(row_mags, cos[start:start + n], out=powers.real)
         np.multiply(row_mags, sin[start:start + n], out=powers.imag)
@@ -285,21 +252,30 @@ def _eta_values(points: Sequence[tuple[complex, bool]]) -> list[complex]:
         sums.append(np.add.reduce(powers[:-1]))
         slopes.append(np.add.reduce(logs[:n - 1] * powers[:-1]) if derivative else 0j)
         n_pows.append(powers[-1])  # N^(-s)
-    n_pows = np.array(n_pows)
-    log_ns = logs.take([n - 1 for n in ns])  # ln N
-    derivs = [None] * len(points)
-    if any(derivative for _, derivative in points):
-        values = (-np.array(slopes) - 0.5 * log_ns * n_pows).tolist()
-        derivs = [v if derivative else None for v, (_, derivative) in zip(values, points)]
-    pieces = _em_corrections(
-        ss, ns, (np.array(sums) + 0.5 * n_pows).tolist(), derivs,
-        n_pows.tolist(), log_ns.tolist(),
-    )
-    return [
-        _eta_prime(s, n, regular, regular_prime, n_pow) if derivative
-        else _eta(s, n, regular, n_pow)
-        for (s, derivative), n, (regular, regular_prime, n_pow) in zip(points, ns, pieces)
-    ]
+    n_pows, log_ns = np.array(n_pows), logs.take([n - 1 for n in ns])  # N^(-s), ln N
+    totals = (np.array(sums) + 0.5 * n_pows).tolist()
+    derivs = (-np.array(slopes) - 0.5 * log_ns * n_pows).tolist()
+
+    values = []
+    for (s, derivative), n, total, deriv, n_pow, log_n in zip(
+            points, ns, totals, derivs, n_pows.tolist(), log_ns.tolist()):
+        regular, regular_prime = _em_corrections(s, n, total, deriv, n_pow, log_n)
+        u = s - 1.0
+        n_1s = n_pow * n  # N^(1-s)
+        zeta = regular + n_1s / u
+        if not derivative:  # eta = (1 - 2^(1-s)) zeta
+            values.append((1.0 - 2.0 ** (1.0 - s)) * zeta)
+            continue
+        power = np.exp(-u * _LN2)  # 2^(1-s)
+        phi = -(power - 1.0)  # 1 - 2^(1-s); its derivative is ln 2 * 2^(1-s)
+        zeta_prime = regular_prime - n_1s * (math.log(n) * u + 1.0) / (u * u)
+        values.append(complex(_LN2 * power * zeta + phi * zeta_prime))
+    return [values[i:i + len(lines)] for i in range(0, len(values), len(lines))]
+
+
+# The lines of the first-order prediction's eta'(1/2 + iy), eta(3/2 + iy)
+# and eta(-1/2 + iy), in the order ``zeta_plus_triple`` returns them.
+_TRIPLE_LINES = ((0.5, True), (1.5, False), (-0.5, False))
 
 
 def zeta_plus_triple(ys: Sequence[float]) -> list:
@@ -307,26 +283,19 @@ def zeta_plus_triple(ys: Sequence[float]) -> list:
     first-order zero prediction combines, for each ordinate y of ``ys``:
     one entry per ordinate, its triple or the ``RangeUnsupported`` error
     that ordinate alone raises.  Each triple is bitwise the triple of that
-    ordinate alone.  All triples come from one ``_eta_values`` pass, so the
-    three points of an ordinate reduce their common phases |y|*ln(v) once
-    and all points sharing a real part share one magnitude row.
+    ordinate alone.  All triples come from one ``_eta_values`` grid over
+    ``_TRIPLE_LINES``, so the three points of an ordinate reduce their
+    common phases |y|*ln(v) once and the points of a line share one
+    magnitude row.
     """
     entries = []
     for y in ys:
-        try:
-            entries.append([_validate_point(complex(x, y)) for x in (0.5, 1.5, -0.5)])
+        try:  # y alone decides whether the three points are valid
+            entries.append(_validate_point(complex(0.5, y)).imag)
         except RangeUnsupported as exc:
             entries.append(exc)
-    points = [
-        (s, derivative)
-        for entry in entries if not isinstance(entry, Exception)
-        for s, derivative in zip(entry, (True, False, False))
-    ]
-    values = iter(_eta_values(points) if points else [])
-    return [
-        entry if isinstance(entry, Exception) else (next(values), next(values), next(values))
-        for entry in entries
-    ]
+    rows = iter(_eta_values([y for y in entries if not isinstance(y, Exception)], _TRIPLE_LINES))
+    return [y if isinstance(y, Exception) else tuple(next(rows)) for y in entries]
 
 
 def _siegel_theta(t: float) -> float:
@@ -479,8 +448,7 @@ def classical_zeros(y_max: float) -> list[float]:
                 f"{found} zeros found up to the Gram point g_{n} = {g!r}, "
                 f"where Gram's law gives {n + 1}"
             )
-    etas = _eta_values([(complex(0.5, y), False) for y in zeros]) if zeros else []
-    for y, eta in zip(zeros, etas):
+    for y, [eta] in zip(zeros, _eta_values(zeros, [(0.5, False)])):
         ref_hits = [r for r in REFERENCE_ZEROS if abs(r - y) < 5e-4]
         in_table_range = y < REFERENCE_ZEROS[-1] + 0.5
         if in_table_range and not ref_hits:

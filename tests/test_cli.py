@@ -147,7 +147,8 @@ class TestMain:
         "argv",
         [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--d", "0"], ["--a", "inf"],
          ["--y-max", "0"], ["--y-max", "-3"], ["--y-max", "nan"], ["--y-max", "inf"],
-         ["--y-max", "150"], ["--target", "poly:1", "--y", "2"], ["--c", "65"]],
+         ["--y-max", "150"], ["--target", "poly:1", "--y", "2"], ["--c", "65"],
+         ["--target", "poly:inf,1", "--y", "2"], ["--target", "poly:1,nan", "--y", "2"]],
     )
     def test_config_error_exit_two(self, argv, capsys):
         assert main(argv + ["--format", "csv"]) == 2
@@ -270,6 +271,21 @@ class TestMain:
         options = [a.option_strings[0] for a in build_parser()._actions]
         assert options == ["-h", "--a", "--d", "--y-max", "--y", "--c", "--format",
                            "--target", "--out"]
+
+    def test_non_finite_winding_defect_exit_one(self):
+        # f = 1e308 + k overflows on the contour, so every integration's
+        # winding defect is nan: the text report lists it, and the zero fails
+        process = subprocess.run(
+            [sys.executable, "-m", "qzeta", "--target", "poly:1e308,1", "--y", "2"],
+            cwd=Path(qzeta.__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert process.returncode == 1
+        assert process.stderr == ""
+        assert "char= nan fo=" in process.stdout
+        assert process.stdout.split("FINAL LIST OF Q-ZEROS:")[1].split()[:2] == ["failed", "1"]
 
     def test_poly_linear_run(self, capsys):
         code = main(["--target", "poly:1,-0.3-20j", "--y", "20", "--format", "csv"])

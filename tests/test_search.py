@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -705,3 +706,58 @@ class TestEscalationSchedule:
                 escalation_schedule(c)
             with pytest.raises(ValueError, match="c must be an int"):
                 RunConfig(y_max=15.0, c=c)
+
+
+# The workloads of the gate audit: the reference run and the CLI's --a 2000
+# and --a 3000 runs.
+AUDIT_RUNS = {
+    "paper9": RunConfig(),
+    "--a 2000": RunConfig(a=2000.0),
+    "--a 3000": RunConfig(a=3000.0),
+}
+
+
+def _audit_records(run):
+    """(z, verdict, integration count, Newton accepted) per zero of one audit
+    workload."""
+    return [
+        (r.z, r.verdict, len(r.trace_log), r.newton_applied)
+        for r in execute(AUDIT_RUNS[run]).records
+    ]
+
+
+# each workload's records with every gate as it stands
+_audit_baseline = functools.lru_cache(maxsize=None)(_audit_records)
+
+
+class TestGateAudit:
+    """Each gate of ``assess`` decides at least one record of a named
+    workload: disabled, it moves that workload's records.  A record moves
+    when its z, verdict, integration count or Newton acceptance does.  The
+    named workloads move at numpy's baseline SIMD loops too, where the
+    counts differ in places (``_CONFIRM_FRACTION`` moves 2 paper9 records
+    on an AVX-512 host and 3 at the baseline)."""
+
+    # gate: (its disabled value, the workloads whose records it moves, those
+    # of them where a verdict moves)
+    DISABLED = {
+        # the opening-ratio rule: one paper9 record, one --a 2000 verdict
+        "SEED_VV_LIMIT": (math.inf, ["paper9", "--a 2000"], ["--a 2000"]),
+        # the confirm-location waiver: two paper9 records, one a verdict
+        "_CONFIRM_FRACTION": (-1.0, ["paper9"], ["paper9"]),
+        # the good gap-metric ceiling and the residual-ratio ceiling
+        "FO_GOOD_MAX": (math.inf, ["--a 3000"], []),
+        "VV_MAX": (math.inf, ["--a 3000"], []),
+    }
+
+    @pytest.mark.parametrize("gate", DISABLED)
+    def test_disabled_gate_moves_records(self, monkeypatch, gate):
+        value, runs, verdict_runs = self.DISABLED[gate]
+        before = {run: _audit_baseline(run) for run in runs}
+        monkeypatch.setattr(qzeta.search, gate, value)
+        for run in runs:
+            after = _audit_records(run)
+            assert len(after) == len(before[run])
+            assert after != before[run], run
+            if run in verdict_runs:
+                assert [r[1] for r in after] != [r[1] for r in before[run]], run

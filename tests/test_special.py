@@ -33,8 +33,10 @@ SCAN_Y_MAX = [15.0, 48.5406, 61.0, 77.14, 95.0, 100.0]
 
 
 def eta(s, derivative=False):
-    """eta(s), or eta'(s), from ``special._eta_values`` (|s - 1| >= 1/2)."""
-    [value] = special._eta_values([(complex(s), derivative)])
+    """eta(s), or eta'(s), from ``special._eta_values`` (|s - 1| >= 1/2):
+    the one-point grid of ordinate Im s and line (Re s, derivative)."""
+    s = complex(s)
+    [[value]] = special._eta_values([s.imag], [(s.real, derivative)])
     return value
 
 
@@ -366,34 +368,35 @@ def zeta_values_reference(ts, n):
     _, powers = complex_directed_powers(s, n)
     n_pows = powers[:, -1]
     totals = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
-    nones = [None] * len(s)
-    pieces = special._em_corrections(
-        s.tolist(), [n] * len(s), totals.tolist(), nones, n_pows.tolist(), nones
-    )
     return [
-        regular + n_pow * n / (s_i - 1.0)
-        for s_i, (regular, _, n_pow) in zip(s.tolist(), pieces)
+        special._em_corrections(s_i, n, total, None, n_pow, None)[0] + n_pow * n / (s_i - 1.0)
+        for s_i, total, n_pow in zip(s.tolist(), totals.tolist(), n_pows.tolist())
     ]
 
 
 def eta_point_by_point(s, derivative):
     """eta(s), or eta'(s), from the point's own ``complex_directed_powers``
-    row, with its direct terms summed as one row: the reference
-    ``_eta_values``' shared passes match."""
+    row, with its direct terms summed as one row, then the Euler-Maclaurin
+    corrections and eta's factor 1 - 2^(1-s) in the operations and order of
+    ``_eta_values``: the reference its shared passes match."""
     n = special._choose_terms(s, special._TARGET_ABS_ERROR / (10.0 if derivative else 1.0))
     logs, powers = complex_directed_powers(np.array([s]), n)
     n_pows = powers[:, -1]
-    total = powers[:, :-1].sum(axis=1) + 0.5 * n_pows
+    [total] = (powers[:, :-1].sum(axis=1) + 0.5 * n_pows).tolist()
     log_n = float(logs[-1])
-    deriv = [None]
-    if derivative:
-        deriv = (-(logs[:-1] * powers[:, :-1]).sum(axis=1) - 0.5 * log_n * n_pows).tolist()
-    [(regular, regular_prime, n_pow)] = special._em_corrections(
-        [s], [n], total.tolist(), deriv, n_pows.tolist(), [log_n]
+    [deriv] = (-(logs[:-1] * powers[:, :-1]).sum(axis=1) - 0.5 * log_n * n_pows).tolist()
+    [n_pow] = n_pows.tolist()
+    regular, regular_prime = special._em_corrections(
+        s, n, total, deriv if derivative else None, n_pow, log_n
     )
-    if derivative:
-        return special._eta_prime(s, n, regular, regular_prime, n_pow)
-    return special._eta(s, n, regular, n_pow)
+    u = s - 1.0
+    zeta = regular + n_pow * n / u
+    if not derivative:
+        return (1.0 - 2.0 ** (1.0 - s)) * zeta
+    power = np.exp(-u * special._LN2)  # 2^(1-s)
+    phi = -(power - 1.0)  # 1 - 2^(1-s)
+    zeta_prime = regular_prime - n_pow * n * (math.log(n) * u + 1.0) / (u * u)
+    return complex(special._LN2 * power * zeta + phi * zeta_prime)
 
 
 class TestChooseTerms:
@@ -512,19 +515,40 @@ class TestDirectedPowers:
         assert zeta_plus_triple([]) == []
 
     def test_shared_passes_equal_points_alone(self):
+        # random ordinates of both signs with 0, a duplicate and a pair
+        # +-y, so that phase rows of equal |y| and real points occur, and
+        # random lines with sigma in [-2, 4], both flags on one sigma among
+        # them; a sigma that would put a grid point within 1/2 of the zeta
+        # pole is drawn again
         rng = random.Random(4)
-        points = [
-            (complex(rng.uniform(-2.0, 4.0), rng.uniform(-200.0, 200.0)), rng.random() < 0.5)
-            for _ in range(40)
+        for _ in range(6):
+            ys = [rng.uniform(-200.0, 200.0) for _ in range(rng.randint(1, 5))]
+            ys += [0.0, ys[0], -ys[-1]]
+            rng.shuffle(ys)
+            lines, count = [], rng.randint(1, 4)
+            while len(lines) < count:
+                sigma = rng.uniform(-2.0, 4.0)
+                if all(abs(complex(sigma - 1.0, y)) >= 0.5 for y in ys):
+                    lines.append((sigma, rng.random() < 0.5))
+            lines.append((lines[0][0], not lines[0][1]))
+            grid = special._eta_values(ys, lines)
+            assert [len(row) for row in grid] == [len(lines)] * len(ys)
+            expected = [
+                [eta_point_by_point(complex(sigma, y), derivative) for sigma, derivative in lines]
+                for y in ys
+            ]
+            assert (bits(sum(grid, [])) == bits(sum(expected, []))).all()
+
+    def test_triple_lines_equal_points_alone(self):
+        ys = [14.1347, -14.1347, 0.0, 199.9, 1e-300, 14.1347]
+        expected = [
+            [eta_point_by_point(complex(sigma, y), derivative)
+             for sigma, derivative in special._TRIPLE_LINES]
+            for y in ys
         ]
-        # rows shared across both signs of Im s and across real parts, and
-        # real points
-        points += [
-            (0.5 + 14.1347j, True), (0.5 - 14.1347j, False), (1.5 + 14.1347j, False),
-            (2.0 + 0j, True), (-1.5 + 0j, False),
-        ]
-        expected = [eta_point_by_point(s, derivative) for s, derivative in points]
-        assert (bits(special._eta_values(points)) == bits(expected)).all()
+        grid = special._eta_values(ys, special._TRIPLE_LINES)
+        assert (bits(sum(grid, [])) == bits(sum(expected, []))).all()
+        assert special._eta_values([], special._TRIPLE_LINES) == []
 
 
 def record_illinois(monkeypatch):
