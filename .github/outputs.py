@@ -1,0 +1,170 @@
+"""The listings that the ``outputs-vs-base`` job compares between a change and
+its base commit, each under a ``### <label>`` line with numbers as
+``float.hex``; given two listings, the comparison, in Markdown.
+
+    PYTHONPATH=<tree>/src python .github/outputs.py > side.txt
+    python .github/outputs.py base.txt head.txt
+
+A listing whose code raises, or whose CLI run (in this process) writes an
+error line, reads ``error: <type>: <message>``; the others still run.
+"""
+
+import difflib
+import functools
+import io
+import json
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout, suppress
+from pathlib import Path
+
+
+@functools.cache
+def _cli(*argv):
+    """The stdout of ``qzeta <argv>``, whose exit status 1 says a zero failed;
+    an error line, or argparse's exit on a usage error, raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), suppress(SystemExit):
+        cli.main(list(argv))
+    if err.getvalue():
+        raise RuntimeError(err.getvalue().strip())
+    return out.getvalue()
+
+
+def _json_part(flags, part):
+    """One top-level block of a JSON report, re-indented."""
+    report = json.loads(_cli(*flags.split(), "--format", "json"))
+    return json.dumps(report[part], indent=1) + "\n"
+
+
+def _shown(entry, show=lambda value: value):
+    """A batch entry: an error as its type and message, else shown."""
+    return f"{type(entry).__name__}: {entry}" if isinstance(entry, Exception) else show(entry)
+
+
+def _plans():
+    """Each seed's y, za, b and reason per run, then (a, d) pairs' truncations."""
+    def show(run, config):
+        for s in qzeta.plan_seeds(config)[0]:
+            yield [run, s.y.hex(), s.za.real.hex(), s.za.imag.hex(), s.b, s.reason]
+
+    for seed in range(1, 6):
+        for a, d in workloads.sweep_inputs(seed):
+            yield from show([seed, a.hex(), d.hex()],
+                            qzeta.RunConfig(a=a, d=d, y_max=workloads.SWEEP_Y_MAX))
+    # at y = 1e-9, 3/2 + iy lies 1/2 from the zeta pole; 200.5 is out of range
+    for run in [dict(a=1e308, y_max=15.0), dict(a=0.5, d=0.01, y_max=15.0),
+                dict(a=1e-3, d=1.0, y_max=15.0), dict(a=1e17, y_max=15.0),
+                dict(y_max=None, y_list=(14.134725141984639, 250.0)),
+                dict(y_max=None, y_list=(1e-9, 0.3, 3.0, 199.9, 200.5))]:
+        yield from show(repr(run), qzeta.RunConfig(**run))
+    # every outcome: a b, an estimate not finite, no term, the cap, an overflow
+    grid = [1.0, 14.0, 48.0, 100.0]
+    for a, d, tops in [(1.0, 1e4, grid), (0.01, 1.0, grid), (1e8, 1.0, grid),
+                       (3000.0, 1.0, grid), (750.0, 2.0, grid), (1e-3, 1e-3, grid),
+                       (1e-30, 1e35, grid), (1e12, 1.0, grid), (1e-300, 1e-300, [1e10])]:
+        yield [a, d, list(map(_shown, qzeta.select_truncation(a, d, tops)))]
+
+
+def _hardy_z():
+    grid = [5.0 + 195.0 * i / 399 for i in range(400)]
+    columns = [[z for i in range(0, 400, size) for z in qzeta.hardy_z(grid[i:i + size]).tolist()]
+               for size in (400, 7, 1)]
+    for t, *values in zip(grid, *columns):
+        yield [t.hex()] + [z.hex() for z in values]
+
+
+def _triple():
+    # 200 ordinates in (0, 200) and six at or past the eta evaluator's edges
+    grid = [200.0 * i / 201 for i in range(1, 201)]
+    grid += [0.0, -14.1347, 1e-300, 200.5, 250.0, float("nan")]
+    columns = [qzeta.zeta_plus_triple(grid), [qzeta.zeta_plus_triple([y])[0] for y in grid]]
+    hexes = lambda values: [x.hex() for v in values for x in (v.real, v.imag)]  # noqa: E731
+    for y, *entries in zip(grid, *columns):
+        yield [y.hex()] + [_shown(entry, hexes) for entry in entries]
+
+
+def _generic():
+    inputs = workloads.generic_inputs(1)
+    for r in qzeta.run_variants([t for t, _, _ in inputs], [(y, za) for _, y, za in inputs]):
+        de = r.de.hex() if r.de is not None else None
+        yield [r.z.real.hex(), r.z.imag.hex(), de, r.verdict.value, len(r.trace_log)]
+        for res in (attempt.result for attempt in r.trace_log):
+            yield [res.char.hex(), res.fo, res.vv.hex(), res.abs_estimate.hex(),
+                   res.z_estimate.real.hex(), res.z_estimate.imag.hex(),
+                   [angle.hex() for _, angle in res.trace.display_rows()],
+                   len(res.trace.samples)]
+
+
+JSON_PARTS = [
+    ("", "zeros"),
+    ("", "config"),
+    ("--a 500 --d 3 ", "zeros"),  # seeds above the pole line
+    ("--c 5 ", "zeros"),  # a zero that ends good only
+    ("--y-max 100 ", "zeros"),  # twenty seeds above the pole line after nine
+    ("--a 2000 ", "zeros"),  # searches that log their last integration again
+    ("--a 3000 ", "zeros"),
+    ("--target poly:1,-1-2j --y 2 ", "zeros"),  # a polynomial target
+    ("--target poly:1e308,1 --y 2 ", "zeros"),  # f not finite on the contour
+]
+SECTIONS = [
+    *[(f"`qzeta {flags}--format json`, its `{part}`", functools.partial(_json_part, flags, part))
+      for flags, part in JSON_PARTS],
+    ("`qzeta --format csv`", functools.partial(_cli, "--format", "csv")),
+    ("`qzeta`, the text report", _cli),
+    ("`qzeta --a 2000`, the text report", functools.partial(_cli, "--a", "2000")),
+    ("seed plans and `select_truncation` outcomes", _plans),
+    ("`hardy_z` on 400 ordinates, in one block, in blocks of 7 and alone", _hardy_z),
+    ("`zeta_plus_triple` on 206 ordinates, in one batch and alone", _triple),
+    ("generic records and integrations (`workloads.generic_inputs(1)`)", _generic),
+]
+
+
+def listing():
+    """Every section, each under its ``### <label>`` line."""
+    global qzeta, workloads, cli  # imported here, as the comparison needs none
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import qzeta
+    import workloads
+    from qzeta import cli
+
+    parts = []
+    for label, section in SECTIONS:
+        try:
+            body = section()
+            if not isinstance(body, str):  # the rows of a Python listing
+                body = "".join(json.dumps(row) + "\n" for row in body)
+        except Exception as exc:  # listed in place; the other sections still run
+            body = f"error: {type(exc).__name__}: {exc}\n"
+        parts.append(f"### {label}\n{body}")
+    return "".join(parts)
+
+
+def _sections(text):
+    """label -> body of a listing."""
+    parts = re.split(r"^### (.*)\n", text, flags=re.MULTILINE)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def compare(base, head):
+    """The Markdown summary of two listings, section by section."""
+    base, head = _sections(base), _sections(head)
+    lines = ["### Outputs against the base commit"]
+    for label in dict.fromkeys([*head, *base]):
+        old, new = base.get(label, ""), head.get(label, "")
+        failed = "; a side lists an error" if "error: " in (old[:7], new[:7]) else ""
+        if old == new:
+            lines.append(f"- {label}: identical{failed}")
+            continue
+        diff = difflib.unified_diff(old.splitlines(), new.splitlines(), "base", "head",
+                                    lineterm="", n=0)
+        lines += [f"- {label}: differs{failed}; the first 12 lines of the diff:",
+                  "```", *list(diff)[:12], "```"]
+    return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        sys.stdout.write(compare(*(Path(p).read_bytes().decode() for p in sys.argv[1:])))
+    else:
+        sys.stdout.buffer.write(listing().encode())

@@ -28,7 +28,7 @@ from itertools import accumulate, groupby
 from operator import sub, truediv
 from typing import Callable
 
-from .errors import EVALUATION_FAULTS, ZeroOnContour
+from .errors import EVALUATION_FAULTS, NonFiniteResult, ZeroOnContour
 
 __all__ = [
     "AnalyticFunction",
@@ -140,7 +140,7 @@ def _sample(f: AnalyticFunction, sides, c: int, positions, extra=()):
     and f there, then at the extra points: in one ``many`` call when f
     provides it, otherwise one call each.  ``sides`` holds each side's start
     corner and its edge vector.  Names the first boundary point where |f| is
-    below the floor."""
+    below the floor, else the first point where f is not finite."""
     ts = [pos / (c * _GRID) for pos in positions]
     points = [start + t * edge for start, edge in sides for t in ts]
     many = getattr(f, "many", None)
@@ -167,6 +167,9 @@ def _sample(f: AnalyticFunction, sides, c: int, positions, extra=()):
                     f"|f| < {_CONTOUR_FLOOR:g} at boundary point {point!r}; "
                     "perturb the rectangle"
                 )
+    if not all(map(cmath.isfinite, values)):
+        point = next(p for p, value in zip(wanted, values) if not cmath.isfinite(value))
+        raise NonFiniteResult(f"f is not finite at {point!r}")
     return points, values
 
 

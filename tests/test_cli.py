@@ -273,8 +273,8 @@ class TestMain:
                            "--target", "--out"]
 
     def test_non_finite_winding_defect_exit_one(self):
-        # f = 1e308 + k overflows on the contour, so every integration's
-        # winding defect is nan: the text report lists it, and the zero fails
+        # f = 1e308 + k overflows on the opening contour, so the zero fails
+        # before its first integration, with the point as its reason
         process = subprocess.run(
             [sys.executable, "-m", "qzeta", "--target", "poly:1e308,1", "--y", "2"],
             cwd=Path(qzeta.__file__).resolve().parents[1],
@@ -284,8 +284,20 @@ class TestMain:
         )
         assert process.returncode == 1
         assert process.stderr == ""
-        assert "char= nan fo=" in process.stdout
         assert process.stdout.split("FINAL LIST OF Q-ZEROS:")[1].split()[:2] == ["failed", "1"]
+        assert process.stdout.endswith(
+            "\n  reason: NonFiniteResult: f is not finite at (-0.001+1.9995j)\n"
+        )
+
+    def test_non_finite_contour_fails_before_integrating(self, capsys):
+        # a search used to integrate such a contour 14 times, each with a
+        # null winding defect, residual ratio and estimate, and no reason
+        assert main(["--target", "poly:1e308,1", "--y", "2", "--format", "json"]) == 1
+        (zero,) = json.loads(capsys.readouterr().out, parse_constant=_reject)["zeros"]
+        assert zero["verdict"] == "failed"
+        assert zero["integrations"] == []
+        assert zero["vv"] == 1.0
+        assert zero["reason"] == "NonFiniteResult: f is not finite at (-0.001+1.9995j)"
 
     def test_poly_linear_run(self, capsys):
         code = main(["--target", "poly:1,-0.3-20j", "--y", "20", "--format", "csv"])

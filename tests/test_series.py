@@ -1,6 +1,8 @@
 import cmath
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,6 +24,13 @@ from qzeta import (
     select_truncation,
 )
 from qzeta.series import _TABLE_ENTRIES, MAX_SERIES_TERMS, _term_ratios
+
+# the series in mpmath, as the benchmark's oracle fixture builds it
+_spec = importlib.util.spec_from_file_location(
+    "make_oracle", Path(__file__).resolve().parent.parent / "perfbench" / "make_oracle.py"
+)
+make_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_oracle)
 
 PAPER_ZA = [
     (14.134725141734693, 0.1303 + 14.1465j),
@@ -59,39 +68,6 @@ def scratch_term(params, k, j):
 
 def scratch_sum(params, k):
     return sum(scratch_term(params, k, j) for j in range(params.n_terms))
-
-
-def mpmath_sum(params, k):
-    """The series summed in mpmath, with the unguarded Gaussian quotient."""
-    with mpmath.workdps(30):
-        a, d, k = mpmath.mpf(params.a), mpmath.mpf(params.d), mpmath.mpc(k)
-        total = 0
-        product = 1
-        for j in range(params.n_terms):
-            if j:
-                product *= (
-                    (1 - mpmath.exp(-(j + 2 * k - 1) / a))
-                    * (1 - mpmath.exp((j + k) / a))
-                    / ((1 - mpmath.exp(-(j + k - 1) / a)) * (1 - mpmath.exp(j / a)))
-                )
-            total += product * (mpmath.exp(d * k * k / (4 * a)) + 1) / (
-                mpmath.exp(d * (k + j) ** 2 / (4 * a)) + 1
-            )
-        return complex(total)
-
-
-def mpmath_ratio(params, k, j):
-    """The j-th term ratio in 40-digit mpmath, with the unguarded Gaussian
-    quotient."""
-    with mpmath.workdps(40):
-        a, d, k = mpmath.mpf(params.a), mpmath.mpf(params.d), mpmath.mpc(k)
-        return complex(
-            (1 - mpmath.exp(-(j + 2 * k - 1) / a))
-            * (1 - mpmath.exp((j + k) / a))
-            / ((1 - mpmath.exp(-(j + k - 1) / a)) * (1 - mpmath.exp(j / a)))
-            * (mpmath.exp(d * (k + j - 1) ** 2 / (4 * a)) + 1)
-            / (mpmath.exp(d * (k + j) ** 2 / (4 * a)) + 1)
-        )
 
 
 class TestSharpParams:
@@ -138,7 +114,8 @@ class TestTermRatio:
         p = SharpParams(750.0, 2.0, 15)
         for k in (0.01 + 0j, 1e-4 + 1e-4j):
             ratio = term_ratio(p, k, 1)
-            oracle = mpmath_ratio(p, k, 1)
+            with mpmath.workdps(40):  # the first ratio is the 2-term sum less 1
+                oracle = complex(make_oracle.series_value(mpmath.mpc(k), p.a, p.d, 2) - 1)
             assert abs(ratio - oracle) / abs(oracle) < 1e-13
 
     def test_fifth_ratio_at_seed(self):
@@ -245,7 +222,8 @@ class TestEvaluate:
         # at the 0.3j point to cancellation; the expm1 factors keep 1.4e-10
         p = SharpParams(750.0, 2.0, 15)
         k = TRUE_ZERO_1 + offset
-        oracle = mpmath_sum(p, k)
+        with mpmath.workdps(30):
+            oracle = complex(make_oracle.series_value(mpmath.mpc(k), p.a, p.d, p.n_terms))
         assert abs(p(k) - oracle) / abs(oracle) < 3e-10
 
     def test_converged_zero_residual(self):
@@ -267,7 +245,8 @@ class TestEvaluate:
         assert (p.d * (k + p.n_terms - 1) ** 2 / (4 * p.a)).real > 700
         value = p(k)
         assert math.isfinite(value.real) and math.isfinite(value.imag)
-        oracle = mpmath_sum(p, k)
+        with mpmath.workdps(30):
+            oracle = complex(make_oracle.series_value(mpmath.mpc(k), p.a, p.d, p.n_terms))
         assert abs(value - oracle) / abs(oracle) < 1e-12
 
     def test_degenerate_denominator(self):

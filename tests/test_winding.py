@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qzeta import (
+    NonFiniteResult,
     Rectangle,
     SharpParams,
     ZeroOnContour,
@@ -103,6 +104,21 @@ class TestSampling:
         f = SpecialValues(special) if batch else lambda k: special.get(k, 1.0 + 0j)
         with pytest.raises(ZeroOnContour, match=re.escape(f"boundary point {named!r};")):
             _traced(f, Rectangle(0j, 1.0, 0.5), 4, 0)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["pointwise", "many"])
+    @pytest.mark.parametrize(
+        "special, named",
+        [
+            ({1 + 0.5j: math.inf, 1 - 0.5j: complex(0.0, math.nan)}, 1 - 0.5j),
+            # the centre is evaluated after the boundary
+            ({0j: math.nan}, 0j),
+        ],
+        ids=["boundary", "centre"],
+    )
+    def test_first_point_not_finite_is_named(self, special, named, batch):
+        f = SpecialValues(special) if batch else lambda k: special.get(k, 1.0 + 0j)
+        with pytest.raises(NonFiniteResult, match=re.escape(f"f is not finite at {named!r}")):
+            _traced(f, Rectangle(0j, 1.0, 0.5), 4, 0, [0j])
 
     def test_angles_are_unwrapped_principal_args(self):
         f = poly_from_roots([0.2 + 0.1j])
