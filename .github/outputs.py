@@ -74,6 +74,18 @@ def _hardy_z():
         yield [t.hex()] + [z.hex() for z in values]
 
 
+def _series():
+    # along paper9's zeros: Re k from 0 to 3.6 as Im k goes from 12 to 48
+    grid = np.array([complex(0.1 * i, 12.0 + i) for i in range(37)])
+    for b in (15, 20):
+        params = qzeta.SharpParams(750.0, 2.0, b)
+        columns = [np.concatenate([qzeta.evaluate(params, grid[i:i + size])
+                                   for i in range(0, 37, size)]).tolist()
+                   for size in (37, 17, 8, 1)]
+        for k, *values in zip(grid.tolist(), *columns):
+            yield [b, k.real.hex(), k.imag.hex()] + [[v.real.hex(), v.imag.hex()] for v in values]
+
+
 def _triple():
     # 200 ordinates in (0, 200) and six at or past the eta evaluator's edges
     grid = [200.0 * i / 201 for i in range(1, 201)]
@@ -116,14 +128,17 @@ SECTIONS = [
     ("seed plans and `select_truncation` outcomes", _plans),
     ("`hardy_z` on 400 ordinates, in one block, in blocks of 7 and alone", _hardy_z),
     ("`zeta_plus_triple` on 206 ordinates, in one batch and alone", _triple),
+    ("`series.evaluate` at a = 750, d = 2, b = 15 and 20 on 37 points, in one call, "
+     "in calls of 17 and of 8 and alone", _series),
     ("generic records and integrations (`workloads.generic_inputs(1)`)", _generic),
 ]
 
 
 def listing():
     """Every section, each under its ``### <label>`` line."""
-    global qzeta, workloads, cli  # imported here, as the comparison needs none
+    global np, qzeta, workloads, cli  # imported here, as the comparison needs none
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import numpy as np
     import qzeta
     import workloads
     from qzeta import cli

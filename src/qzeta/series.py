@@ -203,11 +203,6 @@ def evaluate(params: SharpParams, points: np.ndarray) -> np.ndarray:
 # choices: 15 up to region_top = 34, 20 for 37..49 (at a=750, d=2).
 _TRUNCATION_THRESHOLD = 1e-3
 _B_CANDIDATE_STEP = 5
-# Most entries in one table of the growth terms a candidate adds (at least
-# one row): region tops share a table in blocks of rows, so many tops near
-# the term cap hold one block at a time, while a sweep plan's 29 rows fit
-# in one block at every candidate.
-_TABLE_ENTRIES = 1 << 17
 
 
 def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
@@ -279,34 +274,30 @@ def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
         n = math.floor(b * root)
         with np.errstate(over="ignore"):
             m = np.expm1(np.arange(summed + 1, n + 1) / a)
-        pending = list(chords)
-        step = max(1, _TABLE_ENTRIES // (n - summed + 1))
-        for block in range(0, len(pending), step):
-            rows = pending[block:block + step]
-            # column 0 holds each running sum, so the cumulative sum makes
-            # the additions a sum over all n terms would
-            table = np.empty((len(rows), n - summed + 1))
-            table[:, 0] = [sums[i] for i in rows]
-            growth = table[:, 1:]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                np.multiply.outer([chords[i] for i in rows], 1.0 + m, out=growth)
-                growth /= m * m
-                np.log1p(growth, out=growth)
-                growth *= 0.5
-                np.cumsum(table, axis=1, out=table)
-            for i, total in zip(rows, table[:, -1].tolist()):
-                log_estimate = -d * n * n / (4.0 * a) + total
-                if not math.isfinite(log_estimate):
-                    results[i] = RangeUnsupported(
-                        f"truncation estimate not finite at b={b} for "
-                        f"a={a:g}, d={d:g}, region_top={tops[i]:g}"
-                    )
-                elif log_estimate < log_threshold:
-                    results[i] = b
-                else:
-                    sums[i] = total
-                    continue
-                del chords[i]
+        # column 0 holds each running sum, so the cumulative sum makes the
+        # additions a sum over all n terms would
+        table = np.empty((len(chords), n - summed + 1))
+        table[:, 0] = [sums[i] for i in chords]
+        growth = table[:, 1:]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            np.multiply.outer(list(chords.values()), 1.0 + m, out=growth)
+            growth /= m * m
+            np.log1p(growth, out=growth)
+            growth *= 0.5
+            np.cumsum(table, axis=1, out=table)
+        for i, total in zip(list(chords), table[:, -1].tolist()):
+            log_estimate = -d * n * n / (4.0 * a) + total
+            if not math.isfinite(log_estimate):
+                results[i] = RangeUnsupported(
+                    f"truncation estimate not finite at b={b} for "
+                    f"a={a:g}, d={d:g}, region_top={tops[i]:g}"
+                )
+            elif log_estimate < log_threshold:
+                results[i] = b
+            else:
+                sums[i] = total
+                continue
+            del chords[i]
         summed = n
         b += _B_CANDIDATE_STEP
     return results

@@ -23,7 +23,7 @@ from qzeta import (
     plan_seeds,
     select_truncation,
 )
-from qzeta.series import _TABLE_ENTRIES, MAX_SERIES_TERMS, _term_ratios
+from qzeta.series import MAX_SERIES_TERMS, _term_ratios
 
 # the series in mpmath, as the benchmark's oracle fixture builds it
 _spec = importlib.util.spec_from_file_location(
@@ -347,11 +347,10 @@ class TestSelectTruncation:
         assert select_truncation(3000.0, 1.0, [100.0]) == [30]
         assert sum(logged) == math.floor(30 * math.sqrt(3000.0)) == 1643
 
-    def test_row_blocks_match_one_top_batches(self):
-        # b = 5 adds 5e4 terms at a = 1e8, d = 1, so a table block holds two
-        # rows and these five tops span three blocks
+    def test_tops_near_the_term_cap_match_one_top_batches(self):
+        # each candidate adds 5e4 terms at a = 1e8, d = 1, and the tops that
+        # reach b = 15 meet the term cap there
         tops = [1.0, 2.0, 3.0, 14.0, 50.0]
-        assert _TABLE_ENTRIES // (5 * 10**4 + 1) == 2
         bs = select_truncation(1e8, 1.0, tops)
         assert [entry_outcome(b) for b in bs] == [
             entry_outcome(select_truncation(1e8, 1.0, [top])[0]) for top in tops
