@@ -108,6 +108,27 @@ def _generic():
                    len(res.trace.samples)]
 
 
+# (a, d) from a/d = 50 to 6000 at the default y_max: below a/d = 375 most
+# higher zeros fail in planning (pole line), above it in the search; then two
+# runs with a seed just below the pole line
+REGIME_GRID = [
+    *[dict(a=a, d=d) for a, d in [
+        (100.0, 2.0), (200.0, 2.0), (300.0, 2.0), (750.0, 4.0), (500.0, 2.0), (750.0, 2.0),
+        (1500.0, 4.0), (1500.0, 2.0), (750.0, 1.0), (2000.0, 2.0), (3000.0, 2.0),
+        (750.0, 0.5), (12000.0, 2.0)]],
+    dict(a=100.0, d=1.0, y_max=60.0),
+    dict(a=300.0, d=0.5, y_max=100.0),
+]
+
+
+def _regimes():
+    """Per zero of each grid run: its index, verdict, integrations and reason."""
+    for run in REGIME_GRID:
+        result = qzeta.execute(qzeta.RunConfig(**run))
+        for seed, r in zip(result.seeds, result.records):
+            yield [run, seed.index, r.verdict.value, len(r.trace_log), r.reason]
+
+
 JSON_PARTS = [
     ("", "zeros"),
     ("", "config"),
@@ -122,7 +143,8 @@ JSON_PARTS = [
 SECTIONS = [
     *[(f"`qzeta {flags}--format json`, its `{part}`", functools.partial(_json_part, flags, part))
       for flags, part in JSON_PARTS],
-    ("`qzeta --format csv`", functools.partial(_cli, "--format", "csv")),
+    *[(f"`qzeta {flags}--format csv`", functools.partial(_cli, *flags.split(), "--format", "csv"))
+      for flags in ["", "--a 1e308 --y-max 15 ", "--target poly:1e308,1 --y 2 "]],
     ("`qzeta`, the text report", _cli),
     ("`qzeta --a 2000`, the text report", functools.partial(_cli, "--a", "2000")),
     ("seed plans and `select_truncation` outcomes", _plans),
@@ -131,6 +153,7 @@ SECTIONS = [
     ("`series.evaluate` at a = 750, d = 2, b = 15 and 20 on 37 points, in one call, "
      "in calls of 17 and of 8 and alone", _series),
     ("generic records and integrations (`workloads.generic_inputs(1)`)", _generic),
+    ("verdicts on the regime grid, per zero", _regimes),
 ]
 
 

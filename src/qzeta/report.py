@@ -3,8 +3,9 @@
 The text report mirrors the reference program's listing: a seed table, the
 per-variant integration traces with four-side angle sums, and the final zero
 list.  Diagnostics print with 6 significant digits; the final list keeps the
-table's 4-decimal layout.  The JSON and CSV emitters carry the same numbers
-(cross-checked by tests to 1e-12) and are byte-deterministic.
+table's 4-decimal layout.  The three reports read each zero's summary from
+one entry, `_zero_entry`; the CSV names its own columns.  JSON and CSV are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import io
 import json
 import math
 
-from .pipeline import RunResult
-from .search import Assessment, Verdict, escalation_schedule
+from .pipeline import RunResult, Seed
+from .search import Assessment, ZeroRecord, escalation_schedule
 
 __all__ = ["emit_text_report", "emit_json", "emit_plot_data"]
 
@@ -40,11 +41,23 @@ def _char_str(value: float) -> str:
     return _g(value)
 
 
-_VERDICT_LABEL = {
-    Verdict.VERY_GOOD: "very good",
-    Verdict.GOOD_ONLY: "good",
-    Verdict.FAILED: "failed",
-}
+_VERDICT_LABEL = {"very_good": "very good", "good_only": "good", "failed": "failed"}
+
+
+def _zero_entry(seed: Seed, record: ZeroRecord) -> dict:
+    """A zero's summary fields in the JSON order, complex numbers still
+    complex: the one field list behind the JSON, CSV and text reports."""
+    return {
+        "index": seed.index,
+        "y": seed.y,
+        "b": seed.b,
+        "za": seed.za,
+        "z": record.z,
+        "de": record.de,
+        "vv": record.vv_final,
+        "verdict": record.verdict.value,
+        "newton_applied": record.newton_applied,
+    }
 
 
 def emit_text_report(result: RunResult) -> str:
@@ -112,27 +125,21 @@ def emit_text_report(result: RunResult) -> str:
     out.append("")
     out.append("FINAL LIST OF Q-ZEROS:")
     for seed, record in zip(result.seeds, result.records):
+        e = _zero_entry(seed, record)
         out.append("")
-        label = _VERDICT_LABEL[record.verdict]
-        out.append(
-            f"{label} {seed.index}  {_g(seed.y)}  z: {_c(record.z, '{:.4f}')}"
-        )
-        de_part = f"de= {record.de:.6f}" if record.de is not None else "de= n/a"
-        out.append(
-            f"  za= {_c(seed.za, '{:.4f}')}  {de_part}   vv= {record.vv_final:.6f}"
-        )
+        label = _VERDICT_LABEL[e["verdict"]]
+        out.append(f"{label} {e['index']}  {_g(e['y'])}  z: {_c(e['z'], '{:.4f}')}")
+        de_part = f"de= {e['de']:.6f}" if e["de"] is not None else "de= n/a"
+        out.append(f"  za= {_c(e['za'], '{:.4f}')}  {de_part}   vv= {e['vv']:.6f}")
         if record.reason is not None:
             out.append(f"  reason: {record.reason}")
     return "\n".join(out) + "\n"
 
 
-def _complex_obj(value: complex) -> dict:
-    return {"re": value.real, "im": value.imag}
-
-
 def emit_json(result: RunResult) -> str:
     """Fixed-schema JSON document; byte-deterministic for a given run.  A
-    number that is not finite reads null."""
+    complex number reads {"re": ..., "im": ...}, one that is not finite
+    null."""
     config = result.config
     doc = {
         "config": {
@@ -150,26 +157,18 @@ def emit_json(result: RunResult) -> str:
         },
         "zeros": [
             {
-                "index": seed.index,
-                "y": seed.y,
-                "b": seed.b,
-                "za": _complex_obj(seed.za),
-                "z": _complex_obj(record.z),
-                "de": record.de,
-                "vv": record.vv_final,
-                "verdict": record.verdict.value,
-                "newton_applied": record.newton_applied,
+                **_zero_entry(seed, record),
                 "integrations": [
                     {
                         "variant": attempt.variant,
-                        "zn": _complex_obj(attempt.result.trace.rect.center),
+                        "zn": attempt.result.trace.rect.center,
                         "rd": attempt.result.trace.rect.rd,
                         "rad": attempt.result.trace.rect.rad,
                         "c": attempt.result.trace.c,
                         "char": attempt.result.char,
                         "fo": attempt.result.fo,
                         "vv": attempt.result.vv,
-                        "z_estimate": _complex_obj(attempt.result.z_estimate),
+                        "z_estimate": attempt.result.z_estimate,
                         "angles": [
                             angle
                             for _, angle in attempt.result.trace.display_rows()
@@ -184,37 +183,33 @@ def emit_json(result: RunResult) -> str:
             for seed, record in zip(result.seeds, result.records)
         ],
     }
-    return json.dumps(_finite_or_null(doc), indent=1, allow_nan=False)
+    return json.dumps(_jsonable(doc), indent=1, allow_nan=False)
 
 
-def _finite_or_null(value):
-    """value with every non-finite float (a prediction that could not be
-    computed, an infinite ratio) replaced by None, which JSON writes as
-    null: strict parsers reject NaN and Infinity."""
+def _jsonable(value):
+    """value with every complex number written as {"re": ..., "im": ...}
+    and every non-finite float (a prediction that could not be computed, an
+    infinite ratio) replaced by None, which JSON writes as null: strict
+    parsers reject NaN and Infinity."""
+    if isinstance(value, complex):
+        return _jsonable({"re": value.real, "im": value.imag})
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
+        return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, list):
-        return [_finite_or_null(item) for item in value]
+        return [_jsonable(item) for item in value]
     return value
 
 
 def emit_plot_data(result: RunResult) -> str:
-    """Per-zero CSV: seed vs final location plus quality numbers."""
+    """Per-zero CSV: seed vs final location plus quality numbers, each the
+    repr of its number (nan where it is not finite), empty where unset."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["y", "re_za", "im_za", "re_z", "im_z", "de", "vv"])
     for seed, record in zip(result.seeds, result.records):
-        writer.writerow(
-            [
-                repr(seed.y),
-                repr(seed.za.real),
-                repr(seed.za.imag),
-                repr(record.z.real),
-                repr(record.z.imag),
-                repr(record.de) if record.de is not None else "",
-                repr(record.vv_final),
-            ]
-        )
+        e = _zero_entry(seed, record)
+        cells = [e["y"], e["za"].real, e["za"].imag, e["z"].real, e["z"].imag, e["de"], e["vv"]]
+        writer.writerow(["" if v is None else repr(v) for v in cells])
     return buffer.getvalue()

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -15,6 +17,12 @@ from qzeta import (
 @pytest.fixture(scope="module")
 def one_zero_run():
     return execute(RunConfig(y_max=15.0))
+
+
+@pytest.fixture(scope="module")
+def planning_failure_run():
+    # the prediction is not finite, so the zero fails before its search
+    return execute(RunConfig(a=1e308, y_max=15.0))
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +123,30 @@ class TestPlotData:
         assert float(row[3]) == record.z.real
         assert float(row[4]) == record.z.imag
         assert float(row[6]) == record.vv_final
+
+    @pytest.mark.parametrize("run", ["one_zero_run", "planning_failure_run"])
+    def test_rows_match_json_entries(self, request, run):
+        """Each cell is the repr of its JSON number; a null reads nan in za
+        and z, and an empty cell in de."""
+        result = request.getfixturevalue(run)
+        zeros = json.loads(emit_json(result))["zeros"]
+        rows = list(csv.reader(io.StringIO(emit_plot_data(result))))[1:]
+        assert len(rows) == len(zeros) == 1
+
+        def cells(entry):
+            parts = [entry[key][part] for key in ("za", "z") for part in ("re", "im")]
+            return [
+                repr(entry["y"]),
+                *("nan" if part is None else repr(part) for part in parts),
+                "" if entry["de"] is None else repr(entry["de"]),
+                repr(entry["vv"]),
+            ]
+
+        assert rows == [cells(entry) for entry in zeros]
+
+    def test_planning_failure_row(self, planning_failure_run):
+        lines = emit_plot_data(planning_failure_run).splitlines()
+        assert lines[1] == "14.134725141984639,nan,nan,nan,nan,,1.0"
 
 
 class TestCrossEmitterConsistency:

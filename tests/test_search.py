@@ -714,6 +714,7 @@ AUDIT_RUNS = {
     "paper9": RunConfig(),
     "--a 2000": RunConfig(a=2000.0),
     "--a 3000": RunConfig(a=3000.0),
+    "--a 750 --d 1": RunConfig(a=750.0, d=1.0),
 }
 
 
@@ -748,6 +749,9 @@ class TestGateAudit:
         # the good gap-metric ceiling and the residual-ratio ceiling
         "FO_GOOD_MAX": (math.inf, ["--a 3000"], []),
         "VV_MAX": (math.inf, ["--a 3000"], []),
+        # the error-estimate ceiling: zero 6 of --a 750 --d 1 ends good only
+        # after 14 integrations, very good after 4 without it
+        "DE_ADMISSIBLE": (math.inf, ["--a 750 --d 1"], ["--a 750 --d 1"]),
     }
 
     @pytest.mark.parametrize("gate", DISABLED)
