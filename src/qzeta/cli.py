@@ -19,6 +19,7 @@ __all__ = ["build_parser", "parse_cli", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig()
     parser = argparse.ArgumentParser(
         prog="qzeta",
         description=(
@@ -26,13 +27,13 @@ def build_parser() -> argparse.ArgumentParser:
             "search over shrinking rectangles."
         ),
     )
-    parser.add_argument("--a", type=float, default=RunConfig.a, help="deformation scale (q = exp(-1/a))")
-    parser.add_argument("--d", type=float, default=RunConfig.d, help="Gaussian damping")
+    parser.add_argument("--a", type=float, default=defaults.a, help="deformation scale (q = exp(-1/a))")
+    parser.add_argument("--d", type=float, default=defaults.d, help="Gaussian damping")
     parser.add_argument("--y-max", type=float, default=None,
                         help=f"seed all classical zeros up to this ordinate (default {PAPER_Y_MAX:g})")
     parser.add_argument("--y", type=float, action="append", default=None,
                         help="explicit seed ordinate (repeatable; overrides --y-max)")
-    parser.add_argument("--c", type=int, default=RunConfig.c,
+    parser.add_argument("--c", type=int, default=defaults.c,
                         help="opening points per rectangle side, 3 to 64, escalated by 1.5 "
                              "and 2.25 for the later variants (4 gives 4,6,9)")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")

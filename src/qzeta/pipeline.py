@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import Record, Value
 from .errors import QZetaError, RangeUnsupported
 from .search import Verdict, ZeroRecord, escalation_schedule, initial_rectangle, run_variants
 from .series import SharpParams, linear_approximation, select_truncation
@@ -23,33 +23,35 @@ __all__ = ["RunConfig", "Seed", "RunResult", "plan_seeds", "execute"]
 PAPER_Y_MAX = 48.5406
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     """One run: target function family, seeds, and opening density c (the
     variants run at ``escalation_schedule(c)``).  A run with polynomial
     coefficients searches that polynomial; without, the deformed series."""
 
-    a: float = 750.0
-    d: float = 2.0
-    y_max: float | None = PAPER_Y_MAX
-    y_list: tuple[float, ...] | None = None
-    poly_coefficients: tuple[complex, ...] = ()
-    c: int = 4
+    __slots__ = __match_args__ = ("a", "d", "y_max", "y_list", "poly_coefficients", "c")
 
-    def __post_init__(self):
-        if (self.y_max is None) == (self.y_list is None):
+    def __init__(self, a: float = 750.0, d: float = 2.0, y_max: float | None = PAPER_Y_MAX,
+                 y_list: tuple[float, ...] | None = None,
+                 poly_coefficients: tuple[complex, ...] = (), c: int = 4):
+        if (y_max is None) == (y_list is None):
             raise ValueError("exactly one of y_max / y_list must be set")
-        if len(self.poly_coefficients) == 1:
+        if len(poly_coefficients) == 1:
             raise ValueError("polynomial target needs at least two coefficients")
-        if not all(map(cmath.isfinite, self.poly_coefficients)):
+        if not all(map(cmath.isfinite, poly_coefficients)):
             raise ValueError("polynomial coefficients must be finite")
-        if not (0 < self.a < math.inf and 0 < self.d < math.inf):
+        if not (0 < a < math.inf and 0 < d < math.inf):
             raise ValueError("a and d must be positive and finite")
-        if self.y_max is not None and not 0 < self.y_max <= CLASSICAL_Y_MAX:
+        if y_max is not None and not 0 < y_max <= CLASSICAL_Y_MAX:
             raise ValueError(f"y_max must be in (0, {CLASSICAL_Y_MAX:g}]")
-        if self.y_list is not None and not all(0 < y < math.inf for y in self.y_list):
+        if y_list is not None and not all(0 < y < math.inf for y in y_list):
             raise ValueError("every seed ordinate y must be positive and finite")
-        escalation_schedule(self.c)  # checks the density
+        escalation_schedule(c)  # checks the density
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "y_max", y_max)
+        object.__setattr__(self, "y_list", y_list)
+        object.__setattr__(self, "poly_coefficients", poly_coefficients)
+        object.__setattr__(self, "c", c)
 
     @property
     def target(self) -> str:
@@ -57,23 +59,28 @@ class RunConfig:
         return "poly" if self.poly_coefficients else "sharp"
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Value):
     """One search seed: classical ordinate, predicted location, truncation,
     and the reason it is not searched, if there is one."""
 
-    index: int
-    y: float
-    za: complex
-    b: int | None
-    reason: str | None = None
+    __slots__ = __match_args__ = ("index", "y", "za", "b", "reason")
+
+    def __init__(self, index: int, y: float, za: complex, b: int | None,
+                 reason: str | None = None):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "za", za)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass
-class RunResult:
-    config: RunConfig
-    seeds: list[Seed]
-    records: list[ZeroRecord]
+class RunResult(Record):
+    __slots__ = __match_args__ = ("config", "seeds", "records")
+
+    def __init__(self, config: RunConfig, seeds: list[Seed], records: list[ZeroRecord]):
+        self.config = config
+        self.seeds = seeds
+        self.records = records
 
 
 class _Polynomial:

@@ -10,8 +10,6 @@ byte-deterministic.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -205,6 +203,9 @@ def _jsonable(value):
 def emit_plot_data(result: RunResult) -> str:
     """Per-zero CSV: seed vs final location plus quality numbers, each the
     repr of its number (nan where it is not finite), empty where unset."""
+    import csv  # only this report needs csv and io: not loaded for the others
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["y", "re_za", "im_za", "re_z", "im_z", "de", "vv"])

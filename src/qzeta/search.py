@@ -22,9 +22,9 @@ seed or many.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
+from ._record import Record
 from .errors import EVALUATION_FAULTS
 from .winding import AnalyticFunction, IntegrationResult, Rectangle, integrate
 
@@ -116,19 +116,27 @@ def _error_scale(z_new: complex, z_old: complex) -> float:
     return max(_DE_FLOOR, 0.1 * abs(z_new - z_old))
 
 
-@dataclass
-class SearchState:
+class SearchState(Record):
     """Mutable per-zero search state, persisted across variants.  The
     rectangle is always twice as wide as tall."""
 
-    zna: complex  # seed or the estimate after the last good integration
-    zn: complex  # current rectangle center
-    rd: float  # current rectangle half-width
-    variant: int = 0  # 0-based variant index
-    phase: int = 0  # 0 = a variant's opening density, 1 = its "second try"
-    consecutive_good: int = 0
-    accepted: list[tuple[complex, float]] = field(default_factory=list)
-    opening_vv: float | None = None  # residual ratio of the search's first integration
+    __slots__ = __match_args__ = (
+        "zna", "zn", "rd", "variant", "phase", "consecutive_good", "accepted", "opening_vv",
+    )
+
+    def __init__(self, zna: complex, zn: complex, rd: float, variant: int = 0, phase: int = 0,
+                 consecutive_good: int = 0,
+                 accepted: list[tuple[complex, float]] | None = None,
+                 opening_vv: float | None = None):
+        self.zna = zna  # seed or the estimate after the last good integration
+        self.zn = zn  # current rectangle center
+        self.rd = rd  # current rectangle half-width
+        self.variant = variant  # 0-based variant index
+        self.phase = phase  # 0 = a variant's opening density, 1 = its "second try"
+        self.consecutive_good = consecutive_good
+        # (estimate, |f| there) of each good integration; a new list if None
+        self.accepted = [] if accepted is None else accepted
+        self.opening_vv = opening_vv  # residual ratio of the search's first integration
 
     @property
     def rect(self) -> Rectangle:
@@ -149,30 +157,39 @@ class SearchState:
         return min([math.inf, *(abs_value for _, abs_value in self.accepted)])
 
 
-@dataclass
-class IntegrationAttempt:
+class IntegrationAttempt(Record):
     """One integration in a zero's trace log; its rectangle and density are
     ``result.trace.rect`` and ``result.trace.c``."""
 
-    variant: int  # 1-based
-    zna: complex
-    result: IntegrationResult
-    assessment: Assessment
+    __slots__ = __match_args__ = ("variant", "zna", "result", "assessment")
+
+    def __init__(self, variant: int, zna: complex, result: IntegrationResult,
+                 assessment: Assessment):
+        self.variant = variant  # 1-based
+        self.zna = zna
+        self.result = result
+        self.assessment = assessment
 
 
-@dataclass
-class ZeroRecord:
+class ZeroRecord(Record):
     """What one search found: final estimate, error bound, residual,
     verdict.  ``reason`` names the error that ended a failed search, if one
     did.  The seed's index, ordinate and prediction stay with the caller."""
 
-    z: complex
-    de: float | None
-    vv_final: float
-    verdict: Verdict
-    newton_applied: bool
-    trace_log: list[IntegrationAttempt]
-    reason: str | None = None
+    __slots__ = __match_args__ = (
+        "z", "de", "vv_final", "verdict", "newton_applied", "trace_log", "reason",
+    )
+
+    def __init__(self, z: complex, de: float | None, vv_final: float, verdict: Verdict,
+                 newton_applied: bool, trace_log: list[IntegrationAttempt],
+                 reason: str | None = None):
+        self.z = z
+        self.de = de
+        self.vv_final = vv_final
+        self.verdict = verdict
+        self.newton_applied = newton_applied
+        self.trace_log = trace_log
+        self.reason = reason
 
     @property
     def variants_visited(self) -> tuple[int, ...]:

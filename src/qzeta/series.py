@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Value
 from .errors import (
     DegenerateDenominator,
     DerivativeNearZero,
@@ -40,8 +40,7 @@ __all__ = [
 MAX_SERIES_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class SharpParams:
+class SharpParams(Value):
     """Series configuration: deformation scale a, damping d, truncation b;
     also the series' evaluator for the contour machinery.
 
@@ -52,24 +51,27 @@ class SharpParams:
     to their values (both through ``evaluate``).
     """
 
-    a: float
-    d: float
-    b: int
+    __slots__ = ("a", "d", "b", "_rows")
+    __match_args__ = ("a", "d", "b")
 
-    def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
+    def __init__(self, a: float, d: float, b: int):
+        if not (a > 0 and math.isfinite(a)):
             raise ValueError("a must be positive and finite")
-        if not (self.d > 0 and math.isfinite(self.d)):
+        if not (d > 0 and math.isfinite(d)):
             raise ValueError("d must be positive and finite")
-        if self.b < 1:
+        if b < 1:
             raise ValueError("b must be a positive integer")
-        terms = self.b * math.sqrt(self.a / self.d)  # inf if a/d overflows
+        terms = b * math.sqrt(a / d)  # inf if a/d overflows
         if terms < 1:
             raise ValueError("truncation b*sqrt(a/d) keeps no terms")
         if terms >= MAX_SERIES_TERMS + 1:
             raise ValueError(
                 f"truncation b*sqrt(a/d) keeps more than {MAX_SERIES_TERMS} terms"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_rows", None)  # the kernel's index rows, on first use
 
     @property
     def n_terms(self) -> int:
@@ -94,6 +96,12 @@ class SharpParams:
     def many(self, points: np.ndarray) -> np.ndarray:
         return evaluate(self, points)
 
+    def _series_rows(self) -> tuple:
+        """``_index_rows`` of the series' j = 1..n_terms-1, built on first use."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _index_rows(self.a, np.arange(1, self.n_terms)))
+        return self._rows
+
 
 _GAUSS_GUARD = 700.0  # below exp overflow (~709); replacement exact there
 # Points per kernel pass inside one ``evaluate`` call.  A block's working set
@@ -103,15 +111,26 @@ _GAUSS_GUARD = 700.0  # below exp overflow (~709); replacement exact there
 _POINT_BLOCK = 8
 
 
-def _term_ratios(a: float, d: float, k: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Multiplicative updates from series term j-1 to term j, for ascending
-    consecutive indices j, at every point of the 1-D array k; returns a
-    (points, len(j)) array.  Callers silence numpy's overflow and invalid
-    warnings; an overflow ends up non-finite in the result.
+def _index_rows(a: float, j: np.ndarray) -> tuple:
+    """The rows of ``_term_ratios`` that depend on the term index alone, for
+    ascending consecutive indices j (any range, a single j included): j,
+    alpha1, 1 + alpha1, alpha2, 1 + alpha2, and the Gaussian's indices
+    m = j[0]-1..j[-1]."""
+    alpha1 = np.expm1((1.0 - j) / a)
+    alpha2 = np.expm1(j / a)
+    return j, alpha1, 1.0 + alpha1, alpha2, 1.0 + alpha2, np.concatenate((j[:1] - 1, j))
+
+
+def _term_ratios(a: float, d: float, k: np.ndarray, rows: tuple) -> np.ndarray:
+    """Multiplicative updates from series term j-1 to term j, for the
+    indices j of ``rows`` (from ``_index_rows(a, j)``), at every point of
+    the 1-D array k; returns a (points, len(j)) array.  Callers silence
+    numpy's overflow and invalid warnings; an overflow ends up non-finite in
+    the result.
 
     Each exponential factor 1 - exp(u + v), with u depending on j alone and
     v on k alone, is written -(alpha + (1 + alpha)*beta), alpha = expm1(u)
-    computed once per call and beta = expm1(v) once per point: no per-term
+    from the rows and beta = expm1(v) computed once per point: no per-term
     exp and no 1 - exp cancellation at small exponents.  With
     alpha1 = expm1(-(j-1)/a) and alpha2 = expm1(j/a), the factors are
     E1 = alpha1 + (1+alpha1)*expm1(-2k/a), E2 = alpha2 + (1+alpha2)*expm1(k/a),
@@ -121,11 +140,13 @@ def _term_ratios(a: float, d: float, k: np.ndarray, j: np.ndarray) -> np.ndarray
     m = j[0]-1..j[-1], and the ratio is E1*E2*G_{j-1} / (E3*alpha2*G_j), one
     complex division per term.  Where either Gaussian exponent's real part
     exceeds the overflow guard, G_{j-1}/G_j is replaced by exp(x1-x2), which
-    is exact to ~1e-290 there.
+    is exact to ~1e-290 there.  The block arithmetic runs in place, each
+    element through the same operations, in the same order, as the formula.
 
     E3 vanishes exactly at the real points k = 1 - j; such a point raises
     ``DegenerateDenominator``.
     """
+    j, alpha1, alpha1_plus1, alpha2, alpha2_plus1, m = rows
     if j.size and not k.imag.all():
         index = 1.0 - k.real
         degenerate = (
@@ -138,34 +159,45 @@ def _term_ratios(a: float, d: float, k: np.ndarray, j: np.ndarray) -> np.ndarray
                 f"vanishing denominator factor at j={int(index[point])}, "
                 f"k={complex(k[point])!r}"
             )
-    alpha1 = np.expm1((1.0 - j) / a)
-    alpha2 = np.expm1(j / a)
     k = k[:, None]
-    e1 = alpha1 + (1.0 + alpha1) * np.expm1(-2.0 * k / a)
-    e2 = alpha2 + (1.0 + alpha2) * np.expm1(k / a)
-    e3 = alpha1 + (1.0 + alpha1) * np.expm1(-k / a)
-    w = k + np.concatenate((j[:1] - 1, j))
-    x = d * (w * w) / (4.0 * a)
-    shifted = np.exp(x) + 1.0
+    ratios = alpha1_plus1 * np.expm1(-2.0 * k / a)
+    np.add(alpha1, ratios, out=ratios)  # E1
+    factor = alpha2_plus1 * np.expm1(k / a)
+    np.add(alpha2, factor, out=factor)  # E2
+    ratios *= factor
+    np.multiply(alpha1_plus1, np.expm1(-k / a), out=factor)
+    np.add(alpha1, factor, out=factor)  # E3
+    factor *= alpha2  # E3*alpha2
+    x = k + m
+    x *= x
+    np.multiply(d, x, out=x)
+    x /= 4.0 * a
+    shifted = np.exp(x)
+    shifted += 1.0
     above, below = shifted[:, :-1], shifted[:, 1:]
     over = x.real > _GAUSS_GUARD
     if over.any():
         guard = over[:, :-1] | over[:, 1:]
         above = np.where(guard, np.exp(x[:, :-1] - x[:, 1:]), above)
         below = np.where(guard, 1.0, below)
-    return (e1 * e2 * above) / (e3 * alpha2 * below)
+    ratios *= above  # E1*E2*G_{j-1}
+    factor *= below  # E3*alpha2*G_j
+    ratios /= factor
+    return ratios
 
 
 def evaluate(params: SharpParams, points: np.ndarray) -> np.ndarray:
     """Truncated series values (term 0 = 1, n_terms terms in total) at a 1-D
     array of points, each bitwise the value the point alone gives.
 
-    The points go through the kernel in blocks of _POINT_BLOCK.  Term j is
-    the running product of the first j term ratios, so each sum is one
-    cumulative product over j = 1..n_terms-1.  Evaluation is permitted on
-    Im k in [-epsilon, 3*epsilon]: slightly beyond the strip, so contour
-    rectangles around zeros near the strip edges fit.  A failed check names
-    the first offending point.
+    The points go through the kernel in the fewest blocks of at most
+    _POINT_BLOCK + 1 points, of near-equal size, so a contour pass's 4c
+    samples and its centre make ceil(c/2) blocks.  Term j is the running
+    product of the first j term ratios, so each sum is one cumulative
+    product over j = 1..n_terms-1.  Evaluation is permitted on Im k in
+    [-epsilon, 3*epsilon]: slightly beyond the strip, so contour rectangles
+    around zeros near the strip edges fit.  A failed check names the first
+    offending point.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 1:
@@ -181,15 +213,15 @@ def evaluate(params: SharpParams, points: np.ndarray) -> np.ndarray:
         raise RangeUnsupported(
             f"Im k = {bad.imag:g} outside evaluation band [{-eps:g}, {3 * eps:g}]"
         )
-    a, d, j = params.a, params.d, np.arange(1, params.n_terms)
+    a, d, rows = params.a, params.d, params._series_rows()
+    count = len(points)
+    blocks = max(1, -(-(count - 1) // _POINT_BLOCK))  # ceil((count-1)/_POINT_BLOCK)
+    edges = [-(-i * count // blocks) for i in range(blocks + 1)]  # ceil(i*count/blocks)
+    values = np.empty(count, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.concatenate([
-            1.0 + np.cumprod(
-                _term_ratios(a, d, points[start:start + _POINT_BLOCK], j), axis=1
-            ).sum(axis=1)
-            # an empty input still makes one (empty) block
-            for start in range(0, max(len(points), 1), _POINT_BLOCK)
-        ])
+        for start, stop in zip(edges, edges[1:]):
+            ratios = _term_ratios(a, d, points[start:stop], rows)
+            values[start:stop] = 1.0 + np.cumprod(ratios, axis=1, out=ratios).sum(axis=1)
     overflowed = ~np.isfinite(values)
     if overflowed.any():
         bad = complex(points[np.argmax(overflowed)])

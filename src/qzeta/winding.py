@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import sub, truediv
 from typing import Callable
 
+from ._record import Record, Value
 from .errors import EVALUATION_FAULTS, NonFiniteResult, ZeroOnContour
 
 __all__ = [
@@ -53,17 +53,17 @@ _MAX_DEPTH = 3
 _GRID = 2**_MAX_DEPTH  # integer sample offsets per parameter interval
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Value):
     """Axis-aligned rectangle: center, half-width rd, half-height rad."""
 
-    center: complex
-    rd: float
-    rad: float
+    __slots__ = __match_args__ = ("center", "rd", "rad")
 
-    def __post_init__(self):
-        if not (self.rd > 0 and self.rad > 0):
+    def __init__(self, center: complex, rd: float, rad: float):
+        if not (rd > 0 and rad > 0):
             raise ValueError("rectangle half-dimensions must be positive")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "rd", rd)
+        object.__setattr__(self, "rad", rad)
 
     def corners(self) -> tuple[complex, complex, complex, complex]:
         zn, rd, rad = self.center, self.rd, self.rad
@@ -82,8 +82,7 @@ class Rectangle:
         )
 
 
-@dataclass
-class BoundaryTrace:
+class BoundaryTrace(Record):
     """Counterclockwise boundary samples with unwrapped angles.
 
     ``positions`` is shared by all four sides: the ascending sample
@@ -98,13 +97,19 @@ class BoundaryTrace:
     estimate.
     """
 
-    rect: Rectangle
-    c: int
-    positions: list[int]
-    points: list[complex]
-    samples: list[complex]
-    angles: list[float]
-    closing_angle: float
+    __slots__ = __match_args__ = (
+        "rect", "c", "positions", "points", "samples", "angles", "closing_angle",
+    )
+
+    def __init__(self, rect: Rectangle, c: int, positions: list[int], points: list[complex],
+                 samples: list[complex], angles: list[float], closing_angle: float):
+        self.rect = rect
+        self.c = c
+        self.positions = positions
+        self.points = points
+        self.samples = samples
+        self.angles = angles
+        self.closing_angle = closing_angle
 
     @property
     def winding(self) -> float:
@@ -279,21 +284,26 @@ def moment_zero_estimate(trace: BoundaryTrace) -> complex:
     return zn + total / (2j * math.pi)
 
 
-@dataclass
-class IntegrationResult:
+class IntegrationResult(Record):
     """One contour integration: winding defect, gap metric, zero estimate,
     residual ratio against the rectangle center, and the refined trace."""
 
-    # 1 minus the discrete winding count, 0 for one enclosed simple zero;
-    # left unrounded, as its distance from an integer is a quadrature
-    # diagnostic
-    char: float
-    fo: int  # gap metric of the display rows' (four-side summed) angles
-    z_estimate: complex
-    trace: BoundaryTrace
-    abs_center: float
-    # f(z_estimate); None on an evaluation fault or |f| past the float range
-    value_estimate: complex | None
+    __slots__ = __match_args__ = (
+        "char", "fo", "z_estimate", "trace", "abs_center", "value_estimate",
+    )
+
+    def __init__(self, char: float, fo: int, z_estimate: complex, trace: BoundaryTrace,
+                 abs_center: float, value_estimate: complex | None):
+        # 1 minus the discrete winding count, 0 for one enclosed simple zero;
+        # left unrounded, as its distance from an integer is a quadrature
+        # diagnostic
+        self.char = char
+        self.fo = fo  # gap metric of the display rows' (four-side summed) angles
+        self.z_estimate = z_estimate
+        self.trace = trace
+        self.abs_center = abs_center
+        # f(z_estimate); None on an evaluation fault or |f| past the float range
+        self.value_estimate = value_estimate
 
     @property
     def abs_estimate(self) -> float:

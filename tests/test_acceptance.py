@@ -33,7 +33,7 @@ from qzeta import (
     select_truncation,
     zeta_plus_triple,
 )
-from qzeta.series import _term_ratios
+from qzeta.series import _index_rows, _term_ratios
 
 # 45-digit zeros of the truncated series at the paper's parameters
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
@@ -70,7 +70,8 @@ def _truncation_shift_bound(rect, b):
         for t in (0.0, 0.5)
     ])
     # term j is the running product of the ratios 1..j; S_B sums terms 0..B-1
-    terms = np.cumprod(_term_ratios(750.0, 2.0, points, np.arange(1, n + 50)), axis=1)
+    rows = _index_rows(750.0, np.arange(1, n + 50))
+    terms = np.cumprod(_term_ratios(750.0, 2.0, points, rows), axis=1)
     sums = 1.0 + np.cumsum(terms, axis=1)
     s_short, total = sums[:, n - 2], sums[:, -1]
     tail = float(np.max(np.abs(s_short - total) / np.abs(total)))

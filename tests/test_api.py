@@ -35,15 +35,11 @@ assert len(records) == len(inputs)
 SUBMODULES = ["errors", "special", "series", "winding", "search", "pipeline", "report"]
 
 
-def _numpy_after(script: str, block_numpy: bool) -> str:
-    """Run script in a fresh interpreter and return what it left under
-    sys.modules["numpy"]; with block_numpy, any numpy import raises."""
-    prologue = "import sys\n"
-    if block_numpy:
-        prologue += 'sys.modules["numpy"] = None\n'
-    epilogue = '\nprint(repr(sys.modules.get("numpy", "absent")))\n'
+def _last_line(script: str) -> str:
+    """Run script in a fresh interpreter (sys imported) and return the last
+    line it printed."""
     process = subprocess.run(
-        [sys.executable, "-c", prologue + script + epilogue],
+        [sys.executable, "-c", "import sys\n" + script],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
@@ -51,6 +47,14 @@ def _numpy_after(script: str, block_numpy: bool) -> str:
     )
     assert process.returncode == 0, process.stderr
     return process.stdout.strip().splitlines()[-1]
+
+
+def _numpy_after(script: str, block_numpy: bool) -> str:
+    """Run script in a fresh interpreter and return what it left under
+    sys.modules["numpy"]; with block_numpy, any numpy import raises."""
+    prologue = 'sys.modules["numpy"] = None\n' if block_numpy else ""
+    epilogue = '\nprint(repr(sys.modules.get("numpy", "absent")))\n'
+    return _last_line(prologue + script + epilogue)
 
 
 @pytest.mark.parametrize("block_numpy", [False, True])
@@ -61,6 +65,20 @@ def _numpy_after(script: str, block_numpy: bool) -> str:
 )
 def test_contour_engine_loads_no_numpy(script, block_numpy):
     assert _numpy_after(script, block_numpy) == ("None" if block_numpy else "'absent'")
+
+
+def _loads(script: str, module: str) -> bool:
+    """Whether script, run in a fresh interpreter, leaves module loaded."""
+    return _last_line(f"{script}print({module!r} in sys.modules)\n") == "True"
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "csv"])
+def test_cli_import_loads_no_generated_records_or_csv(module):
+    # the CLI's record classes are written out, and csv loads only with the
+    # CSV report; a module that numpy itself loads cannot be checked
+    if _loads("import numpy\n", module):
+        pytest.skip(f"import numpy alone loads {module}")
+    assert not _loads("import qzeta.cli\n", module)
 
 
 def test_series_still_loads_numpy():
@@ -148,3 +166,54 @@ def test_no_name_is_declared_by_two_submodules():
     ]
     assert len(set(declared)) == len(declared)
     assert sorted(qzeta.__all__) == sorted(["BACKEND", "__version__", *declared])
+
+
+# Each value type: every field in signature order, a change to one field,
+# and invalid fields with today's message.
+VALUE_TYPES = [
+    ("Rectangle", dict(center=1 + 2j, rd=0.5, rad=0.25), dict(rad=0.3), [
+        (dict(rd=0.0), "rectangle half-dimensions must be positive"),
+        (dict(rad=-1.0), "rectangle half-dimensions must be positive"),
+    ]),
+    ("SharpParams", dict(a=750.0, d=2.0, b=15), dict(b=20), [
+        (dict(a=-1.0), "a must be positive and finite"),
+        (dict(d=float("inf")), "d must be positive and finite"),
+        (dict(b=0), "b must be a positive integer"),
+        (dict(a=1.0, d=4.0, b=1), "truncation b*sqrt(a/d) keeps no terms"),
+        (dict(a=1e12, d=1.0, b=5), "truncation b*sqrt(a/d) keeps more than 100000 terms"),
+    ]),
+    ("RunConfig",
+     dict(a=500.0, d=3.0, y_max=30.0, y_list=None, poly_coefficients=(), c=5), dict(c=6), [
+         (dict(y_max=None), "exactly one of y_max / y_list must be set"),
+         (dict(poly_coefficients=(1j,)), "polynomial target needs at least two coefficients"),
+         (dict(poly_coefficients=(1j, float("nan"))), "polynomial coefficients must be finite"),
+         (dict(a=0.0), "a and d must be positive and finite"),
+         (dict(d=float("inf")), "a and d must be positive and finite"),
+         (dict(y_max=101.0), "y_max must be in (0, 100]"),
+         (dict(y_max=None, y_list=(14.1, -1.0)),
+          "every seed ordinate y must be positive and finite"),
+         (dict(c=2), "c must be 3 or more points per side"),
+     ]),
+    ("Seed", dict(index=2, y=21.0, za=0.35 + 21.08j, b=15, reason=None), dict(reason="r"), []),
+]
+
+
+@pytest.mark.parametrize("name,fields,change,invalid", VALUE_TYPES,
+                         ids=[v[0] for v in VALUE_TYPES])
+def test_value_type_equality_repr_immutability_and_validation(name, fields, change, invalid):
+    cls = getattr(qzeta, name)
+    value = cls(**fields)
+    twin = cls(*fields.values())  # the same fields, by position
+    assert value == twin and hash(value) == hash(twin)
+    assert value != cls(**{**fields, **change})
+    text = repr(value)
+    assert text.startswith(f"{name}(") and text.endswith(")")
+    for field in fields:
+        assert f"{field}={getattr(value, field)!r}" in text
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert value == twin and hash(value) == hash(twin)
+    for bad, message in invalid:
+        with pytest.raises(ValueError) as error:
+            cls(**{**fields, **bad})
+        assert str(error.value) == message

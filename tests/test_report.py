@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 
@@ -7,6 +6,8 @@ import pytest
 
 from qzeta import (
     RunConfig,
+    RunResult,
+    ZeroRecord,
     execute,
     emit_json,
     emit_plot_data,
@@ -165,8 +166,12 @@ class TestStoppedSearchReason:
 
     def test_reason_only_where_set(self, one_zero_run):
         reason = "RangeUnsupported: Im k = 9 outside evaluation band [-1, 3]"
-        record = dataclasses.replace(one_zero_run.records[0], reason=reason)
-        stopped = dataclasses.replace(one_zero_run, records=[record])
+        found = one_zero_run.records[0]
+        record = ZeroRecord(z=found.z, de=found.de, vv_final=found.vv_final,
+                            verdict=found.verdict, newton_applied=found.newton_applied,
+                            trace_log=found.trace_log, reason=reason)
+        stopped = RunResult(config=one_zero_run.config, seeds=one_zero_run.seeds,
+                            records=[record])
         assert emit_text_report(stopped) == (
             emit_text_report(one_zero_run) + f"  reason: {reason}\n"
         )

@@ -23,7 +23,7 @@ from qzeta import (
     plan_seeds,
     select_truncation,
 )
-from qzeta.series import MAX_SERIES_TERMS, _term_ratios
+from qzeta.series import MAX_SERIES_TERMS, _index_rows, _term_ratios
 
 # the series in mpmath, as the benchmark's oracle fixture builds it
 _spec = importlib.util.spec_from_file_location(
@@ -89,6 +89,14 @@ class TestSharpParams:
         with pytest.raises(ValueError):
             SharpParams(750.0, 2.0, 0)
 
+    def test_index_rows_are_not_a_field(self):
+        # the kernel's index rows, built on the first evaluation, leave
+        # equality, hash and repr as they were
+        used, fresh = SharpParams(750.0, 2.0, 15), SharpParams(750.0, 2.0, 15)
+        used(0.5 + 14j)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "SharpParams(a=750.0, d=2.0, b=15)"
+
     def test_term_cap(self):
         # sqrt(a/d) = 20000 exactly, so b = 5 keeps exactly the cap
         a = (MAX_SERIES_TERMS / 5) ** 2
@@ -103,7 +111,8 @@ def term_ratio(p, k, j):
     """The update from series term j-1 to term j at the point k, from
     ``_term_ratios``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(_term_ratios(p.a, p.d, np.array([complex(k)]), np.array([j]))[0, 0])
+        rows = _index_rows(p.a, np.array([j]))
+        return complex(_term_ratios(p.a, p.d, np.array([complex(k)]), rows)[0, 0])
 
 
 class TestTermRatio:
