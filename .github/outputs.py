@@ -129,6 +129,29 @@ def _regimes():
             yield [run, seed.index, r.verdict.value, len(r.trace_log), r.reason]
 
 
+# the command lines of tests/test_cli.py::test_config_error_exit_two: values
+# that RunConfig rejects, then a bad type, a bad target and a seed-flag clash
+BAD_COMMAND_LINES = [
+    "--y 0", "--y -5", "--c 2", "--d 0", "--a inf", "--y-max 0", "--y-max -3", "--y-max nan",
+    "--y-max inf", "--y-max 150", "--target poly:1 --y 2", "--c 65", "--target poly:inf,1 --y 2",
+    "--target poly:1,nan --y 2",
+    "--c two", "--c 9,6", "--target spline", "--target poly:one,two", "--y 14.2 --y-max 30",
+]
+
+
+def _bad_command_lines():
+    """Each bad command line's exit status, whether argparse exits or ``main``
+    returns it, and its last stderr line."""
+    for flags in BAD_COMMAND_LINES:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                status = cli.main(flags.split())
+            except SystemExit as exc:
+                status = exc.code
+        yield [flags, status, err.getvalue().splitlines()[-1]]
+
+
 JSON_PARTS = [
     ("", "zeros"),
     ("", "config"),
@@ -154,6 +177,7 @@ SECTIONS = [
      "in calls of 17 and of 8 and alone", _series),
     ("generic records and integrations (`workloads.generic_inputs(1)`)", _generic),
     ("verdicts on the regime grid, per zero", _regimes),
+    ("bad command lines: exit status and last stderr line", _bad_command_lines),
 ]
 
 

@@ -2,7 +2,9 @@
 
 With no flags, reproduces the reference nine-zero run (a=750, d=2, seeds up
 to y=48.5406, opening density c=4) and prints the classic text traces.
-Exit status: 0 on success, 1 when any zero ends failed, 2 on usage errors.
+Exit status: 0 on success, 1 when any zero ends failed or the run raises a
+package error, 2 on a bad command line (argparse's usage error) or an
+unwritable --out.
 """
 
 from __future__ import annotations
@@ -10,12 +12,26 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import QZetaError, UsageError
-from .pipeline import PAPER_Y_MAX, RunConfig, execute
+from .errors import QZetaError
+from .pipeline import RunConfig, execute
 from .report import emit_json, emit_plot_data, emit_text_report
 from .search import Verdict
 
 __all__ = ["build_parser", "parse_cli", "main"]
+
+
+def _target_coefficients(text: str) -> tuple[complex, ...]:
+    """--target -> the polynomial coefficients of the target; none for the
+    series."""
+    if text == "sharp":
+        return ()
+    if text.startswith("poly:"):
+        body = text[len("poly:"):]
+        try:
+            return tuple(complex(part) for part in body.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad polynomial coefficients {body!r}") from None
+    raise argparse.ArgumentTypeError(f"unknown target {text!r} (use 'sharp' or 'poly:...')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,69 +45,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--a", type=float, default=defaults.a, help="deformation scale (q = exp(-1/a))")
     parser.add_argument("--d", type=float, default=defaults.d, help="Gaussian damping")
-    parser.add_argument("--y-max", type=float, default=None,
-                        help=f"seed all classical zeros up to this ordinate (default {PAPER_Y_MAX:g})")
-    parser.add_argument("--y", type=float, action="append", default=None,
-                        help="explicit seed ordinate (repeatable; overrides --y-max)")
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--y-max", type=float, default=defaults.y_max,
+                       help="seed all classical zeros up to this ordinate (default %(default)g)")
+    seeds.add_argument("--y", type=float, action="append", default=None,
+                       help="explicit seed ordinate (repeatable)")
     parser.add_argument("--c", type=int, default=defaults.c,
                         help="opening points per rectangle side, 3 to 64, escalated by 1.5 "
                              "and 2.25 for the later variants (4 gives 4,6,9)")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--target", default="sharp",
+    parser.add_argument("--target", type=_target_coefficients, default="sharp",
                         help="'sharp' or 'poly:<comma-separated complex coefficients>'")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
 
 
-def _parse_target(text: str) -> tuple[complex, ...]:
-    """The polynomial coefficients of a target; none for the series."""
-    if text == "sharp":
-        return ()
-    if text.startswith("poly:"):
-        body = text[len("poly:"):]
-        try:
-            coefficients = tuple(complex(part) for part in body.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad polynomial coefficients {body!r}") from exc
-        return coefficients
-    raise UsageError(f"unknown target {text!r} (use 'sharp' or 'poly:...')")
-
-
 def parse_cli(argv: list[str] | None = None) -> tuple[RunConfig, argparse.Namespace]:
     """argv -> (RunConfig, parsed arguments); the caller reads the output
-    options ``format`` and ``out`` from the arguments.
-    Raises UsageError on bad values."""
+    options ``format`` and ``out`` from the arguments.  A bad command line
+    ends in argparse's usage error: SystemExit with status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    coefficients = _parse_target(args.target)
     try:
-        if args.y is not None and args.y_max is not None:
-            raise UsageError("--y and --y-max are mutually exclusive")
-        if args.y is not None:
-            y_max, y_list = None, tuple(args.y)
-        else:
-            y_max = args.y_max if args.y_max is not None else PAPER_Y_MAX
-            y_list = None
-        config = RunConfig(
-            a=args.a,
-            d=args.d,
-            y_max=y_max,
-            y_list=y_list,
-            poly_coefficients=coefficients,
-            c=args.c,
-        )
+        config = RunConfig(a=args.a, d=args.d,
+                           y_max=args.y_max if args.y is None else None,
+                           y_list=None if args.y is None else tuple(args.y),
+                           poly_coefficients=args.target, c=args.c)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        parser.error(str(exc))
     return config, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        config, args = parse_cli(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config, args = parse_cli(argv)
     try:
         result = execute(config)
     except QZetaError as exc:

@@ -2,7 +2,7 @@
 
 __all__ = [
     "QZetaError", "RangeUnsupported", "DegenerateDenominator", "NonFiniteResult",
-    "DerivativeNearZero", "ZeroOnContour", "UsageError",
+    "DerivativeNearZero", "ZeroOnContour",
 ]
 
 
@@ -29,10 +29,6 @@ class DerivativeNearZero(QZetaError):
 class ZeroOnContour(QZetaError):
     """|f| fell below the contour floor at a boundary sample; the rectangle
     must be perturbed before integrating."""
-
-
-class UsageError(QZetaError):
-    """Bad command-line arguments (exit status 2)."""
 
 
 # What a function under search may raise that the search records: a point

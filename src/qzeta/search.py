@@ -32,13 +32,8 @@ __all__ = [
     "Assessment",
     "Verdict",
     "escalation_schedule",
-    "SearchState",
     "IntegrationAttempt",
     "ZeroRecord",
-    "initial_rectangle",
-    "assess",
-    "step_policy",
-    "newton_refine",
     "run_variants",
 ]
 

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import QZetaError, RangeUnsupported
 
 __all__ = [
-    "REFERENCE_ZEROS",
     "zeta_plus_triple",
     "hardy_z",
     "classical_zeros",

@@ -35,8 +35,6 @@ __all__ = [
     "Rectangle",
     "BoundaryTrace",
     "IntegrationResult",
-    "fo_from_angles",
-    "moment_zero_estimate",
     "integrate",
 ]
 

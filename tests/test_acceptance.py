@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from qzeta import (
-    REFERENCE_ZEROS,
     Rectangle,
     RunConfig,
     SharpParams,
@@ -29,11 +28,12 @@ from qzeta import (
     execute,
     integrate,
     linear_approximation,
-    moment_zero_estimate,
     select_truncation,
     zeta_plus_triple,
 )
 from qzeta.series import _index_rows, _term_ratios
+from qzeta.special import REFERENCE_ZEROS
+from qzeta.winding import moment_zero_estimate
 
 # 45-digit zeros of the truncated series at the paper's parameters
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"

@@ -168,6 +168,24 @@ def test_no_name_is_declared_by_two_submodules():
     assert sorted(qzeta.__all__) == sorted(["BACKEND", "__version__", *declared])
 
 
+# The search's and the contour engine's steps, and the reference ordinates:
+# their tests import them from the submodule that defines them.
+SUBMODULE_ONLY = {
+    "winding": ["fo_from_angles", "moment_zero_estimate"],
+    "search": ["SearchState", "assess", "step_policy", "newton_refine", "initial_rectangle"],
+    "special": ["REFERENCE_ZEROS"],
+}
+
+
+def test_package_exports_only_what_its_callers_use():
+    assert len(qzeta.__all__) == 36
+    for module, names in SUBMODULE_ONLY.items():
+        submodule = importlib.import_module(f"qzeta.{module}")
+        for name in names:
+            assert hasattr(submodule, name) and name not in submodule.__all__, name
+            assert not hasattr(qzeta, name), name
+
+
 # Each value type: every field in signature order, a change to one field,
 # and invalid fields with today's message.
 VALUE_TYPES = [
@@ -208,10 +226,15 @@ def test_value_type_equality_repr_immutability_and_validation(name, fields, chan
     assert value != cls(**{**fields, **change})
     text = repr(value)
     assert text.startswith(f"{name}(") and text.endswith(")")
+    # another class with the same fields is never equal, not even a tuple
+    assert value.__eq__(tuple(fields.values())) is NotImplemented
+    assert value != tuple(fields.values())
     for field in fields:
         assert f"{field}={getattr(value, field)!r}" in text
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
     assert value == twin and hash(value) == hash(twin)
     for bad, message in invalid:
         with pytest.raises(ValueError) as error:

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import qzeta
+import qzeta.cli
 import qzeta.pipeline
-from qzeta import RangeUnsupported, UsageError
+from qzeta import QZetaError, RangeUnsupported
 from qzeta.cli import build_parser, main, parse_cli
 from qzeta.search import escalation_schedule
 
@@ -15,6 +16,21 @@ from qzeta.search import escalation_schedule
 def _reject(constant):
     """parse_constant for strict JSON, which has no NaN or Infinity."""
     raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def _usage_error(run, argv, capsys):
+    """run(argv) ends in argparse's usage error: exit status 2, nothing on
+    stdout, and on stderr the usage line, then ``qzeta: error: ...``.
+    Returns that last line."""
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qzeta ") and "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("qzeta: error: ")
+    return last
 
 
 def _planning_failed(argv, reason):
@@ -88,26 +104,28 @@ class TestParsing:
         assert config.c == 6
         assert escalation_schedule(config.c) == (6, 9, 14)
 
-    def test_bad_target(self):
-        with pytest.raises(UsageError):
-            parse_cli(["--target", "spline"])
-        with pytest.raises(UsageError):
-            parse_cli(["--target", "poly:one,two"])
-        with pytest.raises(UsageError, match="two coefficients"):
-            parse_cli(["--target", "poly:1", "--y", "1"])
+    def test_bad_target(self, capsys):
+        assert _usage_error(parse_cli, ["--target", "spline"], capsys) == (
+            "qzeta: error: argument --target: unknown target 'spline' (use 'sharp' or 'poly:...')"
+        )
+        assert _usage_error(parse_cli, ["--target", "poly:one,two"], capsys) == (
+            "qzeta: error: argument --target: bad polynomial coefficients 'one,two'"
+        )
+        assert "two coefficients" in _usage_error(parse_cli, ["--target", "poly:1", "--y", "1"],
+                                                  capsys)
 
-    def test_bad_schedule(self):
+    def test_bad_schedule(self, capsys):
         # --c takes one integer density
         for c in ("9,6", "4,,6", "four", ""):
             with pytest.raises(SystemExit) as info:
                 parse_cli(["--c", c])
             assert info.value.code == 2
-        with pytest.raises(UsageError, match="3 or more"):
-            parse_cli(["--c", "2"])
+        assert "3 or more" in _usage_error(parse_cli, ["--c", "2"], capsys)
 
-    def test_seed_flags_are_exclusive(self):
-        with pytest.raises(UsageError):
-            parse_cli(["--y", "14.2", "--y-max", "30"])
+    def test_seed_flags_are_exclusive(self, capsys):
+        assert _usage_error(parse_cli, ["--y", "14.2", "--y-max", "30"], capsys) == (
+            "qzeta: error: argument --y-max: not allowed with argument --y"
+        )
 
 
 class TestMain:
@@ -140,21 +158,30 @@ class TestMain:
         assert not path.parent.exists()
 
     def test_usage_error_exit_two(self, capsys):
-        assert main(["--target", "spline"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "unknown target" in _usage_error(main, ["--target", "spline"], capsys)
+
+    def test_run_error_exit_one(self, monkeypatch, capsys):
+        def failing(config):
+            raise QZetaError("x")
+
+        monkeypatch.setattr(qzeta.cli, "execute", failing)
+        assert main(["--y-max", "15"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: x\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
         [["--y", "0"], ["--y", "-5"], ["--c", "2"], ["--d", "0"], ["--a", "inf"],
          ["--y-max", "0"], ["--y-max", "-3"], ["--y-max", "nan"], ["--y-max", "inf"],
          ["--y-max", "150"], ["--target", "poly:1", "--y", "2"], ["--c", "65"],
-         ["--target", "poly:inf,1", "--y", "2"], ["--target", "poly:1,nan", "--y", "2"]],
+         ["--target", "poly:inf,1", "--y", "2"], ["--target", "poly:1,nan", "--y", "2"],
+         # a bad type, a bad target and a seed-flag clash end the same way
+         ["--c", "two"], ["--c", "9,6"], ["--target", "spline"], ["--target", "poly:one,two"],
+         ["--y", "14.2", "--y-max", "30"]],
     )
     def test_config_error_exit_two(self, argv, capsys):
-        assert main(argv + ["--format", "csv"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "Traceback" not in err
+        _usage_error(main, argv + ["--format", "csv"], capsys)
 
     def test_non_finite_prediction_exit_one(self):
         # at a=1e308 the first-order correction's denominator overflows

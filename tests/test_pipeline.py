@@ -15,12 +15,11 @@ from qzeta import (
     RunConfig,
     emit_json,
     execute,
-    initial_rectangle,
     linear_approximation,
     plan_seeds,
     select_truncation,
 )
-from qzeta.search import KAPPA
+from qzeta.search import KAPPA, initial_rectangle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -13,6 +13,7 @@ from qzeta import (
     emit_plot_data,
     emit_text_report,
 )
+from qzeta.report import _char_str
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,17 @@ class TestTextReport:
         assert abs(record.z - (1 + 2j)) < 1e-6
         text = emit_text_report(poly_run)
         assert "1.0000 + 2.0000 I" in text
+
+    @pytest.mark.parametrize(
+        "value,shown",
+        [(0.0, "0."), (1e-10, "0."), (1.0 - 5e-10, "1."), (-1.0 + 5e-10, "-1."), (2.0, "2."),
+         (0.3, "0.3"), (1.0 + 2e-9, "1"), (float("nan"), "nan"), (float("inf"), "inf"),
+         (float("-inf"), "-inf")],
+    )
+    def test_winding_defect_listing(self, value, shown):
+        # within 1e-9 of an integer the classic "1." form; otherwise, and
+        # when the defect is not finite, six significant digits
+        assert _char_str(value) == shown
 
 
 class TestJson:

@@ -11,20 +11,22 @@ from qzeta import (
     RangeUnsupported,
     Rectangle,
     RunConfig,
-    SearchState,
     Verdict,
-    assess,
     classical_zeros,
     execute,
-    initial_rectangle,
     integrate,
-    newton_refine,
     plan_seeds,
     run_variants,
-    step_policy,
 )
 from qzeta.pipeline import PAPER_Y_MAX
-from qzeta.search import escalation_schedule
+from qzeta.search import (
+    SearchState,
+    assess,
+    escalation_schedule,
+    initial_rectangle,
+    newton_refine,
+    step_policy,
+)
 
 
 def product_of_roots(roots):

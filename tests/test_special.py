@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from qzeta import (
     QZetaError,
     RangeUnsupported,
-    REFERENCE_ZEROS,
     classical_zeros,
     hardy_z,
     zeta_plus_triple,
 )
 import qzeta.special as special
-from qzeta.special import _B_OVER_FACT, _BERNOULLI, _gram_points, _siegel_theta
+from qzeta.special import REFERENCE_ZEROS, _B_OVER_FACT, _BERNOULLI, _gram_points, _siegel_theta
 
 # High-precision oracle values, frozen from a 40-digit termwise series
 # computation (mpmath) before the implementation existed.

@@ -12,11 +12,9 @@ from qzeta import (
     Rectangle,
     SharpParams,
     ZeroOnContour,
-    fo_from_angles,
     integrate,
-    moment_zero_estimate,
 )
-from qzeta.winding import _MAX_DEPTH, _traced
+from qzeta.winding import _MAX_DEPTH, _traced, fo_from_angles, moment_zero_estimate
 
 
 def poly_from_roots(roots, scale=1.0):
