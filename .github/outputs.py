@@ -66,6 +66,23 @@ def _plans():
         yield [a, d, list(map(_shown, qzeta.select_truncation(a, d, tops)))]
 
 
+def _planning_rule():
+    """Per planning call, its entries or the error that fails the whole call:
+    a failed top passes through ``select_truncation``, and an argument no
+    seed could have raises."""
+    failed = qzeta.RangeUnsupported("planned")
+    show = lambda v: [v.real.hex(), v.imag.hex()] if isinstance(v, complex) else v  # noqa: E731
+    for step, args in [(qzeta.select_truncation, (750.0, 2.0, [14.15, failed, 37.0])),
+                       (qzeta.select_truncation, (-1.0, 2.0, [1.0])),
+                       (qzeta.select_truncation, (750.0, 2.0, [float("inf")])),
+                       (qzeta.linear_approximation, ([14.1347, 0.0], 750.0, 2.0))]:
+        try:
+            entries = [_shown(entry, show) for entry in step(*args)]
+        except Exception as exc:  # listed as the call's row
+            entries = _shown(exc)
+        yield [step.__name__, repr(args), entries]
+
+
 def _hardy_z():
     grid = [5.0 + 195.0 * i / 399 for i in range(400)]
     columns = [[z for i in range(0, 400, size) for z in qzeta.hardy_z(grid[i:i + size]).tolist()]
@@ -129,8 +146,8 @@ def _regimes():
             yield [run, seed.index, r.verdict.value, len(r.trace_log), r.reason]
 
 
-# the command lines of tests/test_cli.py::test_config_error_exit_two: values
-# that RunConfig rejects, then a bad type, a bad target and a seed-flag clash
+# values that RunConfig rejects, then a bad type, a bad target and a
+# seed-flag clash; tests/test_cli.py::test_config_error_exit_two runs each
 BAD_COMMAND_LINES = [
     "--y 0", "--y -5", "--c 2", "--d 0", "--a inf", "--y-max 0", "--y-max -3", "--y-max nan",
     "--y-max inf", "--y-max 150", "--target poly:1 --y 2", "--c 65", "--target poly:inf,1 --y 2",
@@ -171,6 +188,7 @@ SECTIONS = [
     ("`qzeta`, the text report", _cli),
     ("`qzeta --a 2000`, the text report", functools.partial(_cli, "--a", "2000")),
     ("seed plans and `select_truncation` outcomes", _plans),
+    ("planning rule: a failed entry passes through, a bad argument raises", _planning_rule),
     ("`hardy_z` on 400 ordinates, in one block, in blocks of 7 and alone", _hardy_z),
     ("`zeta_plus_triple` on 206 ordinates, in one batch and alone", _triple),
     ("`series.evaluate` at a = 750, d = 2, b = 15 and 20 on 37 points, in one call, "

@@ -97,13 +97,14 @@ class _Polynomial:
 
 
 def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
-    """Resolve the seed list and one evaluator per seed.  A series seed is
-    not searched, and has a ``reason`` and no evaluator, when its
-    prediction, its search region's top or its truncation raised a package
-    error (the first of these; an unknown prediction reads nan and ``b`` is
-    unset) or when its prediction lies on or above the pole line.  All
-    seeds are predicted in one ``linear_approximation`` call and truncated
-    in one ``select_truncation`` call."""
+    """Resolve the seed list and one evaluator per seed.  Each planning step
+    (prediction, search-region top, truncation) gives a seed its result or
+    the ``QZetaError`` it alone raised, which passes through the later
+    steps.  A series seed is not searched, and has a ``reason`` and no
+    evaluator, when a step failed (the first failure; an unknown prediction
+    reads nan and ``b`` is unset) or when its prediction lies on or above
+    the pole line.  All seeds are predicted in one ``linear_approximation``
+    call and truncated in one ``select_truncation`` call."""
     if config.y_list is not None:
         ys = list(config.y_list)
     else:
@@ -117,11 +118,11 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
             functions.append(f)
         return seeds, functions
     a, d = config.a, config.d
-    zas = linear_approximation(ys, a, d)  # a prediction or an error per seed
+    zas = linear_approximation(ys, a, d)
     tops = []  # the top of each seed's search region, or its planning error
     for y, za in zip(ys, zas):
         top = za
-        if not isinstance(za, Exception):
+        if not isinstance(za, QZetaError):
             rect = initial_rectangle(za, y)
             top = rect.center.imag + rect.rd
             if not top > 0:
@@ -130,16 +131,10 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
                     f"region at Im k = {top:g}, not above the real axis"
                 )
         tops.append(top)
-    # a seed that already failed passes nan; its first failure outranks
-    # the error that nan gets
-    bs = select_truncation(a, d, [math.nan if isinstance(t, Exception) else t for t in tops])
-    for i, (y, za, top, b) in enumerate(zip(ys, zas, tops, bs), start=1):
-        error = top if isinstance(top, Exception) else b  # the seed's first failure
+    for i, (y, za, b) in enumerate(zip(ys, zas, select_truncation(a, d, tops)), start=1):
         f, reason = None, None
-        if isinstance(error, QZetaError):
-            b, reason = None, f"{type(error).__name__}: {error}"
-        elif isinstance(error, Exception):
-            raise error
+        if isinstance(b, QZetaError):  # the seed's first failure
+            b, reason = None, f"{type(b).__name__}: {b}"
         else:
             params = SharpParams(a, d, b)
             if za.imag < params.pole_line:
@@ -147,7 +142,7 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
             else:
                 reason = (f"prediction {za!r} lies on or above the pole line "
                           f"Im k = 2*eps = {params.pole_line:g}")
-        if isinstance(za, Exception):
+        if isinstance(za, QZetaError):
             za = complex(math.nan, math.nan)
         seeds.append(Seed(index=i, y=y, za=za, b=b, reason=reason))
         functions.append(f)
@@ -156,13 +151,10 @@ def plan_seeds(config: RunConfig) -> tuple[list[Seed], list]:
 
 def execute(config: RunConfig) -> RunResult:
     """Search every seed that planning gave no reason to skip, to a
-    verdict.  A seed fails, with the reason, and the other seeds keep
-    theirs, when planning skipped it (without a search) or when its series
-    zero concludes outside the search strip."""
+    verdict, one seed at a time.  A seed fails, with the reason, and the
+    other seeds keep theirs, when planning skipped it (without a search)
+    or when its series zero concludes outside the search strip."""
     seeds, functions = plan_seeds(config)
-    todo = [i for i, seed in enumerate(seeds) if seed.reason is None]
-    searched = iter(run_variants([functions[i] for i in todo],
-                                 [(seeds[i].y, seeds[i].za) for i in todo], config.c))
     records = []
     for seed, f in zip(seeds, functions):
         if seed.reason is not None:
@@ -173,7 +165,7 @@ def execute(config: RunConfig) -> RunResult:
                 newton_applied=False, trace_log=[], reason=seed.reason,
             ))
             continue
-        record = next(searched)
+        [record] = run_variants([f], [(seed.y, seed.za)], config.c)
         if (not config.poly_coefficients and record.verdict is Verdict.VERY_GOOD
                 and not f.in_strip(record.z)):
             record.verdict = Verdict.FAILED

@@ -237,10 +237,13 @@ _TRUNCATION_THRESHOLD = 1e-3
 _B_CANDIDATE_STEP = 5
 
 
-def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
+def select_truncation(a: float, d: float, region_tops: Sequence[float | QZetaError]) -> list:
     """For each top t of ``region_tops``, the smallest b in {5, 10, 15, ...}
     whose estimated dropped-term size at k = i*t is below the calibrated
-    threshold: one entry per top, its b or the error that top alone raises.
+    threshold: one entry per top, its b or the ``QZetaError`` that top alone
+    raises.  A top that is already a ``QZetaError`` (its seed failed an
+    earlier planning step) comes back unchanged; a or d not positive, or
+    any other top not positive and finite, raises ``ValueError``.
 
     The estimate is the dominant Gaussian decay exp(-d*B^2/(4a)) times the
     product-growth bound prod_l |1-e^((l+k)/a)| / |1-e^(l/a)| on the
@@ -257,27 +260,28 @@ def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
     more than MAX_SERIES_TERMS terms, before anything that long is
     allocated, or a first candidate past 2**53 (a/d may underflow to 0).
     """
+    if not (a > 0 and d > 0):
+        raise ValueError("a and d must be positive")
     tops = list(region_tops)
     results: list = [None] * len(tops)  # b or error per top
     chords = {}  # 4*sin^2(t/(2a)) of each top still without a b
     for i, top in enumerate(tops):
-        try:
-            if not (a > 0 and d > 0):
-                raise ValueError("a and d must be positive")
-            if not (top > 0 and math.isfinite(top)):
-                raise ValueError("region_top must be positive and finite")
-            angle = top / (2.0 * a)
-            if not math.isfinite(angle):
-                raise RangeUnsupported(
-                    f"truncation estimate not finite for a={a:g}, d={d:g}, "
-                    f"region_top={top:g}"
-                )
+        if isinstance(top, QZetaError):
+            results[i] = top
+            continue
+        if not (top > 0 and math.isfinite(top)):
+            raise ValueError("region_top must be positive and finite")
+        angle = top / (2.0 * a)
+        if math.isfinite(angle):
             chords[i] = 4.0 * math.sin(angle) ** 2
-        except (ValueError, RangeUnsupported) as exc:
-            results[i] = exc
+        else:
+            results[i] = RangeUnsupported(
+                f"truncation estimate not finite for a={a:g}, d={d:g}, "
+                f"region_top={top:g}"
+            )
     log_threshold = math.log(_TRUNCATION_THRESHOLD)
     b = _B_CANDIDATE_STEP  # the first candidate that keeps a term
-    root = math.sqrt(a / d) if chords else 1.0  # chords: a and d are positive
+    root = math.sqrt(a / d)
     if b * root < 1:
         # past 2**53, rounding would decide a candidate's n_terms
         b = math.inf
@@ -338,18 +342,19 @@ def select_truncation(a: float, d: float, region_tops: Sequence[float]) -> list:
 def linear_approximation(ys: Sequence[float], a: float, d: float) -> list:
     """First-order prediction of the deformed zero for the classical
     critical-line zero at k = y*i, for each ordinate y of ``ys``: one entry
-    per ordinate, its prediction or the error that ordinate alone raises.
+    per ordinate, its prediction or the ``QZetaError`` that ordinate alone
+    raises.  An ordinate that is not positive raises ``ValueError``.
 
     Combines eta at 3/2+yi and -1/2+yi with eta' at 1/2+yi, all three from
     ``zeta_plus_triple``; the correction is proportional to 1/(12a), so the
     prediction tends to y*i as a grows.  The eta values of all ordinates
     come from one ``zeta_plus_triple`` call, so they share its passes.
     """
+    if not all(y > 0 for y in ys):
+        raise ValueError("y must be positive")
     zas: list = []
     for y_i, triple in zip(ys, zeta_plus_triple(ys)):
         try:
-            if not y_i > 0:
-                raise ValueError("y must be positive")
             if isinstance(triple, Exception):
                 raise triple
             eta_prime, eta_right, eta_left = triple
@@ -367,6 +372,6 @@ def linear_approximation(ys: Sequence[float], a: float, d: float) -> list:
                     f"first-order prediction at y={y_i:g}, a={a:g}, d={d:g} is {za!r}"
                 )
             zas.append(za)
-        except (ValueError, QZetaError) as exc:
+        except QZetaError as exc:
             zas.append(exc)
     return zas

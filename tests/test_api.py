@@ -106,6 +106,13 @@ def test_every_public_name_is_its_submodules_object():
     _numpy_after(RESOLVES_LIKE_ITS_SUBMODULE, False)
 
 
+def test_submodule_attribute_imports_it():
+    # in a fresh interpreter, where the package has not imported it yet
+    script = ('import qzeta\nassert "qzeta.series" not in sys.modules\n'
+              'print(qzeta.series is sys.modules["qzeta.series"])\n')
+    assert _last_line(script) == "True"
+
+
 def test_all_lists_each_name_once_and_dir_covers_it():
     assert len(set(qzeta.__all__)) == len(qzeta.__all__)
     assert set(qzeta.__all__) | set(SUBMODULES) <= set(dir(qzeta))

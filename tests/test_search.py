@@ -290,6 +290,11 @@ class TestNewtonRefine:
         assert accepted
         assert abs(z - root) < 1e-9
 
+    def test_vanishing_central_difference_rejects(self):
+        # f(h) == f(-h) for the even f, so the derivative at 0 reads exactly 0
+        f = lambda k: k * k + 1
+        assert newton_refine(f, 0j, f(0j), 1.0) == (0j, False, None)
+
     def test_no_value_at_the_start_rejects(self):
         # the search passes None when its evaluation at z0 raised
         calls = []
@@ -371,6 +376,10 @@ class TestRunVariants:
         records = run_variants(functions, seeds)
         assert abs(records[0].z - (0.1 + 9j)) < 1e-6
         assert abs(records[1].z - (0.2 + 11j)) < 1e-6
+
+    def test_seed_ordinate_must_be_positive(self):
+        with pytest.raises(ValueError, match="^y must be positive$"):
+            run_variants([lambda k: k - 1j], [(0.0, 1j)])
 
     def test_function_count_mismatch(self):
         with pytest.raises(ValueError):

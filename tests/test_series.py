@@ -294,6 +294,11 @@ class TestEvaluate:
             p(outside)
         assert str(batch_error.value) == str(point_error.value)
 
+    def test_non_finite_point_is_named(self):
+        with pytest.raises(RangeUnsupported) as error:
+            SharpParams(750.0, 2.0, 15)(complex(math.nan, 0.0))
+        assert str(error.value) == "non-finite argument (nan+0j)"
+
     def test_degenerate_point_in_batch(self):
         p = SharpParams(750.0, 2.0, 15)
         with pytest.raises(DegenerateDenominator) as batch_error:
@@ -508,9 +513,17 @@ class TestSequenceForms:
     def test_entry_errors(self):
         assert linear_approximation([], 750.0, 2.0) == []
         assert select_truncation(750.0, 2.0, []) == []
-        zas = linear_approximation([14.134725141984639, 0.0, 250.0], 750.0, 2.0)
-        assert [type(za) for za in zas] == [complex, ValueError, RangeUnsupported]
-        bs = select_truncation(750.0, 2.0, [14.15, math.inf, 37.0])
-        assert [bs[0], type(bs[1]), bs[2]] == [15, ValueError, 20]
-        assert str(bs[1]) == "region_top must be positive and finite"
-        assert all(isinstance(b, ValueError) for b in select_truncation(-1.0, 2.0, [1.0, 2.0]))
+        zas = linear_approximation([14.134725141984639, 250.0], 750.0, 2.0)
+        assert [type(za) for za in zas] == [complex, RangeUnsupported]
+        # an argument no seed could have fails the whole call
+        with pytest.raises(ValueError, match="^y must be positive$"):
+            linear_approximation([14.134725141984639, 0.0, 250.0], 750.0, 2.0)
+        with pytest.raises(ValueError, match="^region_top must be positive and finite$"):
+            select_truncation(750.0, 2.0, [14.15, math.inf, 37.0])
+        with pytest.raises(ValueError, match="^a and d must be positive$"):
+            select_truncation(-1.0, 2.0, [1.0, 2.0])
+        # a top that already failed comes back as the same object, and the
+        # other tops keep their b
+        failed = RangeUnsupported("planned")
+        bs = select_truncation(750.0, 2.0, [14.15, failed, 37.0])
+        assert bs[0] == 15 and bs[1] is failed and bs[2] == 20

@@ -230,6 +230,17 @@ class TestClassicalZeros:
         for y, ref in zip(found, expected):
             assert abs(y - ref) < 1e-9
 
+    def test_ordinate_outside_the_table_raises(self, monkeypatch):
+        # without 14.1347 in the table, the first zero found has no match
+        monkeypatch.setattr(special, "REFERENCE_ZEROS", REFERENCE_ZEROS[1:])
+        with pytest.raises(QZetaError, match="absent from the verification table$"):
+            classical_zeros(30.0)
+
+    def test_eta_residual_check_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_eta_values", lambda ys, lines: [[1.0] for _ in ys])
+        with pytest.raises(QZetaError, match=r"fails the \|eta\| residual check$"):
+            classical_zeros(30.0)
+
     def test_hardy_z_budget(self, monkeypatch):
         # one probe block, then one block per Illinois step: 242 ordinates in
         # 9 blocks; a count of 0 means hardy_z is no longer called through
@@ -268,6 +279,11 @@ class TestRootBrackets:
         assert len(found) == len(expected)
         for y, ref in zip(found, expected):
             assert abs(y - ref) < 1e-6
+
+    def test_exact_zero_closes_the_bracket(self, monkeypatch):
+        # the first secant point is the midpoint, where Z reads exactly 0
+        monkeypatch.setattr(special, "hardy_z", lambda ts: np.zeros(len(ts)))
+        assert special._illinois_lockstep([(14.0, 14.5, -1.0, 1.0)]) == [(14.25, 14.25)]
 
     def test_brackets_hold_the_zeros(self, monkeypatch):
         calls = record_illinois(monkeypatch)

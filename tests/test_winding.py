@@ -118,6 +118,18 @@ class TestSampling:
         with pytest.raises(NonFiniteResult, match=re.escape(f"f is not finite at {named!r}")):
             _traced(f, Rectangle(0j, 1.0, 0.5), 4, 0, [0j])
 
+    def test_many_must_return_one_value_per_point(self):
+        class Short:
+            def __call__(self, k):
+                return k - 5
+
+            def many(self, points):
+                return points[:-1] - 5
+
+        # 4c = 16 boundary samples and the centre
+        with pytest.raises(ValueError, match=r"^16 values for 17 points$"):
+            integrate(Short(), Rectangle(0j, 1.0, 0.5), 4)
+
     def test_angles_are_unwrapped_principal_args(self):
         f = poly_from_roots([0.2 + 0.1j])
         trace = _traced(f, Rectangle(0j, 1.0, 0.5), 6, 0)[0]
